@@ -25,12 +25,14 @@ import time
 
 from .pseudolinear import (
     PseudolinearProblem,
+    _lower_bound_linear,
     _prepare,
     bisection_solve,
     initial_bounds,
     newton_solve,
 )
 from .pseudoquadratic import (
+    _lower_bound_quad,
     bisection_solve_quad,
     bounds_quad,
     newton_solve_quad,
@@ -51,6 +53,12 @@ def _bounds(prob):
     if isinstance(prob, PseudolinearProblem):
         return initial_bounds(prob)
     return bounds_quad(prob)
+
+
+def _lower_bound(prob):
+    if isinstance(prob, PseudolinearProblem):
+        return _lower_bound_linear(prob)
+    return _lower_bound_quad(prob)
 
 
 def _solvers(prob):
@@ -106,7 +114,7 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
                 continue
             bis_iters.append(bis.iterations)
             newt_iters.append(newt.iterations)
-            lb, up, wit = _bounds(prob)
+            lb = _lower_bound(prob)
             if lb.is_finite:
                 lb_used += 1
                 if bis.lam.value == lb.value:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
-from .matrix import TropMatrix, TypingError, conjugate, mat_vec_mul, tarjan_sccs
-from .semiring import NEG_INF, POS_INF, fin
+from .matrix import TropMatrix, TypingError, mat_vec_mul, tarjan_sccs
+from .semiring import NEG_INF, fin
 
 
 class IsolatedNode(ValueError):
@@ -642,13 +642,7 @@ def _solve_by_enumeration(arena: Arena):
 
 def _arena_from_system(sys: TwoSidedSystem) -> Arena:
     game = build_game(sys)
-    L = 1
-    for arcs in game.min_arcs:
-        for (_, w) in arcs:
-            L = L * w.denominator // gcd(L, w.denominator)
-    for arcs in game.max_arcs:
-        for (_, w) in arcs:
-            L = L * w.denominator // gcd(L, w.denominator)
+    L = _den_lcm(sys.A, sys.B)
     min_arcs = [[(i, int(w * L)) for (i, w) in arcs] for arcs in game.min_arcs]
     max_arcs = [[(j, int(w * L)) for (j, w) in arcs] for arcs in game.max_arcs]
     return Arena(min_arcs, max_arcs, L)
@@ -668,32 +662,72 @@ def solve_values(sys: TwoSidedSystem) -> GameValues:
 # finite witnesses
 
 
-def _descent_step(A_conj: TropMatrix, B: TropMatrix, x):
-    y = []
-    for i in range(B.rows):
-        best = NEG_INF
-        row = B.data[i]
-        for k in range(B.cols):
-            a = row[k]
-            if a.is_neg_inf or x[k].is_neg_inf:
-                continue
-            c = a + x[k]
-            if best < c:
-                best = c
-        y.append(best)
-    z = []
-    for j in range(A_conj.rows):
-        best = POS_INF
-        row = A_conj.data[j]
-        for i in range(len(y)):
-            a = row[i]
-            if a.is_pos_inf:
-                continue
-            c = a + y[i]  # finite + (-inf) = -inf: residuation forces -inf
-            if c < best:
-                best = c
-        z.append(best)
-    return [min(x[j], z[j]) for j in range(len(x))]
+def _den_lcm(*mats: TropMatrix) -> int:
+    """Common denominator of the entries (infinities carry value 0)."""
+    L = 1
+    for M in mats:
+        for row in M.data:
+            for e in row:
+                L = lcm(L, e.value.denominator)
+    return L
+
+
+def _scaled(M: TropMatrix, L: int):
+    """(w, finite): L * M as Python ints (0 off the finite entries) in an
+    object array, and the mask of finite entries.  The denominators of M
+    must divide L."""
+    finite = np.array([[e.is_finite for e in row] for row in M.data], dtype=bool)
+    w = np.array(
+        [[e.value.numerator * (L // e.value.denominator) for e in row] for row in M.data],
+        dtype=object,
+    )
+    return w, finite
+
+
+_GUARD = 1 << 61
+
+
+def _descend(A: TropMatrix, B: TropMatrix, W: Fraction, L: int, sweeps: int):
+    """Greatest-solution descent for A (x) <= B (x) on data scaled by L.
+
+    The alternating method of Cuninghame-Green and Butkovic: from the
+    seed (2W+2)*ones, each sweep maps x to x /\\ A#(B x), where A#(y)_j =
+    min_i (y_i - a_ij) over the finite a_ij (-inf as soon as one such y_i
+    is -inf).  Every solution below the seed survives each sweep, so a
+    fixpoint is the greatest one there.  When B has one column more than
+    A, that coordinate is a constant pinned at 0, which gives the affine
+    form A (x) <= B (x) + d.  W and the data must have denominators
+    dividing L.
+
+    Returns None when `sweeps` sweeps reach no fixpoint, otherwise
+    (x, finite, y, y_finite): the fixpoint times L (-inf where finite is
+    False) and B (x) at it.  A sweep lowers the least finite entry by at
+    most 2WL, so every value met stays below (sweeps+2)(2W+2)L in absolute
+    value; int64 holds that under 2^61, Python ints beyond it.
+    """
+    seed = int((2 * W + 2) * L)
+    big = (sweeps + 2) * seed
+    dtype = np.int64 if big < _GUARD else object
+    Aw, Af = _scaled(A, L)
+    Bw, Bf = _scaled(B, L)
+    Aw, Bw = Aw.astype(dtype), Bw.astype(dtype)
+    n = A.cols
+    x = np.full(B.cols, seed, dtype=dtype)
+    x[n:] = 0
+    finite = np.ones(B.cols, dtype=bool)
+    for _ in range(sweeps):
+        live = Bf & finite
+        y = np.where(live, Bw + x, -big).max(axis=1)
+        y_fin = live.any(axis=1)
+        z = np.where(Af, y[:, None] - Aw, big).min(axis=0)
+        nfin = finite.copy()
+        nfin[:n] &= ~(Af & ~y_fin[:, None]).any(axis=0)
+        nx = x.copy()
+        nx[:n] = np.where(nfin[:n], np.minimum(x[:n], z), -big)
+        if np.array_equal(nx, x) and np.array_equal(nfin, finite):
+            return x, finite, y, y_fin
+        x, finite = nx, nfin
+    return None
 
 
 def system_weight_bound(sys: TwoSidedSystem) -> Fraction:
@@ -719,28 +753,21 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     m, n = sys.shape
     if max_sweeps is None:
         max_sweeps = 3 * (m + n) + 6
-    W = system_weight_bound(sys)
-    seed = fin(2 * W + 2)
-    A_conj = conjugate(sys.A)
-    x = [seed] * n
-    converged = False
-    for _ in range(max_sweeps):
-        nxt = _descent_step(A_conj, sys.B, x)
-        if nxt == x:
-            converged = True
-            break
-        x = nxt
-    if converged:
-        if all(v.is_finite for v in x):
-            assert _verify_solution(sys, x)
-            return [v.value for v in x]
-        return None  # greatest solution below the seed is not finite
-    arena = _arena_from_system(sys)
-    chi, tau, sigma, sig_idx = solve_arena(arena)
-    if min(chi) < 0:
-        return None
-    wit = _bf_witness(arena, sig_idx)
-    assert _verify_solution(sys, [fin(v) for v in wit])
+    L = _den_lcm(sys.A, sys.B)
+    fix = _descend(sys.A, sys.B, system_weight_bound(sys), L, max_sweeps)
+    if fix is not None:
+        x, finite, _, _ = fix
+        if not finite.all():
+            return None  # greatest solution below the seed is not finite
+        wit = [Fraction(int(v), L) for v in x]
+    else:
+        arena = _arena_from_system(sys)
+        chi, tau, sigma, sig_idx = solve_arena(arena)
+        if min(chi) < 0:
+            return None
+        wit = _bf_witness(arena, sig_idx)
+    if not _verify_solution(sys, [fin(v) for v in wit]):
+        raise EngineError("finite witness violates the system")
     return wit
 
 

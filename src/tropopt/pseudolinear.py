@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import numpy as np
 
 from .matrix import (
+    DivergentStar,
     TropMatrix,
     TypingError,
     conjugate,
@@ -32,14 +33,16 @@ from .matrix import (
     kleene_star,
     mat_vec_mul,
     dual_mat_vec_mul,
-    max_cycle_mean,
 )
 from .games import (
     Arena,
     EngineError,
     InvalidStrategy,
     TwoSidedSystem,
+    _den_lcm,
+    _descend,
     _one_player_min,
+    _scaled,
     feasible_finite,
     solve_arena,
     solve_values,
@@ -249,36 +252,25 @@ class _ParamStruct:
         self.n_min = n + 1
         self.n_max = A.rows
         self._warm = None
-        L = 1
-        for row in A.data:
-            for e in row:
-                if e.is_finite:
-                    L = L * e.value.denominator // gcd(L, e.value.denominator)
+        L = _den_lcm(A)
         for ents in b_entries:
             for (_, wv, islam) in ents:
                 if not islam:
-                    L = L * wv.value.denominator // gcd(L, wv.value.denominator)
+                    L = lcm(L, wv.value.denominator)
         self.L0 = L
-        a_src, a_tgt, a_w = [], [], []
-        a_off = [0]
-        for j in range(self.n_min):
-            for r in range(A.rows):
-                e = A.data[r][j]
-                if e.is_finite:
-                    a_src.append(j)
-                    a_tgt.append(r)
-                    a_w.append(int(-e.value * L))
-            a_off.append(len(a_src))
-        self._a_off = np.asarray(a_off, dtype=np.int64)
-        self._a_src = np.asarray(a_src, dtype=np.int64)
-        self._a_tgt = np.asarray(a_tgt, dtype=np.int64)
-        self._a_w0 = np.asarray(a_w, dtype=np.int64)
+        aw, afin = _scaled(A, L)
+        a_src, a_tgt = np.nonzero(afin.T)  # grouped by column, rows ascending
+        self._a_off = np.zeros(self.n_min + 1, dtype=np.int64)
+        np.cumsum(np.bincount(a_src, minlength=self.n_min), out=self._a_off[1:])
+        self._a_src = a_src.astype(np.int64)
+        self._a_tgt = a_tgt.astype(np.int64)
+        self._a_w0 = np.asarray(-aw.T[afin.T], dtype=np.int64)
         b_tgt, b_w, b_lam = [], [], []
         b_off = [0]
         for ents in b_entries:
             for (t, wv, islam) in ents:
                 b_tgt.append(t)
-                b_w.append(0 if islam else int(wv.value * L))
+                b_w.append(0 if islam else wv.value.numerator * (L // wv.value.denominator))
                 b_lam.append(islam)
             b_off.append(len(b_tgt))
         self._b_off = np.asarray(b_off, dtype=np.int64)
@@ -354,10 +346,11 @@ class _ParamStruct:
         return TwoSidedSystem(self.A, TropMatrix(rows, "max"))
 
     def witness(self, lam: Fraction):
-        """Finite optimal-level point: solve the system at lam, de-homogenize."""
+        """Finite point at a feasible level: solve the system at lam,
+        de-homogenize."""
         w = feasible_finite(self.system(lam))
         if w is None:
-            return None
+            raise EngineError(f"no finite point at the feasible level {lam}")
         t = w[self.n]
         return [w[j] - t for j in range(self.n)]
 
@@ -452,35 +445,6 @@ def _prepare(prob, ignore_objective=False) -> _Prep:
 # feasibility front-end
 
 
-def _affine_step(Uc, V, d, x):
-    n = V.cols
-    y = []
-    for i in range(V.rows):
-        best = d[i]
-        row = V.data[i]
-        for k in range(n):
-            a = row[k]
-            if a.is_neg_inf:
-                continue
-            c = a + x[k]
-            if best < c:
-                best = c
-        y.append(best)
-    z = []
-    for j in range(n):
-        best = POS_INF
-        row = Uc.data[j]
-        for i in range(len(y)):
-            a = row[i]
-            if a.is_pos_inf:
-                continue
-            c = a + y[i]
-            if c < best:
-                best = c
-        z.append(best)
-    return [min(x[j], z[j]) for j in range(n)]
-
-
 def _affine_witness(prob):
     """A finite solution of U x + b <= V x + d, or None.
 
@@ -502,35 +466,16 @@ def _affine_witness(prob):
                 return None
         except EngineError:
             pass
-    W = prob.weight_bound()
-    seed = fin(2 * W + 2)
-    Uc = conjugate(prob.U)
-    x = [seed] * n
-    converged = False
-    for _ in range(min(3 * (m + n) + 6, 64)):
-        nxt = _affine_step(Uc, prob.V, prob.d, x)
-        if nxt == x:
-            converged = True
-            break
-        x = nxt
-    if converged and all(v.is_finite for v in x):
-        ok = True
-        for i in range(m):
-            lhs = prob.b[i]
-            if lhs.is_neg_inf:
-                continue
-            best = prob.d[i]
-            for k in range(n):
-                a = prob.V.data[i][k]
-                if not a.is_neg_inf:
-                    c = a + x[k]
-                    if best < c:
-                        best = c
-            if not lhs <= best:
-                ok = False
-                break
-        if ok:
-            return [v.value for v in x]
+    L = prob.data_denominator_lcm()
+    Vd = TropMatrix([row + [di] for row, di in zip(prob.V.data, prob.d)], "max")
+    fix = _descend(prob.U, Vd, prob.weight_bound(), L, min(3 * (m + n) + 6, 64))
+    if fix is not None:
+        x, finite, y, y_fin = fix
+        if finite.all() and all(
+            e.is_neg_inf or (y_fin[i] and e.value * L <= int(y[i]))
+            for i, e in enumerate(prob.b)
+        ):
+            return [Fraction(int(v), L) for v in x[:n]]
     # homogenize [U | b] <= [V | d] over (x, t) and let the game decide
     arows, brows = [], []
     for i in kept:
@@ -643,11 +588,7 @@ def _bisect_on_grid(prob, struct, grid, lb, up, lam_floor) -> SolveOutcome:
         ph = struct.phi(lo)
         tr.append((lo, ph))
         if ph >= 0:
-            x = struct.witness(lo)
-            assert x is not None
-            val = _outer_objective(prob, x)
-            assert val.value == lo
-            return SolveOutcome("optimal", fin(lo), x, 0, tr)
+            return SolveOutcome("optimal", fin(lo), _optimal_witness(prob, struct, lo), 0, tr)
     hi = grid.down(up.value)
     iters = 0
     while lo < hi:
@@ -661,12 +602,15 @@ def _bisect_on_grid(prob, struct, grid, lb, up, lam_floor) -> SolveOutcome:
             hi = grid.down(mid)
         else:
             lo = grid.strict_up(mid)
-    lam = lo
+    return SolveOutcome("optimal", fin(lo), _optimal_witness(prob, struct, lo), iters, tr)
+
+
+def _optimal_witness(prob, struct, lam):
+    """A finite point at level lam with objective exactly lam."""
     x = struct.witness(lam)
-    assert x is not None
-    val = _outer_objective(prob, x)
-    assert val.value == lam
-    return SolveOutcome("optimal", fin(lam), x, iters, tr)
+    if _outer_objective(prob, x) != fin(lam):
+        raise EngineError(f"witness objective differs from the optimal level {lam}")
+    return x
 
 
 def _bisect_real(prob, struct, lb, up, tolF, lam_floor) -> SolveOutcome:
@@ -682,9 +626,7 @@ def _bisect_real(prob, struct, lb, up, tolF, lam_floor) -> SolveOutcome:
         ph = struct.phi(lo)
         tr.append((lo, ph))
         if ph >= 0:
-            x = struct.witness(lo)
-            assert x is not None
-            return SolveOutcome("optimal", fin(lo), x, 0, tr)
+            return SolveOutcome("optimal", fin(lo), struct.witness(lo), 0, tr)
     hi = up.value
     iters = 0
     while hi - lo > tolF:
@@ -699,7 +641,6 @@ def _bisect_real(prob, struct, lb, up, tolF, lam_floor) -> SolveOutcome:
         else:
             lo = mid
     x = struct.witness(hi)
-    assert x is not None
     val = _outer_objective(prob, x)
     return SolveOutcome("optimal", val, x, iters, tr)
 
@@ -810,10 +751,10 @@ def solve_alcoved(alc: AlcovedProblem):
     unbounded below on the feasible set.  Requires the feasible set to be
     nonempty: no positive cycle in R and R* l <= u."""
     n = alc.R.rows
-    rho = max_cycle_mean(alc.R)
-    if not rho.is_neg_inf and rho.value > 0:
-        raise InfeasibleReduction("positive self-coupling cycle")
-    Rstar = kleene_star(alc.R)
+    try:
+        Rstar = kleene_star(alc.R)
+    except DivergentStar:
+        raise InfeasibleReduction("positive self-coupling cycle") from None
     Rl = mat_vec_mul(Rstar, alc.l)
     for k in range(n):
         if not Rl[k] <= alc.u[k]:

@@ -27,6 +27,7 @@ from .pseudolinear import (
     _bisect_on_grid,
     _bisect_real,
     _check_mode,
+    _optimal_witness,
     _outcome_infeasible,
     _vec,
     certify_optimal,
@@ -269,9 +270,7 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
         ph = min(chi)
         tr.append((lam_k, ph))
         if ph < 0:
-            x = struct.witness(lam_k)
-            assert x is not None
-            assert objective_quad(prob, x).value == lam_k
+            x = _optimal_witness(prob, struct, lam_k)
             return SolveOutcome("optimal", fin(lam_k), x, iters, tr)
         sig = struct.last_sig_idx()
         lo = lam_floor

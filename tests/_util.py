@@ -15,6 +15,7 @@ from tropopt import (
     PseudolinearProblem,
     PseudoquadraticProblem,
     TropMatrix,
+    conjugate,
     fin,
 )
 
@@ -182,3 +183,78 @@ def one_player_value(A, B, tau=None, sigma=None, start=0):
     means = cycle_means_from(m + n, arcs, start, turn_arcs=2)
     assert means, "a pinned game walk must reach a cycle"
     return max(means) if tau is not None else min(means)
+
+
+# ---------------------------------------------------------------------------
+# greatest-solution descent on extended scalars
+
+
+def _descent_step(A_conj, B, x):
+    y = []
+    for i in range(B.rows):
+        best = NEG_INF
+        row = B.data[i]
+        for k in range(B.cols):
+            a = row[k]
+            if a.is_neg_inf or x[k].is_neg_inf:
+                continue
+            c = a + x[k]
+            if best < c:
+                best = c
+        y.append(best)
+    z = []
+    for j in range(A_conj.rows):
+        best = POS_INF
+        row = A_conj.data[j]
+        for i in range(len(y)):
+            a = row[i]
+            if a.is_pos_inf:
+                continue
+            c = a + y[i]  # finite + (-inf) = -inf: residuation forces -inf
+            if c < best:
+                best = c
+        z.append(best)
+    return [min(x[j], z[j]) for j in range(len(x))]
+
+
+def _affine_step(Uc, V, d, x):
+    n = V.cols
+    y = []
+    for i in range(V.rows):
+        best = d[i]
+        row = V.data[i]
+        for k in range(n):
+            a = row[k]
+            if a.is_neg_inf:
+                continue
+            c = a + x[k]
+            if best < c:
+                best = c
+        y.append(best)
+    z = []
+    for j in range(n):
+        best = POS_INF
+        row = Uc.data[j]
+        for i in range(len(y)):
+            a = row[i]
+            if a.is_pos_inf:
+                continue
+            c = a + y[i]
+            if c < best:
+                best = c
+        z.append(best)
+    return [min(x[j], z[j]) for j in range(n)]
+
+
+def descent_oracle(A, B, W, sweeps, d=None):
+    """The Fraction-arithmetic descent from the seed (2W+2)*ones: x maps
+    to x /\\ A#(B x), or to x /\\ A#(B x + d) when d is given.  Returns
+    (x, converged) with x a list of extended scalars."""
+    Ac = conjugate(A)
+    x = [fin(2 * W + 2)] * A.cols
+    for _ in range(sweeps):
+        nxt = _descent_step(Ac, B, x) if d is None else _affine_step(Ac, B, d, x)
+        if nxt == x:
+            return x, True
+        x = nxt
+    return x, False
