@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import time
 
+from .games import EngineError
 from .pseudolinear import (
     PseudolinearProblem,
     _lower_bound_linear,
@@ -109,7 +110,10 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
                 continue
             feasible += 1
             ms.append(elapsed)
-            assert newt.status == bis.status
+            if newt.status != bis.status:
+                raise EngineError(
+                    f"solvers disagree: {bis.status} (bisection), {newt.status} (Newton)"
+                )
             if bis.status != "optimal":
                 continue
             bis_iters.append(bis.iterations)

@@ -8,9 +8,10 @@ a turn being a Min/Max move pair) is >= 0 exactly when the system has a
 solution with x_j finite.
 
 The solver is policy iteration for the Max player.  Evaluating a fixed Max
-strategy is a one-player minimum-cycle problem handled exactly (Tarjan +
-Karp + topological gain propagation, integer arithmetic after clearing
-denominators).  Every solve is finished by a verification gate: Min's tight
+strategy is a one-player minimum-cycle problem handled exactly on whole
+int64 arrays after clearing denominators: reachability and SCCs by boolean
+matrix squaring, one Karp table for all SCCs, and the least reachable cycle
+mean per node.  Every solve is finished by a verification gate: Min's tight
 best response is extracted and its one-player problem solved independently;
 values are only accepted when the two bounds coincide, which certifies a
 saddle point no matter what path policy iteration took.
@@ -24,8 +25,8 @@ from math import lcm
 
 import numpy as np
 
-from .matrix import TropMatrix, TypingError, mat_vec_mul, tarjan_sccs
-from .semiring import NEG_INF, fin
+from .matrix import TropMatrix, TypingError
+from .semiring import NEG_INF
 
 
 class IsolatedNode(ValueError):
@@ -255,72 +256,90 @@ class Arena:
         return self.b_tgt[pos], self.b_w[pos]
 
 
-def _min_mean_of_scc(nodes, src, dst, w):
-    """Karp's minimum cycle mean on one SCC, exact.
-
-    nodes: node ids of a strongly connected component; arcs all inside.
-    Returns a Fraction, or None for a single node without a self-loop.
-    """
-    ns = len(nodes)
-    if ns == 1:
-        selfmask = src == dst
-        if not np.any(selfmask):
-            return None
-        return Fraction(int(np.min(w[selfmask])), 1)
-    remap = {int(u): k for k, u in enumerate(nodes)}
-    ne = len(src)
-    lsrc = np.fromiter((remap[int(u)] for u in src), dtype=np.int64, count=ne)
-    ldst = np.fromiter((remap[int(u)] for u in dst), dtype=np.int64, count=ne)
-    order = np.argsort(ldst, kind="stable")
-    lsrc, ldst, lw = lsrc[order], ldst[order], w[order]
-    grp_dst, grp_starts = np.unique(ldst, return_index=True)
-    D = np.full((ns + 1, ns), _INF64, dtype=np.int64)
-    D[0][0] = 0
-    for k in range(1, ns + 1):
-        cand = D[k - 1][lsrc] + lw
-        segs = np.minimum.reduceat(cand, grp_starts)
-        D[k][grp_dst] = segs
-    top = D[ns]
-    ks = np.arange(ns, dtype=np.int64)
-    dens_all = ns - ks
-    best = None
-    for v in range(ns):
-        tv = int(top[v])
-        if tv >= int(_CUT64):
-            continue
-        col = D[:ns, v]
-        mask = col < _CUT64
-        if not np.any(mask):
-            continue
-        nums = tv - col[mask]
-        dens = dens_all[mask]
-        ratios = nums / dens
-        kk = int(np.argmax(ratios))
-        n0, d0 = int(nums[kk]), int(dens[kk])
-        if np.all(n0 * dens >= nums * d0):
-            cand_v = Fraction(n0, d0)
-        else:
-            # float prefilter missed a tie or rounding edge; exact scan
-            cand_v = max(
-                Fraction(int(nums[t]), int(dens[t])) for t in range(len(nums))
-            )
-        if best is None or cand_v < best:
-            best = cand_v
-    return best
+def _adjacency(ns, src, dst):
+    adj = np.zeros((ns, ns), dtype=bool)
+    adj[src, dst] = True
+    return adj
 
 
-class _SuccView:
-    """Adjacency view over arc arrays, grouped by source node."""
+def _closure(adj):
+    """Reflexive-transitive closure of a boolean adjacency matrix, by
+    repeated squaring.  The float32 product only counts 0/1 paths (sums of
+    at most n ones), so it is exact."""
+    r = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        f = r.astype(np.float32)
+        nr = (f @ f) > 0
+        if np.array_equal(nr, r):
+            return r
+        r = nr
 
-    def __init__(self, n, src, dst):
-        counts = np.bincount(src, minlength=n)
-        self.off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.off[1:])
-        order = np.argsort(src, kind="stable")
-        self.dst = dst[order]
 
-    def __getitem__(self, u):
-        return self.dst[self.off[u] : self.off[u + 1]]
+def _relax(n, src, dst, w, x):
+    """Bellman-Ford rounds x_u <- min(x_u, w + x_v) over the arcs u -> v,
+    until nothing changes or n + 1 rounds have run."""
+    if not len(src):
+        return x
+    order = np.argsort(src, kind="stable")
+    ps, pd, pw = src[order], dst[order], w[order]
+    heads, starts = np.unique(ps, return_index=True)
+    for _ in range(n + 1):
+        new = x.copy()
+        new[heads] = np.minimum(x[heads], np.minimum.reduceat(pw + x[pd], starts))
+        if np.array_equal(new, x):
+            break
+        x = new
+    return x
+
+
+def _first(cond, off):
+    """Per segment [off[k], off[k+1]) (none empty), the first index where
+    cond holds, or -1."""
+    idx = np.where(cond, np.arange(len(cond)), len(cond))
+    first = np.minimum.reduceat(idx, off[:-1])
+    return np.where(first == len(cond), -1, first)
+
+
+def _last(cond, off):
+    """Per segment, the last index where cond holds, or -1."""
+    return np.maximum.reduceat(np.where(cond, np.arange(len(cond)), -1), off[:-1])
+
+
+def _karp_values(ns, src, dst, w, root):
+    """Karp's table for every SCC at once, walks starting at each SCC's
+    least node (root) and using only arcs inside one SCC.
+
+    Returns (cyc, vn, vd): cyc marks the nodes v with a finite walk of N
+    arcs (N the largest SCC size), and vn/vd is the reduced fraction
+    max_k (D_N(v) - D_k(v)) / (N - k) at those nodes.  Karp's theorem
+    holds for any N at least the SCC size, so the least value over the
+    cyc nodes of an SCC is its minimum cycle mean; an SCC without a cycle
+    has no cyc node."""
+    inner = root[src] == root[dst]
+    isrc, idst, iw = src[inner], dst[inner], w[inner]
+    N = int(np.max(np.bincount(root, minlength=ns)))
+    D = np.full((N + 1, ns), _INF64, dtype=np.int64)
+    D[0, root == np.arange(ns)] = 0
+    if len(idst):
+        order = np.argsort(idst, kind="stable")
+        isrc, idst, iw = isrc[order], idst[order], iw[order]
+        heads, starts = np.unique(idst, return_index=True)
+        for k in range(1, N + 1):
+            D[k, heads] = np.minimum.reduceat(D[k - 1][isrc] + iw, starts)
+    cyc = D[N] < _CUT64
+    ok = (D[:N] < _CUT64) & cyc
+    nums = np.where(ok, D[N] - D[:N], 0)
+    dens = (N - np.arange(N, dtype=np.int64))[:, None]
+    kk = np.argmax(np.where(ok, nums / dens, -np.inf), axis=0)
+    vn = nums[kk, np.arange(ns)]
+    vd = dens[kk, 0]
+    # float prefilter, re-checked exactly; exact scan where it missed
+    exact = np.all(~ok | (vn * dens >= nums * vd), axis=0)
+    for v in np.flatnonzero(cyc & ~exact):
+        f = max(Fraction(int(nums[k, v]), int(dens[k, 0])) for k in np.flatnonzero(ok[:, v]))
+        vn[v], vd[v] = f.numerator, f.denominator
+    g = np.gcd(vn, vd)
+    return cyc, np.where(cyc, vn // g, 0), np.where(cyc, vd // g, 1)
 
 
 def _one_player_min(ns, src, dst, w, need_bias):
@@ -331,51 +350,20 @@ def _one_player_min(ns, src, dst, w, need_bias):
     and, when need_bias, a per-node integer bias in units of 1/g_den of
     its own gain level.
     """
-    succ = _SuccView(ns, src, dst)
-    comps = tarjan_sccs(ns, succ)  # successors listed before predecessors
-    comp_of = np.empty(ns, dtype=np.int64)
-    for ci, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = ci
-    src_comp = comp_of[src]
-    dst_comp = comp_of[dst]
-    mus = []
-    for ci, comp in enumerate(comps):
-        if len(comp) == 1:
-            u = comp[0]
-            mask = (src == u) & (dst == u)
-            if np.any(mask):
-                mus.append(Fraction(int(np.min(w[mask])), 1))
-            else:
-                mus.append(None)
-        else:
-            mask = (src_comp == ci) & (dst_comp == ci)
-            mus.append(
-                _min_mean_of_scc(np.asarray(comp), src[mask], dst[mask], w[mask])
-            )
-    succ_comps = [set() for _ in comps]
-    for e in range(len(src)):
-        a, b = int(src_comp[e]), int(dst_comp[e])
-        if a != b:
-            succ_comps[a].add(b)
-    g_comp = [None] * len(comps)
-    for ci in range(len(comps)):
-        best = mus[ci]
-        for cj in succ_comps[ci]:
-            gj = g_comp[cj]
-            assert gj is not None  # Tarjan order: successors come first
-            if best is None or gj < best:
-                best = gj
-        if best is None:
-            raise EngineError("node with no reachable cycle; graph not total")
-        g_comp[ci] = best
-    g_num = np.empty(ns, dtype=np.int64)
-    g_den = np.empty(ns, dtype=np.int64)
-    for ci, comp in enumerate(comps):
-        gn, gd = g_comp[ci].numerator, g_comp[ci].denominator
-        for u in comp:
-            g_num[u] = gn
-            g_den[u] = gd
+    reach = _closure(_adjacency(ns, src, dst))
+    root = np.argmax(reach & reach.T, axis=1)  # least node of each SCC
+    cyc, vn, vd = _karp_values(ns, src, dst, w, root)
+    cand = reach & cyc  # u reaches the cyc node v
+    if not np.all(cand.any(axis=1)):
+        raise EngineError("node with no reachable cycle; graph not total")
+    best = np.argmin(np.where(cand, vn / vd, np.inf), axis=1)
+    g_num, g_den = vn[best], vd[best]
+    exact = np.all(
+        ~cand | (g_num[:, None] * vd[None, :] <= vn[None, :] * g_den[:, None]), axis=1
+    )
+    for u in np.flatnonzero(~exact):
+        f = min(Fraction(int(vn[v]), int(vd[v])) for v in np.flatnonzero(cand[u]))
+        g_num[u], g_den[u] = f.numerator, f.denominator
     if not need_bias:
         return g_num, g_den, None
 
@@ -386,42 +374,11 @@ def _one_player_min(ns, src, dst, w, need_bias):
     adm = (g_num[src] == g_num[dst]) & (g_den[src] == g_den[dst])
     asrc, adst, aw = src[adm], dst[adm], w[adm]
     wprime = aw * g_den[asrc] - g_num[asrc]
-    pi = np.zeros(ns, dtype=np.int64)
-    if len(asrc):
-        order = np.argsort(asrc, kind="stable")
-        ps, pd, pw = asrc[order], adst[order], wprime[order]
-        grp_src, grp_starts = np.unique(ps, return_index=True)
-        for _ in range(ns + 1):
-            cand = pw + pi[pd]
-            segs = np.minimum.reduceat(cand, grp_starts)
-            new = pi.copy()
-            new[grp_src] = np.minimum(new[grp_src], segs)
-            np.minimum(new, 0, out=new)
-            if np.array_equal(new, pi):
-                break
-            pi = new
-    critical = np.zeros(ns, dtype=bool)
-    if len(asrc):
-        tightmask = pi[asrc] == wprime + pi[adst]
-        ts, td = asrc[tightmask], adst[tightmask]
-        if len(ts):
-            tsucc = _SuccView(ns, ts, td)
-            for comp in tarjan_sccs(ns, tsucc):
-                if len(comp) > 1:
-                    for u in comp:
-                        critical[u] = True
-            for u in ts[ts == td]:
-                critical[u] = True
-    vhat = np.where(critical, pi, _INF64)
-    if len(asrc):
-        for _ in range(ns + 1):
-            cand = pw + vhat[pd]
-            segs = np.minimum.reduceat(cand, grp_starts)
-            new = vhat.copy()
-            new[grp_src] = np.minimum(new[grp_src], segs)
-            if np.array_equal(new, vhat):
-                break
-            vhat = new
+    pi = _relax(ns, asrc, adst, wprime, np.zeros(ns, dtype=np.int64))
+    tight = pi[asrc] == wprime + pi[adst]
+    tadj = _adjacency(ns, asrc[tight], adst[tight])
+    critical = np.any(tadj & _closure(tadj).T, axis=1)  # tight u -> v, v reaches u
+    vhat = _relax(ns, asrc, adst, wprime, np.where(critical, pi, _INF64))
     if bool(np.any(vhat >= _CUT64)):
         raise EngineError("bias propagation failed to reach a critical node")
     return g_num, g_den, vhat
@@ -463,66 +420,42 @@ def _improve(arena: Arena, sig_idx, ev: _Evaluation, reverse=False):
     improvement; ties go to the lowest target index (highest under
     reverse, used by the anti-cycling perturbation)."""
     gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
-    switches = 0
-    for i in range(arena.n_max):
-        lo, hi = int(arena.b_off[i]), int(arena.b_off[i + 1])
-        if hi - lo == 1:
-            continue
-        tgts = arena.b_tgt[lo:hi]
-        ws = arena.b_w[lo:hi]
-        tn, td = gn[tgts], gd[tgts]
-        ratios = tn / td
-        kk = int(np.argmax(ratios))
-        if not np.all(tn[kk] * td >= tn * td[kk]):
-            best = None
-            kk = 0
-            for t in range(len(tn)):
-                c = Fraction(int(tn[t]), int(td[t]))
-                if best is None or c > best:
-                    best = c
-                    kk = t
-        bn, bd = int(tn[kk]), int(td[kk])
-        level = tn * bd == bn * td
-        idxs = np.nonzero(level)[0]
-        appr = ws[idxs] * bd + vhat[tgts[idxs]]
-        if reverse:
-            pick_local = len(appr) - 1 - int(np.argmax(appr[::-1]))
-        else:
-            pick_local = int(np.argmax(appr))
-        pick = int(idxs[pick_local])
-        cur = int(sig_idx[i])
-        cn, cd = int(gn[tgts[cur]]), int(gd[tgts[cur]])
-        if cn * bd < bn * cd:
-            sig_idx[i] = pick
-            switches += 1
-            continue
-        # equal gains: compare appraisals exactly (same level, same units)
-        cur_appr = int(ws[cur]) * bd + int(vhat[tgts[cur]])
-        best_appr = int(ws[pick]) * bd + int(vhat[tgts[pick]])
-        if best_appr > cur_appr:
-            sig_idx[i] = pick
-            switches += 1
-    return switches
+    off, tgt, ws = arena.b_off, arena.b_tgt, arena.b_w
+    grp = np.repeat(np.arange(arena.n_max), np.diff(off))
+    tn, td = gn[tgt], gd[tgt]
+    ratios = tn / td
+    kk = _first(ratios == np.maximum.reduceat(ratios, off[:-1])[grp], off)
+    bn, bd = tn[kk], td[kk]
+    exact = np.logical_and.reduceat(bn[grp] * td >= tn * bd[grp], off[:-1])
+    for i in np.flatnonzero(~exact):
+        # float prefilter missed a tie or rounding edge; exact scan
+        lo, hi = off[i], off[i + 1]
+        f = max(Fraction(int(n), int(d)) for n, d in zip(tn[lo:hi], td[lo:hi]))
+        bn[i], bd[i] = f.numerator, f.denominator
+    level = tn * bd[grp] == bn[grp] * td
+    appr = ws * bd[grp] + vhat[tgt]
+    top = np.maximum.reduceat(np.where(level, appr, np.iinfo(np.int64).min), off[:-1])
+    hit = level & (appr == top[grp])
+    pick = (_last if reverse else _first)(hit, off) - off[:-1]
+    cur = off[:-1] + sig_idx
+    ct = tgt[cur]
+    # a lower current gain, or an equal one with a lower appraisal
+    switch = (gn[ct] * bd < bn * gd[ct]) | (top > ws[cur] * bd + vhat[ct])
+    sig_idx[switch] = pick[switch]
+    return int(np.count_nonzero(switch))
 
 
 def _tight_tau(arena: Arena, ev: _Evaluation):
     """Min's best response to the evaluated sigma: per Min node, the lowest
     Max row whose turn arc is gain-admissible and bias-tight."""
     gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
-    tau = [-1] * arena.n_min
-    for j in range(arena.n_min):
-        lo, hi = int(arena.a_off[j]), int(arena.a_off[j + 1])
-        for e in range(lo, hi):
-            l = int(ev.t_dst[e])
-            if gn[l] != gn[j] or gd[l] != gd[j]:
-                continue
-            wp = int(ev.t_w[e]) * int(gd[j]) - int(gn[j])
-            if int(vhat[j]) == wp + int(vhat[l]):
-                tau[j] = int(arena.a_tgt[e])
-                break
-        if tau[j] < 0:
-            raise EngineError(f"no tight move at Min node {j}")
-    return tau
+    j, l = arena.a_src, ev.t_dst
+    tight = (gn[l] == gn[j]) & (gd[l] == gd[j])
+    tight &= vhat[j] == ev.t_w * gd[j] - gn[j] + vhat[l]
+    e = _first(tight, arena.a_off)
+    if np.any(e < 0):
+        raise EngineError(f"no tight move at Min node {int(np.argmax(e < 0))}")
+    return arena.a_tgt[e].tolist()
 
 
 def _gate(arena: Arena, ev: _Evaluation, tau):
@@ -531,24 +464,15 @@ def _gate(arena: Arena, ev: _Evaluation, tau):
     True when Max's best-response values match the sigma evaluation on
     every Min node, i.e. the pair is a saddle point."""
     tau_arr = np.asarray(tau, dtype=np.int64)
-    tau_w = np.empty(arena.n_min, dtype=np.int64)
-    for j in range(arena.n_min):
-        lo, hi = int(arena.a_off[j]), int(arena.a_off[j + 1])
-        for e in range(lo, hi):
-            if int(arena.a_tgt[e]) == tau[j]:
-                tau_w[j] = arena.a_w[e]
-                break
-        else:
-            raise EngineError("tau selects a missing arc")
+    e = _first(arena.a_tgt == tau_arr[arena.a_src], arena.a_off)
+    if np.any(e < 0):
+        raise EngineError("tau selects a missing arc")
+    tau_w = arena.a_w[e]
     src = np.repeat(np.arange(arena.n_max, dtype=np.int64), np.diff(arena.b_off))
     dst = tau_arr[arena.b_tgt]
     w = arena.b_w + tau_w[arena.b_tgt]
     G_num, G_den = _one_player_max(arena.n_max, src, dst, w)
-    for j in range(arena.n_min):
-        i = tau[j]
-        if int(ev.g_num[j]) * int(G_den[i]) != int(G_num[i]) * int(ev.g_den[j]):
-            return False
-    return True
+    return bool(np.all(ev.g_num * G_den[tau_arr] == G_num[tau_arr] * ev.g_den))
 
 
 def solve_arena(arena: Arena, warm_sigma=None):
@@ -734,10 +658,24 @@ def system_weight_bound(sys: TwoSidedSystem) -> Fraction:
     return max(sys.A.finite_abs_max(), sys.B.finite_abs_max())
 
 
-def _verify_solution(sys: TwoSidedSystem, x) -> bool:
-    lhs = mat_vec_mul(sys.A, x)
-    rhs = mat_vec_mul(sys.B, x)
-    return all(l <= r for l, r in zip(lhs, rhs))
+def _check_witness(A: TropMatrix, B: TropMatrix, x, L: int):
+    """Raise EngineError unless the finite point x solves A (x) <= B (x).
+
+    Exact: max_j (a_ij + x_j) is compared with max_j (b_ij + x_j) on the
+    data and x scaled by L, in int64 while every sum stays below 2^61 and
+    on Python ints beyond.  x * L must be integral."""
+    xs = [v * L for v in x]
+    if any(v.denominator != 1 for v in xs):
+        raise EngineError("finite witness is not on the 1/L grid of the data")
+    Aw, Af = _scaled(A, L)
+    Bw, Bf = _scaled(B, L)
+    big = int(max(np.abs(Aw).max(), np.abs(Bw).max())) + max(abs(int(v)) for v in xs)
+    dtype = np.int64 if big < _GUARD else object
+    xv = np.array([int(v) for v in xs], dtype=object).astype(dtype)
+    lhs = np.where(Af, Aw.astype(dtype) + xv, -big - 1).max(axis=1)
+    rhs = np.where(Bf, Bw.astype(dtype) + xv, -big - 1).max(axis=1)
+    if np.any(lhs > rhs):
+        raise EngineError("finite witness violates the system")
 
 
 def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
@@ -766,8 +704,7 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
         if min(chi) < 0:
             return None
         wit = _bf_witness(arena, sig_idx)
-    if not _verify_solution(sys, [fin(v) for v in wit]):
-        raise EngineError("finite witness violates the system")
+    _check_witness(sys.A, sys.B, wit, L)
     return wit
 
 
@@ -776,19 +713,7 @@ def _bf_witness(arena: Arena, sig_idx):
     read off the turn graph of an optimal sigma (no negative cycles once
     every chi >= 0): super-source shortest paths, exact integers."""
     sig_tgt, sig_w = arena.sigma_arrays(sig_idx)
-    src = arena.a_src
     dst = sig_tgt[arena.a_tgt]
     w = arena.a_w + sig_w[arena.a_tgt]
-    order = np.argsort(src, kind="stable")
-    ps, pd, pw = src[order], dst[order], w[order]
-    grp_src, grp_starts = np.unique(ps, return_index=True)
-    x = np.zeros(arena.n_min, dtype=np.int64)
-    for _ in range(arena.n_min + 1):
-        cand = pw + x[pd]
-        segs = np.minimum.reduceat(cand, grp_starts)
-        new = x.copy()
-        new[grp_src] = np.minimum(new[grp_src], segs)
-        if np.array_equal(new, x):
-            break
-        x = new
+    x = _relax(arena.n_min, arena.a_src, dst, w, np.zeros(arena.n_min, dtype=np.int64))
     return [Fraction(int(v), 1) / arena.scale for v in x]

@@ -11,6 +11,7 @@ plain lists of ExtScalar.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -83,12 +84,22 @@ class TropMatrix:
 
     def finite_abs_max(self) -> Fraction:
         """Largest |entry| over finite entries, 0 if none."""
-        best = Fraction(0)
-        for row in self.data:
-            for x in row:
-                if x.is_finite and abs(x.value) > best:
-                    best = abs(x.value)
-        return best
+        return abs_max(chain.from_iterable(self.data))
+
+
+def abs_max(entries) -> Fraction:
+    """Largest |value| over the finite scalars among entries, 0 if none.
+
+    Compares the integer pairs (|numerator|, denominator) by cross
+    multiplication rather than building a Fraction per entry."""
+    bn, bd, best = 0, 1, Fraction(0)
+    for x in entries:
+        if x.kind == 0:
+            v = x.value
+            n, d = abs(v.numerator), v.denominator
+            if n * bd > bn * d:
+                bn, bd, best = n, d, v
+    return abs(best)
 
 
 def identity(n: int) -> TropMatrix:

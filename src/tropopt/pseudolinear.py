@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import ceil, floor, gcd, lcm
 
 import numpy as np
@@ -28,6 +29,7 @@ from .matrix import (
     DivergentStar,
     TropMatrix,
     TypingError,
+    abs_max,
     conjugate,
     digraph_min_cycle_mean,
     kleene_star,
@@ -120,14 +122,7 @@ class PseudolinearProblem:
         return self.U.shape
 
     def weight_bound(self) -> Fraction:
-        w = Fraction(0)
-        for M in (self.U, self.V):
-            w = max(w, M.finite_abs_max())
-        for v in (self.b, self.d, self.p, self.q):
-            for e in v:
-                if e.is_finite:
-                    w = max(w, abs(e.value))
-        return w
+        return abs_max(chain(*self.U.data, *self.V.data, self.b, self.d, self.p, self.q))
 
     def data_denominator_lcm(self) -> int:
         L = 1
@@ -448,24 +443,18 @@ def _prepare(prob, ignore_objective=False) -> _Prep:
 def _affine_witness(prob):
     """A finite solution of U x + b <= V x + d, or None.
 
-    Infeasibility is decided first on the parametric engine: any finite
-    feasible point has bounded spread, so the level cap -lam_floor is
-    reachable whenever any level is.  A feasible system then gets a
-    greatest-point descent from a seed pinned at (2W+2): each sweep maps
-    x to x /\\ U# (V x + d), which preserves every solution below the
-    seed; the b rows are checked on the fixpoint.  If the descent is
-    inconclusive the homogenized game produces the point exactly."""
+    First a greatest-point descent from a seed pinned at (2W+2): each
+    sweep maps x to x /\\ U# (V x + d), which preserves every solution
+    below the seed; a fixpoint that also passes the b rows is a solution.
+    Only when the descent is inconclusive is infeasibility decided on the
+    parametric engine: any finite feasible point has bounded spread, so
+    the level cap -lam_floor is reachable whenever any level is.  A
+    feasible system then gets its point exactly from the homogenized
+    game."""
     m, n = prob.shape
     kept = _row_classes(prob.U, prob.V, prob.b, prob.d)
     if kept is None:
         return None
-    pre = _assemble(prob, None, True)
-    if pre.kind == "ok":
-        try:
-            if pre.struct.phi(-_lam_floor_linear(prob)) < 0:
-                return None
-        except EngineError:
-            pass
     L = prob.data_denominator_lcm()
     Vd = TropMatrix([row + [di] for row, di in zip(prob.V.data, prob.d)], "max")
     fix = _descend(prob.U, Vd, prob.weight_bound(), L, min(3 * (m + n) + 6, 64))
@@ -476,6 +465,13 @@ def _affine_witness(prob):
             for i, e in enumerate(prob.b)
         ):
             return [Fraction(int(v), L) for v in x[:n]]
+    pre = _assemble(prob, None, True)
+    if pre.kind == "ok":
+        try:
+            if pre.struct.phi(-_lam_floor_linear(prob)) < 0:
+                return None
+        except EngineError:
+            pass
     # homogenize [U | b] <= [V | d] over (x, t) and let the game decide
     arows, brows = [], []
     for i in kept:
@@ -778,13 +774,17 @@ def solve_alcoved(alc: AlcovedProblem):
             alt = tmax(alc.l[j], alc.p[j] + (-theta))
             v.append(alt if not alt.is_neg_inf else ZERO)
     x = mat_vec_mul(Rstar, v)
-    assert all(e.is_finite for e in x)
+    if not all(e.is_finite for e in x):
+        raise EngineError("alcoved point is not finite")
     Rx = mat_vec_mul(alc.R, x)
     for j in range(n):
-        assert alc.l[j] <= x[j] <= alc.u[j]
-        assert Rx[j] <= x[j]
-        assert x[j] + alc.q[j].conj() <= theta
-        assert alc.p[j] + (-x[j]) <= theta
+        if not (
+            alc.l[j] <= x[j] <= alc.u[j]
+            and Rx[j] <= x[j]
+            and x[j] + alc.q[j].conj() <= theta
+            and alc.p[j] + (-x[j]) <= theta
+        ):
+            raise EngineError(f"alcoved point fails its bounds, R x <= x or theta at {j}")
     return theta, [e.value for e in x]
 
 
@@ -815,7 +815,8 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
     m, n = prob.shape
     grid = _FixedGrid(2 * prob.data_denominator_lcm())
     lam_k = up.value
-    assert grid.down(lam_k) == lam_k
+    if grid.down(lam_k) != lam_k:
+        raise EngineError(f"start level {lam_k} is off the 1/(2L) grid")
     x_wit = wit
     iters = 0
     tr = []
@@ -834,11 +835,14 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
             # cannot happen for a certified strategy; drop target +inf
             return SolveOutcome("optimal", fin(lam_k), x_wit, iters, tr)
         if theta.is_neg_inf:
-            assert lb.is_neg_inf
+            if not lb.is_neg_inf:
+                raise EngineError("unbounded drop despite a finite lower bound")
             return SolveOutcome("unbounded", NEG_INF, None, iters, tr)
         thv = theta.value
-        assert thv < lam_k
-        assert grid.down(thv) == thv
+        if not thv < lam_k:
+            raise EngineError(f"drop to {thv} does not lower the level {lam_k}")
+        if grid.down(thv) != thv:
+            raise EngineError(f"drop level {thv} is off the 1/(2L) grid")
         lam_k = thv
         x_wit = x_red
     raise EngineError("level iteration failed to converge")

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import ceil, floor, gcd
 
-from .matrix import TropMatrix, TypingError, mat_vec_mul, max_cycle_mean
+from .matrix import TropMatrix, TypingError, abs_max, mat_vec_mul, max_cycle_mean
 from .games import EngineError, TwoSidedSystem
 from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal, tmax
 from .pseudolinear import (
@@ -87,14 +88,9 @@ class PseudoquadraticProblem:
         return self.U.shape
 
     def weight_bound(self) -> Fraction:
-        w = Fraction(0)
-        for M in (self.U, self.V, self.C):
-            w = max(w, M.finite_abs_max())
-        for v in (self.b, self.d, self.p, self.q):
-            for e in v:
-                if e.is_finite:
-                    w = max(w, abs(e.value))
-        return w
+        return abs_max(
+            chain(*self.U.data, *self.V.data, *self.C.data, self.b, self.d, self.p, self.q)
+        )
 
     def data_denominator_lcm(self) -> int:
         L = 1
@@ -260,7 +256,8 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
     grid = _FareyGrid(n + 1, prob.data_denominator_lcm())
     lam_floor = grid.down(_lam_floor_quad(prob))
     lam_k = up.value
-    assert grid.down(lam_k) == lam_k
+    if grid.down(lam_k) != lam_k:
+        raise EngineError(f"start level {lam_k} is off the level grid")
     iters = 0
     tr = []
     for _ in range(_NEWTON_CAP):
@@ -275,7 +272,8 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
         sig = struct.last_sig_idx()
         lo = lam_floor
         if struct.phi_fixed_sigma(lo, sig) >= 0:
-            assert lb.is_neg_inf
+            if not lb.is_neg_inf:
+                raise EngineError("unbounded drop despite a finite lower bound")
             return SolveOutcome("unbounded", NEG_INF, None, iters, tr)
         hi = lam_minus
         guard = 0
@@ -289,6 +287,7 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
             else:
                 lo = grid.strict_up(mid)
         theta = hi
-        assert theta < lam_k
+        if not theta < lam_k:
+            raise EngineError(f"drop to {theta} does not lower the level {lam_k}")
         lam_k = theta
     raise EngineError("level iteration failed to converge")

@@ -8,6 +8,8 @@ something that cannot share a bug with the solver machinery.
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from tropopt import (
     NEG_INF,
     POS_INF,
@@ -18,6 +20,8 @@ from tropopt import (
     conjugate,
     fin,
 )
+from tropopt.games import _CUT64, _INF64, EngineError
+from tropopt.matrix import tarjan_sccs
 
 
 def E(v):
@@ -258,3 +262,178 @@ def descent_oracle(A, B, W, sweeps, d=None):
             return x, True
         x = nxt
     return x, False
+
+
+# ---------------------------------------------------------------------------
+# game-engine kernels, one node or one SCC at a time
+#
+# The per-node engine the array kernels in tropopt.games replaced: Tarjan
+# SCCs, one Karp table per SCC, gains propagated in topological order, and
+# loops over the Max and Min nodes.  Same algorithm, same tie rules.
+
+
+def _min_mean_of_scc(nodes, src, dst, w):
+    """Karp's minimum cycle mean on one SCC, exact; None for a single
+    node without a self-loop."""
+    ns = len(nodes)
+    if ns == 1:
+        selfmask = src == dst
+        if not np.any(selfmask):
+            return None
+        return Fraction(int(np.min(w[selfmask])), 1)
+    remap = {int(u): k for k, u in enumerate(nodes)}
+    ne = len(src)
+    lsrc = np.fromiter((remap[int(u)] for u in src), dtype=np.int64, count=ne)
+    ldst = np.fromiter((remap[int(u)] for u in dst), dtype=np.int64, count=ne)
+    order = np.argsort(ldst, kind="stable")
+    lsrc, ldst, lw = lsrc[order], ldst[order], w[order]
+    grp_dst, grp_starts = np.unique(ldst, return_index=True)
+    D = np.full((ns + 1, ns), _INF64, dtype=np.int64)
+    D[0][0] = 0
+    for k in range(1, ns + 1):
+        D[k][grp_dst] = np.minimum.reduceat(D[k - 1][lsrc] + lw, grp_starts)
+    best = None
+    for v in range(ns):
+        tv = int(D[ns][v])
+        if tv >= int(_CUT64):
+            continue
+        cands = [
+            Fraction(tv - int(D[k][v]), ns - k)
+            for k in range(ns)
+            if int(D[k][v]) < int(_CUT64)
+        ]
+        if cands and (best is None or max(cands) < best):
+            best = max(cands)
+    return best
+
+
+class _SuccView:
+    def __init__(self, n, src, dst):
+        self.succ = [[] for _ in range(n)]
+        for u, v in zip(src.tolist(), dst.tolist()):
+            self.succ[u].append(v)
+
+    def __getitem__(self, u):
+        return self.succ[u]
+
+
+def oracle_one_player_min(ns, src, dst, w, need_bias):
+    """(g_num, g_den, vhat) as tropopt.games._one_player_min returns them."""
+    comps = tarjan_sccs(ns, _SuccView(ns, src, dst))  # successors first
+    comp_of = np.empty(ns, dtype=np.int64)
+    for ci, comp in enumerate(comps):
+        comp_of[comp] = ci
+    g_comp = []
+    for ci, comp in enumerate(comps):
+        mask = (comp_of[src] == ci) & (comp_of[dst] == ci)
+        best = _min_mean_of_scc(np.asarray(comp), src[mask], dst[mask], w[mask])
+        for e in np.flatnonzero((comp_of[src] == ci) & (comp_of[dst] != ci)):
+            gj = g_comp[comp_of[dst[e]]]
+            if best is None or gj < best:
+                best = gj
+        if best is None:
+            raise EngineError("node with no reachable cycle; graph not total")
+        g_comp.append(best)
+    g = [g_comp[c] for c in comp_of]
+    g_num = np.array([f.numerator for f in g], dtype=np.int64)
+    g_den = np.array([f.denominator for f in g], dtype=np.int64)
+    if not need_bias:
+        return g_num, g_den, None
+    adm = [e for e in range(len(src)) if g[src[e]] == g[dst[e]]]
+    wp = {e: int(w[e]) * int(g_den[src[e]]) - int(g_num[src[e]]) for e in adm}
+    pi = [0] * ns
+    for _ in range(ns + 1):
+        new = list(pi)
+        for e in adm:
+            new[src[e]] = min(new[src[e]], wp[e] + pi[dst[e]])
+        if new == pi:
+            break
+        pi = new
+    tight = [e for e in adm if pi[src[e]] == wp[e] + pi[dst[e]]]
+    ts = np.array([src[e] for e in tight], dtype=np.int64)
+    td = np.array([dst[e] for e in tight], dtype=np.int64)
+    critical = [False] * ns
+    for comp in tarjan_sccs(ns, _SuccView(ns, ts, td)):
+        if len(comp) > 1:
+            for u in comp:
+                critical[u] = True
+    for e in tight:
+        if src[e] == dst[e]:
+            critical[src[e]] = True
+    inf = int(_INF64)
+    vhat = [pi[u] if critical[u] else inf for u in range(ns)]
+    for _ in range(ns + 1):
+        new = list(vhat)
+        for e in adm:
+            new[src[e]] = min(new[src[e]], wp[e] + vhat[dst[e]])
+        if new == vhat:
+            break
+        vhat = new
+    if any(v >= int(_CUT64) for v in vhat):
+        raise EngineError("bias propagation failed to reach a critical node")
+    return g_num, g_den, np.array(vhat, dtype=np.int64)
+
+
+def oracle_improve(arena, sig_idx, ev, reverse=False):
+    """tropopt.games._improve, one Max node at a time."""
+    gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
+    switches = 0
+    for i in range(arena.n_max):
+        lo, hi = int(arena.b_off[i]), int(arena.b_off[i + 1])
+        tgts = [int(t) for t in arena.b_tgt[lo:hi]]
+        gains = [Fraction(int(gn[t]), int(gd[t])) for t in tgts]
+        best = max(gains)
+        bd = best.denominator
+        apprs = [
+            (k, int(arena.b_w[lo + k]) * bd + int(vhat[t]))
+            for k, t in enumerate(tgts)
+            if gains[k] == best
+        ]
+        top = max(a for _, a in apprs)
+        picks = [k for k, a in apprs if a == top]
+        pick = picks[-1] if reverse else picks[0]
+        cur = int(sig_idx[i])
+        cur_appr = int(arena.b_w[lo + cur]) * bd + int(vhat[tgts[cur]])
+        if gains[cur] < best or top > cur_appr:
+            sig_idx[i] = pick
+            switches += 1
+    return switches
+
+
+def oracle_tight_tau(arena, ev):
+    """tropopt.games._tight_tau, one Min node at a time."""
+    gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
+    tau = []
+    for j in range(arena.n_min):
+        for e in range(int(arena.a_off[j]), int(arena.a_off[j + 1])):
+            l = int(ev.t_dst[e])
+            if gn[l] != gn[j] or gd[l] != gd[j]:
+                continue
+            wp = int(ev.t_w[e]) * int(gd[j]) - int(gn[j])
+            if int(vhat[j]) == wp + int(vhat[l]):
+                tau.append(int(arena.a_tgt[e]))
+                break
+        else:
+            raise EngineError(f"no tight move at Min node {j}")
+    return tau
+
+
+def oracle_gate(arena, ev, tau):
+    """tropopt.games._gate on the oracle one-player evaluation."""
+    tau_w = []
+    for j in range(arena.n_min):
+        lo, hi = int(arena.a_off[j]), int(arena.a_off[j + 1])
+        ws = [int(arena.a_w[e]) for e in range(lo, hi) if int(arena.a_tgt[e]) == tau[j]]
+        if not ws:
+            raise EngineError("tau selects a missing arc")
+        tau_w.append(ws[0])
+    tau_arr = np.asarray(tau, dtype=np.int64)
+    src = np.repeat(np.arange(arena.n_max, dtype=np.int64), np.diff(arena.b_off))
+    dst = tau_arr[arena.b_tgt]
+    w = arena.b_w + np.asarray(tau_w, dtype=np.int64)[arena.b_tgt]
+    G_num, G_den, _ = oracle_one_player_min(arena.n_max, src, dst, -w, False)
+    return all(
+        Fraction(int(ev.g_num[j]), int(ev.g_den[j]))
+        == Fraction(-int(G_num[tau[j]]), int(G_den[tau[j]]))
+        for j in range(arena.n_min)
+    )

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropopt import (
@@ -27,7 +28,7 @@ from tropopt import (
     solve_values,
     tmax,
 )
-from tropopt.games import _den_lcm, _descend, system_weight_bound
+from tropopt.games import EngineError, _check_witness, _den_lcm, _descend, system_weight_bound
 from tropopt.pseudolinear import _prepare
 
 from _util import M, descent_oracle
@@ -205,3 +206,38 @@ def test_feasible_finite_max_sweeps():
             if got is not None:
                 assert _verify(sys, [fin(v) for v in got])
     assert fell_back > 0
+
+
+@settings(max_examples=250, deadline=None)
+@given(_pair(), st.data())
+def test_witness_check_matches_extended_scalar_check(pair, data):
+    A, B = pair
+    L = _den_lcm(A, B)
+    x = [Fraction(data.draw(st.integers(-30, 30)), L) for _ in range(A.cols)]
+    xs = [fin(v) for v in x]
+    if all(l <= r for l, r in zip(mat_vec_mul(A, xs), mat_vec_mul(B, xs))):
+        _check_witness(A, B, x, L)
+    else:
+        with pytest.raises(EngineError, match="violates"):
+            _check_witness(A, B, x, L)
+
+
+def test_witness_check_rejects_corrupted_points_on_both_dtype_paths():
+    """x1 = x2 is the solution set.  Points near 2^70 do not fit int64, so
+    they are checked on Python ints, like the 300-digit-LCM system."""
+    A, B = M([[0, None], [None, 0]]), M([[None, 0], [0, None]])
+    for t in (Fraction(3), Fraction(2**70)):
+        _check_witness(A, B, [t, t], 1)
+        with pytest.raises(EngineError, match="violates"):
+            _check_witness(A, B, [t + 1, t], 1)
+    with pytest.raises(EngineError, match="grid"):
+        _check_witness(A, B, [Fraction(1, 2), Fraction(1, 2)], 1)
+    A = M([[Fraction(1, 2**333), None], [0, Fraction(-1, 3**210)]])
+    B = M([[0, Fraction(1, 5**143)], [Fraction(1, 7), 0]])
+    L = _den_lcm(A, B)
+    x = feasible_finite(TwoSidedSystem(A, B))
+    _check_witness(A, B, x, L)
+    bad = [x[0] + 1, x[1]]
+    assert not _verify(TwoSidedSystem(A, B), [fin(v) for v in bad])
+    with pytest.raises(EngineError, match="violates"):
+        _check_witness(A, B, bad, L)
