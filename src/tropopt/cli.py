@@ -4,7 +4,8 @@ Subcommands: solve (bisection or the Newton-style scheme, integer or real
 mode), phi (parametric game value at a level), certify (run both
 certificate checkers at a level and print the verdicts), gen (seeded
 random instance), bench (batch experiments to CSV).  solve exits 0/2/3
-for optimal/infeasible/unbounded; any error exits 1.
+for optimal/infeasible/unbounded; any error exits 1, or is re-raised with
+its traceback under --debug.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tropopt",
         description="Tropical two-sided optimization via mean-payoff games.",
     )
+    ap.add_argument("--debug", action="store_true", help="re-raise errors with their traceback")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("solve", help="minimize the level of a problem file")
@@ -147,6 +149,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except Exception as e:
+        if args.debug:
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 1
 

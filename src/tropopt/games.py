@@ -186,74 +186,116 @@ def restrict_strategies(sys: TwoSidedSystem, tau=None, sigma=None) -> TwoSidedSy
 
 _INF64 = np.int64(1) << 62
 _CUT64 = np.int64(1) << 61
+_GUARD = 1 << 61
+
+
+def _fit(w, big):
+    """w as int64 when big, a bound on every value the caller forms from
+    it, stays below 2^61, otherwise as Python ints."""
+    return w.astype(np.int64 if big < _GUARD else object)
 
 
 class Arena:
     def __init__(self, min_arcs, max_arcs, scale: int):
         # min_arcs: per j, [(i, int w)]; max_arcs: per i, [(j, int w)]
-        self.n_min = len(min_arcs)
-        self.n_max = len(max_arcs)
-        self.scale = scale
-        a_src, a_tgt, a_w = [], [], []
-        self.a_off = np.zeros(self.n_min + 1, dtype=np.int64)
         for j, arcs in enumerate(min_arcs):
             if not arcs:
                 raise IsolatedNode(f"column {j} has no finite entry")
-            self.a_off[j + 1] = self.a_off[j] + len(arcs)
-            for (i, w) in arcs:
-                a_src.append(j)
-                a_tgt.append(i)
-                a_w.append(w)
-        self.a_src = np.asarray(a_src, dtype=np.int64)
-        self.a_tgt = np.asarray(a_tgt, dtype=np.int64)
-        self.a_w = np.asarray(a_w, dtype=np.int64)
-        b_tgt, b_w = [], []
-        self.b_off = np.zeros(self.n_max + 1, dtype=np.int64)
         for i, arcs in enumerate(max_arcs):
             if not arcs:
                 raise IsolatedNode(f"row {i} has no finite entry")
-            self.b_off[i + 1] = self.b_off[i] + len(arcs)
-            for (j, w) in arcs:
-                b_tgt.append(j)
-                b_w.append(w)
-        self.b_tgt = np.asarray(b_tgt, dtype=np.int64)
-        self.b_w = np.asarray(b_w, dtype=np.int64)
-        maxw = 1
-        if len(self.a_w):
-            maxw = max(maxw, int(np.max(np.abs(self.a_w))))
-        if len(self.b_w):
-            maxw = max(maxw, int(np.max(np.abs(self.b_w))))
-        v = max(self.n_min, self.n_max) + 2
-        if maxw * v * v * v >= (1 << 62):
-            raise EngineError("weights too large for the integer engine")
+        a_src = np.array([j for j, arcs in enumerate(min_arcs) for _ in arcs], dtype=np.int64)
+        b_src = np.array([i for i, arcs in enumerate(max_arcs) for _ in arcs], dtype=np.int64)
+        self._fill(
+            len(min_arcs),
+            len(max_arcs),
+            _offsets(a_src, len(min_arcs)),
+            a_src,
+            [i for arcs in min_arcs for (i, _) in arcs],
+            [w for arcs in min_arcs for (_, w) in arcs],
+            _offsets(b_src, len(max_arcs)),
+            [j for arcs in max_arcs for (j, _) in arcs],
+            [w for arcs in max_arcs for (_, w) in arcs],
+            scale,
+        )
 
     @classmethod
     def raw(cls, n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale):
-        """Wrap prebuilt arc arrays (already grouped; weights integer-scaled)."""
+        """Wrap prebuilt arc arrays (already grouped; weights integer-scaled,
+        int64 or Python ints)."""
         self = object.__new__(cls)
+        self._fill(n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale)
+        return self
+
+    def _fill(self, n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale):
+        maxw = max(1, _abs_max(a_w), _abs_max(b_w))
+        v = max(n_min, n_max) + 2
+        if maxw * v * v * v >= (1 << 62):
+            raise EngineError("weights too large for the integer engine")
         self.n_min = n_min
         self.n_max = n_max
         self.scale = scale
         self.a_off = a_off
-        self.a_src = a_src
-        self.a_tgt = a_tgt
-        self.a_w = a_w
+        self.a_src = np.asarray(a_src, dtype=np.int64)
+        self.a_tgt = np.asarray(a_tgt, dtype=np.int64)
+        self.a_w = np.asarray(a_w, dtype=np.int64)
         self.b_off = b_off
-        self.b_tgt = b_tgt
-        self.b_w = b_w
-        maxw = 1
-        if len(a_w):
-            maxw = max(maxw, int(np.max(np.abs(a_w))))
-        if len(b_w):
-            maxw = max(maxw, int(np.max(np.abs(b_w))))
-        v = max(n_min, n_max) + 2
-        if maxw * v * v * v >= (1 << 62):
-            raise EngineError("weights too large for the integer engine")
-        return self
+        self.b_tgt = np.asarray(b_tgt, dtype=np.int64)
+        self.b_w = np.asarray(b_w, dtype=np.int64)
 
     def sigma_arrays(self, sig_idx):
         pos = self.b_off[:-1] + sig_idx
         return self.b_tgt[pos], self.b_w[pos]
+
+
+def _abs_max(w) -> int:
+    """Largest |w| over an int64 array, or a list or object array of
+    Python ints; 0 when empty."""
+    return int(np.max(np.abs(np.asarray(w)))) if len(w) else 0
+
+
+def _offsets(src, k):
+    """Group offsets of the nondecreasing node ids src over k nodes."""
+    off = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=k), out=off[1:])
+    return off
+
+
+def _min_arcs(Aw, Af):
+    """Min arcs of the finite entries of A scaled (Aw, Af), grouped by
+    column with rows ascending: (a_off, a_src, a_tgt, a_w), a_w = -a."""
+    a_src, a_tgt = np.nonzero(Af.T)
+    return _offsets(a_src, Af.shape[1]), a_src, a_tgt, -Aw.T[Af.T]
+
+
+def _live_rows(Af, Bf):
+    """Mask of the rows of a scaled system that enter its game: all but
+    the rows with no finite entry on either side, which constrain
+    nothing.  Raises IsolatedNode, as TwoSidedSystem does, on a column
+    without a finite left entry and on a row whose finite left side faces
+    an empty right side."""
+    cols = Af.any(axis=0)
+    if not cols.all():
+        raise IsolatedNode(f"column {int(np.argmin(cols))} of the left matrix has no finite entry")
+    live = Bf.any(axis=1)
+    dead = Af.any(axis=1) & ~live
+    if dead.any():
+        raise IsolatedNode(f"row {int(np.argmax(dead))} of the right matrix has no finite entry")
+    return live
+
+
+def _pair_arena(Aw, Af, Bw, Bf, scale):
+    """(arena, rows): the arena of A (x) <= B (x) from weights scaled by
+    `scale` (int64 or Python ints, 0 off the finite masks Af, Bf), in
+    build_game's arc order, over the live rows `rows` (_live_rows)."""
+    rows = np.flatnonzero(_live_rows(Af, Bf))
+    if len(rows) < len(Af):
+        Aw, Af, Bw, Bf = Aw[rows], Af[rows], Bw[rows], Bf[rows]
+    a_off, a_src, a_tgt, a_w = _min_arcs(Aw, Af)
+    b_src, b_tgt = np.nonzero(Bf)
+    m, n = Af.shape
+    arena = Arena.raw(n, m, a_off, a_src, a_tgt, a_w, _offsets(b_src, m), b_tgt, Bw[Bf], scale)
+    return arena, rows
 
 
 def _adjacency(ns, src, dst):
@@ -273,6 +315,13 @@ def _closure(adj):
         if np.array_equal(nr, r):
             return r
         r = nr
+
+
+def _sccs(ns, src, dst):
+    """(reach, root): the reflexive-transitive closure of a digraph, and
+    the least node of each node's SCC (R & R^T gives the SCCs)."""
+    reach = _closure(_adjacency(ns, src, dst))
+    return reach, np.argmax(reach & reach.T, axis=1)
 
 
 def _relax(n, src, dst, w, x):
@@ -305,20 +354,20 @@ def _last(cond, off):
     return np.maximum.reduceat(np.where(cond, np.arange(len(cond)), -1), off[:-1])
 
 
-def _karp_values(ns, src, dst, w, root):
+def _karp_table(ns, src, dst, w, root):
     """Karp's table for every SCC at once, walks starting at each SCC's
     least node (root) and using only arcs inside one SCC.
 
-    Returns (cyc, vn, vd): cyc marks the nodes v with a finite walk of N
-    arcs (N the largest SCC size), and vn/vd is the reduced fraction
-    max_k (D_N(v) - D_k(v)) / (N - k) at those nodes.  Karp's theorem
-    holds for any N at least the SCC size, so the least value over the
-    cyc nodes of an SCC is its minimum cycle mean; an SCC without a cycle
-    has no cyc node."""
+    Returns (D, N, cut): D[k, v] is the least weight of a k-arc walk from
+    v's root to v, or at least cut when there is none, for k = 0..N with
+    N the largest SCC size.  w is int64 (walk weights below 2^61) or
+    Python ints in an object array, whose sentinel grows with the
+    weights."""
     inner = root[src] == root[dst]
     isrc, idst, iw = src[inner], dst[inner], w[inner]
     N = int(np.max(np.bincount(root, minlength=ns)))
-    D = np.full((N + 1, ns), _INF64, dtype=np.int64)
+    inf = _INF64 if w.dtype != object else 4 * (N + 1) * (_abs_max(iw) + 1)
+    D = np.full((N + 1, ns), inf, dtype=w.dtype)
     D[0, root == np.arange(ns)] = 0
     if len(idst):
         order = np.argsort(idst, kind="stable")
@@ -326,20 +375,71 @@ def _karp_values(ns, src, dst, w, root):
         heads, starts = np.unique(idst, return_index=True)
         for k in range(1, N + 1):
             D[k, heads] = np.minimum.reduceat(D[k - 1][isrc] + iw, starts)
-    cyc = D[N] < _CUT64
-    ok = (D[:N] < _CUT64) & cyc
+    return D, N, inf // 2
+
+
+def _karp_values(ns, src, dst, w, root):
+    """Karp's value at every node, from one table for all SCCs.
+
+    Returns (cyc, vn, vd): cyc marks the nodes v with a finite walk of N
+    arcs, and vn/vd is the reduced fraction max_k (D_N(v) - D_k(v)) /
+    (N - k) at those nodes.  Karp's theorem holds for any N at least the
+    SCC size, so the least value over the cyc nodes of an SCC is its
+    minimum cycle mean; an SCC without a cycle has no cyc node.  On
+    Python ints every node is scanned exactly, with no float ratio."""
+    D, N, cut = _karp_table(ns, src, dst, w, root)
+    cyc = D[N] < cut
+    ok = (D[:N] < cut) & cyc
     nums = np.where(ok, D[N] - D[:N], 0)
     dens = (N - np.arange(N, dtype=np.int64))[:, None]
-    kk = np.argmax(np.where(ok, nums / dens, -np.inf), axis=0)
-    vn = nums[kk, np.arange(ns)]
-    vd = dens[kk, 0]
-    # float prefilter, re-checked exactly; exact scan where it missed
-    exact = np.all(~ok | (vn * dens >= nums * vd), axis=0)
+    if w.dtype == object:
+        vn, vd = np.zeros(ns, dtype=object), np.ones(ns, dtype=object)
+        exact = np.zeros(ns, dtype=bool)
+    else:
+        kk = np.argmax(np.where(ok, nums / dens, -np.inf), axis=0)
+        vn = nums[kk, np.arange(ns)]
+        vd = dens[kk, 0]
+        # float prefilter, re-checked exactly; exact scan where it missed
+        exact = np.all(~ok | (vn * dens >= nums * vd), axis=0)
     for v in np.flatnonzero(cyc & ~exact):
         f = max(Fraction(int(nums[k, v]), int(dens[k, 0])) for k in np.flatnonzero(ok[:, v]))
         vn[v], vd[v] = f.numerator, f.denominator
     g = np.gcd(vn, vd)
     return cyc, np.where(cyc, vn // g, 0), np.where(cyc, vd // g, 1)
+
+
+def _mean_signs(ns, src, dst, w):
+    """Signs of the minimum cycle means of a digraph, with no division.
+
+    Returns (reach, cyc, top): reach is the reflexive-transitive closure,
+    and top[v] = max_k (D_N(v) - D_k(v)) at the nodes cyc of Karp's table.
+    Every denominator N - k is positive, so top[v] has the sign of Karp's
+    value at v; over the cyc nodes of any union of SCCs, the least value
+    is their minimum cycle mean.  So a set of SCCs has a cycle of negative
+    (nonpositive) mean exactly when one of its cyc nodes has top < 0
+    (top <= 0).  w may hold Python ints; it runs on int64 whenever every
+    walk weight fits."""
+    reach, root = _sccs(ns, src, dst)
+    big = (ns + 1) * _abs_max(w)
+    D, N, cut = _karp_table(ns, src, dst, _fit(w, big), root)
+    cyc = D[N] < cut
+    top = np.where((D[:N] < cut) & cyc, D[N] - D[:N], -2 * cut).max(axis=0)
+    return reach, cyc, top
+
+
+def _max_cycle_mean(w, finite):
+    """Largest cycle mean of the digraph of the finite entries of a square
+    array of scaled integer weights, exact and in the same scale; None
+    when the digraph is acyclic.  Karp on the negated weights, on int64
+    whenever it fits and on Python ints beyond."""
+    ns = len(finite)
+    src, dst = np.nonzero(finite)
+    neg = -w[finite]
+    _, root = _sccs(ns, src, dst)
+    cyc, vn, vd = _karp_values(ns, src, dst, _fit(neg, (ns + 2) ** 3 * _abs_max(neg)), root)
+    if not cyc.any():
+        return None
+    return -min(Fraction(int(vn[v]), int(vd[v])) for v in np.flatnonzero(cyc))
 
 
 def _one_player_min(ns, src, dst, w, need_bias):
@@ -350,8 +450,7 @@ def _one_player_min(ns, src, dst, w, need_bias):
     and, when need_bias, a per-node integer bias in units of 1/g_den of
     its own gain level.
     """
-    reach = _closure(_adjacency(ns, src, dst))
-    root = np.argmax(reach & reach.T, axis=1)  # least node of each SCC
+    reach, root = _sccs(ns, src, dst)
     cyc, vn, vd = _karp_values(ns, src, dst, w, root)
     cand = reach & cyc  # u reaches the cyc node v
     if not np.all(cand.any(axis=1)):
@@ -564,12 +663,16 @@ def _solve_by_enumeration(arena: Arena):
 # public solve on systems
 
 
-def _arena_from_system(sys: TwoSidedSystem) -> Arena:
-    game = build_game(sys)
-    L = _den_lcm(sys.A, sys.B)
-    min_arcs = [[(i, int(w * L)) for (i, w) in arcs] for arcs in game.min_arcs]
-    max_arcs = [[(j, int(w * L)) for (j, w) in arcs] for arcs in game.max_arcs]
-    return Arena(min_arcs, max_arcs, L)
+def _solve_pair(Aw, Af, Bw, Bf, scale) -> GameValues:
+    """solve_values on a system already scaled: weights times `scale` and
+    their finite masks, as _scaled returns them.  Rows with no finite
+    entry take no part: tau never picks them and sigma is None there."""
+    arena, rows = _pair_arena(Aw, Af, Bw, Bf, scale)
+    chi, tau, sig, _ = solve_arena(arena)
+    sigma = [None] * len(Af)
+    for r, c in zip(rows, sig):
+        sigma[r] = c
+    return GameValues(chi, [int(rows[t]) for t in tau], sigma)
 
 
 def solve_values(sys: TwoSidedSystem) -> GameValues:
@@ -577,9 +680,8 @@ def solve_values(sys: TwoSidedSystem) -> GameValues:
 
     chi_j >= 0 exactly when the system has a solution with x_j finite.
     """
-    arena = _arena_from_system(sys)
-    chi, tau, sigma, _ = solve_arena(arena)
-    return GameValues(chi, tau, sigma)
+    L = _den_lcm(sys.A, sys.B)
+    return _solve_pair(*_scaled(sys.A, L), *_scaled(sys.B, L), L)
 
 
 # ---------------------------------------------------------------------------
@@ -596,49 +698,51 @@ def _den_lcm(*mats: TropMatrix) -> int:
     return L
 
 
-def _scaled(M: TropMatrix, L: int):
+def _scaled(M, L: int):
     """(w, finite): L * M as Python ints (0 off the finite entries) in an
-    object array, and the mask of finite entries.  The denominators of M
-    must divide L."""
-    finite = np.array([[e.is_finite for e in row] for row in M.data], dtype=bool)
+    object array, and the mask of finite entries.  M is a TropMatrix or a
+    list of rows of scalars; its denominators must divide L."""
+    rows = M.data if isinstance(M, TropMatrix) else M
+    finite = np.array([[e.is_finite for e in row] for row in rows], dtype=bool)
     w = np.array(
-        [[e.value.numerator * (L // e.value.denominator) for e in row] for row in M.data],
+        [[e.value.numerator * (L // e.value.denominator) for e in row] for row in rows],
         dtype=object,
     )
     return w, finite
 
 
-_GUARD = 1 << 61
-
-
 def _descend(A: TropMatrix, B: TropMatrix, W: Fraction, L: int, sweeps: int):
-    """Greatest-solution descent for A (x) <= B (x) on data scaled by L.
+    """Greatest-solution descent for A (x) <= B (x) on data scaled by L,
+    from the seed (2W+2)*ones; see _descend_scaled.  W and the data must
+    have denominators dividing L."""
+    return _descend_scaled(*_scaled(A, L), *_scaled(B, L), int((2 * W + 2) * L), sweeps)
+
+
+def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int):
+    """Greatest-solution descent for A (x) <= B (x), scaled (weights and
+    finite masks as _scaled returns them).
 
     The alternating method of Cuninghame-Green and Butkovic: from the
-    seed (2W+2)*ones, each sweep maps x to x /\\ A#(B x), where A#(y)_j =
+    seed, each sweep maps x to x /\\ A#(B x), where A#(y)_j =
     min_i (y_i - a_ij) over the finite a_ij (-inf as soon as one such y_i
     is -inf).  Every solution below the seed survives each sweep, so a
     fixpoint is the greatest one there.  When B has one column more than
     A, that coordinate is a constant pinned at 0, which gives the affine
-    form A (x) <= B (x) + d.  W and the data must have denominators
-    dividing L.
+    form A (x) <= B (x) + d.
 
     Returns None when `sweeps` sweeps reach no fixpoint, otherwise
-    (x, finite, y, y_finite): the fixpoint times L (-inf where finite is
-    False) and B (x) at it.  A sweep lowers the least finite entry by at
-    most 2WL, so every value met stays below (sweeps+2)(2W+2)L in absolute
-    value; int64 holds that under 2^61, Python ints beyond it.
+    (x, finite, y, y_finite): the fixpoint (-inf where finite is False)
+    and B (x) at it, in the scaled units.  With seed (2W+2)L, a sweep
+    lowers the least finite entry by at most 2WL, so every value met
+    stays below (sweeps+2)*seed in absolute value; int64 holds that under
+    2^61, Python ints beyond it.
     """
-    seed = int((2 * W + 2) * L)
     big = (sweeps + 2) * seed
-    dtype = np.int64 if big < _GUARD else object
-    Aw, Af = _scaled(A, L)
-    Bw, Bf = _scaled(B, L)
-    Aw, Bw = Aw.astype(dtype), Bw.astype(dtype)
-    n = A.cols
-    x = np.full(B.cols, seed, dtype=dtype)
+    Aw, Bw = _fit(Aw, big), _fit(Bw, big)
+    n = Af.shape[1]
+    x = np.full(Bf.shape[1], seed, dtype=Aw.dtype)
     x[n:] = 0
-    finite = np.ones(B.cols, dtype=bool)
+    finite = np.ones(Bf.shape[1], dtype=bool)
     for _ in range(sweeps):
         live = Bf & finite
         y = np.where(live, Bw + x, -big).max(axis=1)
@@ -658,24 +762,44 @@ def system_weight_bound(sys: TwoSidedSystem) -> Fraction:
     return max(sys.A.finite_abs_max(), sys.B.finite_abs_max())
 
 
+def _solves(Aw, Af, Bw, Bf, xs) -> bool:
+    """Whether the integer point xs solves the scaled system exactly:
+    max_j (a_ij + x_j) <= max_j (b_ij + x_j) on every row, in int64 while
+    every sum stays below 2^61 and on Python ints beyond."""
+    big = max(_abs_max(Aw.ravel()), _abs_max(Bw.ravel())) + max(abs(v) for v in xs)
+    xv = _fit(np.array(xs, dtype=object), big)
+    lhs = np.where(Af, _fit(Aw, big) + xv, -big - 1).max(axis=1)
+    rhs = np.where(Bf, _fit(Bw, big) + xv, -big - 1).max(axis=1)
+    return not np.any(lhs > rhs)
+
+
 def _check_witness(A: TropMatrix, B: TropMatrix, x, L: int):
     """Raise EngineError unless the finite point x solves A (x) <= B (x).
 
-    Exact: max_j (a_ij + x_j) is compared with max_j (b_ij + x_j) on the
-    data and x scaled by L, in int64 while every sum stays below 2^61 and
-    on Python ints beyond.  x * L must be integral."""
+    Exact: the data and x are scaled by L and compared by _solves.
+    x * L must be integral."""
     xs = [v * L for v in x]
     if any(v.denominator != 1 for v in xs):
         raise EngineError("finite witness is not on the 1/L grid of the data")
-    Aw, Af = _scaled(A, L)
-    Bw, Bf = _scaled(B, L)
-    big = int(max(np.abs(Aw).max(), np.abs(Bw).max())) + max(abs(int(v)) for v in xs)
-    dtype = np.int64 if big < _GUARD else object
-    xv = np.array([int(v) for v in xs], dtype=object).astype(dtype)
-    lhs = np.where(Af, Aw.astype(dtype) + xv, -big - 1).max(axis=1)
-    rhs = np.where(Bf, Bw.astype(dtype) + xv, -big - 1).max(axis=1)
-    if np.any(lhs > rhs):
+    if not _solves(*_scaled(A, L), *_scaled(B, L), [int(v) for v in xs]):
         raise EngineError("finite witness violates the system")
+
+
+def _finite_point(Aw, Af, Bw, Bf, L: int, sweeps: int):
+    """A finite solution of the system scaled by L, in scaled units, or
+    None; the two stages of feasible_finite before its check.  Rows with
+    no finite entry constrain nothing (see _live_rows)."""
+    _live_rows(Af, Bf)
+    WL = max(_abs_max(Aw.ravel()), _abs_max(Bw.ravel()))
+    fix = _descend_scaled(Aw, Af, Bw, Bf, 2 * WL + 2 * L, sweeps)
+    if fix is not None:
+        x, finite, _, _ = fix
+        return x if finite.all() else None  # greatest solution below the seed
+    arena, _ = _pair_arena(Aw, Af, Bw, Bf, L)
+    chi, tau, sigma, sig_idx = solve_arena(arena)
+    if min(chi) < 0:
+        return None
+    return _bf_witness(arena, sig_idx)
 
 
 def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
@@ -686,34 +810,30 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     and this homogeneous system has a finite solution iff it has one
     below the seed); if the descent is inconclusive, the game decides
     the sign; a Bellman-Ford potential built from the optimal Max
-    strategy then always produces a witness.
+    strategy then always produces a witness.  The witness is checked
+    exactly before it is returned.
     """
     m, n = sys.shape
     if max_sweeps is None:
         max_sweeps = 3 * (m + n) + 6
     L = _den_lcm(sys.A, sys.B)
-    fix = _descend(sys.A, sys.B, system_weight_bound(sys), L, max_sweeps)
-    if fix is not None:
-        x, finite, _, _ = fix
-        if not finite.all():
-            return None  # greatest solution below the seed is not finite
-        wit = [Fraction(int(v), L) for v in x]
-    else:
-        arena = _arena_from_system(sys)
-        chi, tau, sigma, sig_idx = solve_arena(arena)
-        if min(chi) < 0:
-            return None
-        wit = _bf_witness(arena, sig_idx)
-    _check_witness(sys.A, sys.B, wit, L)
-    return wit
+    Aw, Af = _scaled(sys.A, L)
+    Bw, Bf = _scaled(sys.B, L)
+    x = _finite_point(Aw, Af, Bw, Bf, L, max_sweeps)
+    if x is None:
+        return None
+    xs = [int(v) for v in x]
+    if not _solves(Aw, Af, Bw, Bf, xs):
+        raise EngineError("finite witness violates the system")
+    return [Fraction(v, L) for v in xs]
 
 
 def _bf_witness(arena: Arena, sig_idx):
-    """Finite solution from the difference constraints x_j <= w + x_{sigma(i)}
-    read off the turn graph of an optimal sigma (no negative cycles once
-    every chi >= 0): super-source shortest paths, exact integers."""
+    """Finite solution, in scaled units, from the difference constraints
+    x_j <= w + x_{sigma(i)} read off the turn graph of an optimal sigma
+    (no negative cycles once every chi >= 0): super-source shortest
+    paths, exact integers."""
     sig_tgt, sig_w = arena.sigma_arrays(sig_idx)
     dst = sig_tgt[arena.a_tgt]
     w = arena.a_w + sig_w[arena.a_tgt]
-    x = _relax(arena.n_min, arena.a_src, dst, w, np.zeros(arena.n_min, dtype=np.int64))
-    return [Fraction(int(v), 1) / arena.scale for v in x]
+    return _relax(arena.n_min, arena.a_src, dst, w, np.zeros(arena.n_min, dtype=np.int64))

@@ -31,7 +31,6 @@ from .matrix import (
     TypingError,
     abs_max,
     conjugate,
-    digraph_min_cycle_mean,
     kleene_star,
     mat_vec_mul,
     dual_mat_vec_mul,
@@ -43,13 +42,16 @@ from .games import (
     TwoSidedSystem,
     _den_lcm,
     _descend,
+    _finite_point,
+    _mean_signs,
+    _min_arcs,
     _one_player_min,
     _scaled,
+    _solve_pair,
+    _solves,
     feasible_finite,
     solve_arena,
-    solve_values,
 )
-from .matrix import tarjan_sccs
 from .semiring import ExtScalar, NEG_INF, POS_INF, ZERO, fin, scal, tmax, tmin
 
 _NEWTON_CAP = 100000
@@ -125,35 +127,9 @@ class PseudolinearProblem:
         return abs_max(chain(*self.U.data, *self.V.data, self.b, self.d, self.p, self.q))
 
     def data_denominator_lcm(self) -> int:
-        L = 1
-        for M in (self.U, self.V):
-            for row in M.data:
-                for e in row:
-                    if e.is_finite:
-                        L = L * e.value.denominator // gcd(L, e.value.denominator)
-        for v in (self.b, self.d, self.p, self.q):
-            for e in v:
-                if e.is_finite:
-                    L = L * e.value.denominator // gcd(L, e.value.denominator)
-        return L
-
-    def _parametric(self, lam):
-        """Literal parametric pair (A, B(lam)) and the set of lam rows."""
-        lamS = scal(lam)
-        m, n = self.shape
-        arows = []
-        brows = []
-        for i in range(m):
-            arows.append(list(self.U.data[i]) + [self.b[i]])
-            brows.append(list(self.V.data[i]) + [self.d[i]])
-        for j in range(n):
-            arows.append([NEG_INF] * n + [self.p[j]])
-            brows.append([lamS if c == j else NEG_INF for c in range(n)] + [NEG_INF])
-        arows.append([qj.conj() for qj in self.q] + [NEG_INF])
-        brows.append([NEG_INF] * n + [lamS])
-        A = TropMatrix(arows, "max")
-        B = TropMatrix(brows, "max")
-        return A, B, frozenset(range(m, m + n + 1))
+        # infinities carry value 0
+        data = chain(*self.U.data, *self.V.data, self.b, self.d, self.p, self.q)
+        return lcm(*(e.value.denominator for e in data))
 
     def _lam_floor(self) -> Fraction:
         return _lam_floor_linear(self)
@@ -163,7 +139,7 @@ def parametric_game(prob: PseudolinearProblem, lam) -> TwoSidedSystem:
     """The two-sided system over (x, t) whose finite solvability is
     equivalent to feasibility at level lam.  Raises IsolatedNode when a
     variable never occurs on the constraining side."""
-    A, B, _ = prob._parametric(lam)
+    A, B, _ = _literal_pair(prob, lam, aug=False)
     return TwoSidedSystem(A, B)
 
 
@@ -253,13 +229,8 @@ class _ParamStruct:
                 if not islam:
                     L = lcm(L, wv.value.denominator)
         self.L0 = L
-        aw, afin = _scaled(A, L)
-        a_src, a_tgt = np.nonzero(afin.T)  # grouped by column, rows ascending
-        self._a_off = np.zeros(self.n_min + 1, dtype=np.int64)
-        np.cumsum(np.bincount(a_src, minlength=self.n_min), out=self._a_off[1:])
-        self._a_src = a_src.astype(np.int64)
-        self._a_tgt = a_tgt.astype(np.int64)
-        self._a_w0 = np.asarray(-aw.T[afin.T], dtype=np.int64)
+        self._a_off, self._a_src, self._a_tgt, a_w0 = _min_arcs(*_scaled(A, L))
+        self._a_w0 = np.asarray(a_w0, dtype=np.int64)
         b_tgt, b_w, b_lam = [], [], []
         b_off = [0]
         for ents in b_entries:
@@ -852,52 +823,88 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
 # certificates
 
 
-def _augmented_parametric(prob, lam):
-    A, B, lam_rows = prob._parametric(lam)
-    n1 = A.cols
-    arows = [list(r) for r in A.data]
-    brows = [list(r) for r in B.data]
-    for c in range(n1):
-        if not any(row[c].is_finite for row in arows):
-            arows.append([ZERO if k == c else NEG_INF for k in range(n1)])
-            brows.append([ZERO if k == c else NEG_INF for k in range(n1)])
-    return TropMatrix(arows, "max"), TropMatrix(brows, "max"), lam_rows
+def _param_pair(prob):
+    """The literal parametric pair (A, B(lam)) at lam = 0, with its
+    stabilizing rows, on integer arrays: (Aw, Af, Bw, Bf, L, lam_rows),
+    the weights scaled by the data's denominator lcm L (see _scaled) and
+    the masks of finite entries.  The only place that knows the layout.
+
+    Columns are x_1..x_n and the constant t.  Rows, in order: the m
+    structural rows [U | b] <= [V | d]; for pseudoquadratic data, one row
+    [C_j | -inf] <= lam x_j per coupling row; one epigraph row
+    p_j t <= lam x_j per variable; the q row -q x <= lam t; then one
+    tautological "aug" row x_c <= x_c for each column without a finite
+    left entry.  lam_rows is the range of the rows bearing lam, and the
+    finite right entries of those rows are exactly the lam entries."""
+    m, n = prob.shape
+    C = None if isinstance(prob, PseudolinearProblem) else prob.C
+    L = prob.data_denominator_lcm()
+    k = n if C is None else 2 * n  # lam rows before the q row
+    rows = m + k + 1
+    Aw, Bw = (np.zeros((rows, n + 1), dtype=object) for _ in "AB")
+    Af, Bf = (np.zeros((rows, n + 1), dtype=bool) for _ in "AB")
+    (b, d), (bf, df) = _scaled([prob.b, prob.d], L)
+    (p, qc), (pf, qcf) = _scaled([prob.p, [e.conj() for e in prob.q]], L)
+    Aw[:m, :n], Af[:m, :n] = _scaled(prob.U, L)
+    Bw[:m, :n], Bf[:m, :n] = _scaled(prob.V, L)
+    Aw[:m, n], Af[:m, n], Bw[:m, n], Bf[:m, n] = b, bf, d, df
+    if C is not None:
+        Aw[m : m + n, :n], Af[m : m + n, :n] = _scaled(C, L)
+    Aw[m + k - n : m + k, n], Af[m + k - n : m + k, n] = p, pf
+    Aw[-1, :n], Af[-1, :n] = qc, qcf
+    Bf[np.arange(m, m + k), np.arange(k) % n] = True
+    Bf[-1, n] = True
+    aug = np.flatnonzero(~Af.any(axis=0))
+    eye = np.zeros((len(aug), n + 1), dtype=bool)
+    eye[np.arange(len(aug)), aug] = True
+    Af, Bf = np.vstack([Af, eye]), np.vstack([Bf, eye])
+    pad = np.zeros((len(aug), n + 1), dtype=object)
+    return np.vstack([Aw, pad]), Af, np.vstack([Bw, pad]), Bf, L, range(m, rows)
 
 
-def _col_strategy_graph(A, B, tau):
-    """Arcs of the game after fixing the column player's strategy tau.
-
-    Nodes 0..n-1 are columns, n..n+M-1 are rows.  Returns (n_nodes, arcs)
-    with arcs as (src, dst, weight)."""
-    M, n1 = A.shape
-    if len(tau) != n1:
-        raise InvalidStrategy("tau length mismatch")
-    arcs = []
-    for j in range(n1):
-        r = tau[j]
-        if not (0 <= r < M) or not A.data[r][j].is_finite:
-            raise InvalidStrategy(f"tau[{j}] selects no finite entry")
-        arcs.append((j, n1 + r, -A.data[r][j].value))
-    for r in range(M):
-        for c in range(n1):
-            if B.data[r][c].is_finite:
-                arcs.append((n1 + r, c, B.data[r][c].value))
-    return n1 + M, arcs
+def _at_level(pair, lam: Fraction, L=None):
+    """The pair at level lam, rescaled to L: by default the lcm of its
+    scale and lam's denominator, which is the pair's own denominator lcm;
+    a given L must be a multiple of both."""
+    Aw, Af, Bw, Bf, L0, lam_rows = pair
+    if L is None:
+        L = lcm(L0, lam.denominator)
+    f = L // L0
+    Aw, Bw = (Aw * f, Bw * f) if f != 1 else (Aw, Bw.copy())
+    lr = slice(lam_rows.start, lam_rows.stop)
+    Bw[lr][Bf[lr]] = lam.numerator * (L // lam.denominator)
+    return Aw, Af, Bw, Bf, L, lam_rows
 
 
-def _reachable(n_nodes, arcs, start):
-    succ = {}
-    for (s, t, _) in arcs:
-        succ.setdefault(s, []).append(t)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for t in succ.get(u, ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+def _literal_pair(prob, lam, aug=True):
+    """(A, B, lam_rows): the pair at level lam as max-plus matrices, with
+    or without the stabilizing rows."""
+    lamS = scal(lam)
+    if lamS.is_pos_inf:
+        raise TypingError("+inf entry in a max-plus typed matrix")
+    Aw, Af, Bw, Bf, L, lam_rows = _at_level(_param_pair(prob), lamS.value)
+    if lamS.is_neg_inf:
+        Bf = Bf.copy()
+        Bf[lam_rows.start : lam_rows.stop] = False
+    keep = len(Af) if aug else lam_rows.stop
+
+    def mat(w, f):
+        rows = zip(w[:keep], f[:keep])
+        return TropMatrix(
+            [[fin(Fraction(int(v), L)) if ok else NEG_INF for v, ok in zip(*r)] for r in rows], "max"
+        )
+
+    return mat(Aw, Af), mat(Bw, Bf), frozenset(lam_rows)
+
+
+_augmented_parametric = _literal_pair
+
+
+def _finite_level(lam):
+    lamS = scal(lam)
+    if not lamS.is_finite:
+        raise TypingError("certificate level must be finite")
+    return lamS.value
 
 
 def certify_optimal(prob, lam, tau, x=None) -> bool:
@@ -911,41 +918,46 @@ def certify_optimal(prob, lam, tau, x=None) -> bool:
     together the two halves pin the optimum at lam.
 
     tau indexes rows of the literal parametric pair; rows appended to
-    stabilize absent variables come after those."""
-    lamS = scal(lam)
-    if not lamS.is_finite:
-        raise TypingError("certificate level must be finite")
-    A, B, lam_rows = _augmented_parametric(prob, lamS)
-    n1 = A.cols
+    stabilize absent variables come after those.  The check is exact on
+    scaled integers: the point on the pair's integer weights, and (b) by
+    reading only the signs of Karp's tables (see games._mean_signs)."""
+    lam = _finite_level(lam)
+    pair = _param_pair(prob)
+    n1 = pair[1].shape[1]
     if x is not None:
         xs = [scal(v) for v in x]
         if len(xs) != n1 - 1 or not all(v.is_finite for v in xs):
             raise TypingError("certificate point must be finite of full dimension")
-        hom = xs + [ZERO]
-        lhs = mat_vec_mul(A, hom)
-        rhs = mat_vec_mul(B, hom)
-        if not all(a <= c for a, c in zip(lhs, rhs)):
+        L = lcm(pair[4], lam.denominator, *(v.value.denominator for v in xs))
+        Aw, Af, Bw, Bf, L, lam_rows = _at_level(pair, lam, L)
+        if not _solves(Aw, Af, Bw, Bf, [int(v.value * L) for v in xs] + [0]):
             return False
     else:
-        if feasible_finite(TwoSidedSystem(A, B)) is None:
+        Aw, Af, Bw, Bf, L, lam_rows = _at_level(pair, lam)
+        if _finite_point(Aw, Af, Bw, Bf, L, 3 * sum(Af.shape) + 6) is None:
             return False
-    n_nodes, arcs = _col_strategy_graph(A, B, tau)
-    lam_nodes = {n1 + r for r in lam_rows}
-    for start in range(n1):
-        reach = _reachable(n_nodes, arcs, start)
-        sub = [(s, t, w) for (s, t, w) in arcs if s in reach and t in reach]
-        mm = digraph_min_cycle_mean(n_nodes, [(s, t, -w) for (s, t, w) in sub])
-        if mm is not None and -mm > 0:
-            continue
-        hard = [
-            (s, t, w)
-            for (s, t, w) in sub
-            if s not in lam_nodes and t not in lam_nodes
-        ]
-        mmh = digraph_min_cycle_mean(n_nodes, [(s, t, -w) for (s, t, w) in hard])
-        if mmh is None or -mmh < 0:
-            return True
-    return False
+    M = len(Af)
+    if len(tau) != n1:
+        raise InvalidStrategy("tau length mismatch")
+    for j, r in enumerate(tau):
+        if not (0 <= r < M) or not Af[r, j]:
+            raise InvalidStrategy(f"tau[{j}] selects no finite entry")
+    # the tau graph: columns 0..n1-1, rows n1..n1+M-1, weights negated so
+    # that a cycle of positive weight has a negative minimum mean
+    t = np.asarray(tau, dtype=np.int64)
+    br, bc = np.nonzero(Bf)
+    src = np.concatenate([np.arange(n1), n1 + br])
+    dst = np.concatenate([n1 + t, bc])
+    neg = np.concatenate([Aw[t, np.arange(n1)], -Bw[Bf]])
+    lam_node = np.zeros(n1 + M, dtype=bool)
+    lam_node[n1 + lam_rows.start : n1 + lam_rows.stop] = True
+    reach, cyc, top = _mean_signs(n1 + M, src, dst, neg)
+    free = ~(lam_node[src] | lam_node[dst])
+    _, cyc_free, top_free = _mean_signs(n1 + M, src[free], dst[free], neg[free])
+    # a start fails when it reaches a cycle of weight > 0, or a lam-free
+    # cycle of weight >= 0
+    bad = (cyc & (top < 0)) | (cyc_free & (top_free <= 0))
+    return bool(np.any(~np.any(reach[:n1] & bad, axis=1)))
 
 
 def optimality_certificate(prob, lam):
@@ -956,33 +968,24 @@ def optimality_certificate(prob, lam):
     so the strategy found is optimal on a whole interval ending at lam
     and passes certify_optimal whenever lam really is the least feasible
     level."""
-    lamS = scal(lam)
-    if not lamS.is_finite:
-        raise TypingError("certificate level must be finite")
-    A, B, _ = _augmented_parametric(prob, lamS)
-    M, n1 = A.shape
-    nodes = n1 + M
-    dl = lamS.value.denominator
-    L = prob.data_denominator_lcm() * dl // gcd(prob.data_denominator_lcm(), dl)
+    lam = _finite_level(lam)
+    pair = _param_pair(prob)
+    nodes = sum(pair[1].shape)
+    dl = lam.denominator
+    L = lcm(pair[4], dl)
     delta = Fraction(1, 4 * nodes * nodes * L * dl)
-    A2, B2, _ = _augmented_parametric(prob, fin(lamS.value - delta))
-    vals = solve_values(TwoSidedSystem(A2, B2))
-    if min(vals.chi) >= 0:
-        return None
-    return vals.tau
+    vals = _solve_pair(*_at_level(pair, lam - delta)[:5])
+    return None if min(vals.chi) >= 0 else vals.tau
 
 
 def unboundedness_certificate(prob):
     """A row strategy certifying the objective is unbounded below, or
     None.  Solves the parametric game at a level so low that any cycle
     through a level-bearing row would be negative; a nonnegative value
-    there forces the strategy found to keep those rows out of cycles."""
-    lf = prob._lam_floor()
-    A, B, _ = _augmented_parametric(prob, fin(lf))
-    vals = solve_values(TwoSidedSystem(A, B))
-    if min(vals.chi) < 0:
-        return None
-    return vals.sigma
+    there forces the strategy found to keep those rows out of cycles.
+    Fully vacuous structural rows take no part; sigma is None there."""
+    vals = _solve_pair(*_at_level(_param_pair(prob), prob._lam_floor())[:5])
+    return None if min(vals.chi) < 0 else vals.sigma
 
 
 def certify_unbounded(prob, sigma) -> bool:
@@ -990,36 +993,26 @@ def certify_unbounded(prob, sigma) -> bool:
     parametric game (taken at level 0) under which no cycle passes
     through a lam-bearing row and every cycle has nonnegative weight.
     Both together keep the game value nonnegative at every level, so the
-    objective is unbounded below on the feasible set."""
-    A, B, lam_rows = _augmented_parametric(prob, ZERO)
-    M, n1 = A.shape
+    objective is unbounded below on the feasible set.  sigma is None
+    exactly at the fully vacuous structural rows.  One closure gives the
+    SCCs at the lam rows, and one Karp table the sign of the least cycle
+    mean."""
+    Aw, Af, Bw, Bf, L, lam_rows = _at_level(_param_pair(prob), Fraction(0))
+    M, n1 = Af.shape
     if len(sigma) != M:
         raise InvalidStrategy("sigma length mismatch")
-    arcs = []
-    for j in range(n1):
-        for r in range(M):
-            if A.data[r][j].is_finite:
-                arcs.append((j, n1 + r, -A.data[r][j].value))
-    for r in range(M):
-        c = sigma[r]
-        if not (0 <= c < n1) or not B.data[r][c].is_finite:
+    vacuous = ~Af.any(axis=1) & ~Bf.any(axis=1)
+    for r, c in enumerate(sigma):
+        if not (c is None if vacuous[r] else c is not None and 0 <= c < n1 and Bf[r, c]):
             raise InvalidStrategy(f"sigma[{r}] selects no finite entry")
-        arcs.append((n1 + r, c, B.data[r][c].value))
-    succ = {}
-    for (s, t, _) in arcs:
-        succ.setdefault(s, []).append(t)
-
-    class _Adj:
-        def __getitem__(self, u):
-            return succ.get(u, ())
-
-    comps = tarjan_sccs(n1 + M, _Adj())
-    for comp in comps:
-        if len(comp) > 1:
-            for u in comp:
-                if u in {n1 + r for r in lam_rows}:
-                    return False
-    mm = digraph_min_cycle_mean(n1 + M, arcs)
-    if mm is not None and mm < 0:
-        return False
-    return True
+    rows = np.flatnonzero(~vacuous)
+    s = np.array([sigma[r] for r in rows], dtype=np.int64)
+    ar, ac = np.nonzero(Af)
+    src = np.concatenate([ac, n1 + rows])
+    dst = np.concatenate([n1 + ar, s])
+    w = np.concatenate([-Aw[Af], Bw[rows, s]])
+    reach, cyc, top = _mean_signs(n1 + M, src, dst, w)
+    lam_nodes = n1 + np.arange(lam_rows.start, lam_rows.stop)
+    if np.any((reach & reach.T)[lam_nodes].sum(axis=1) > 1):
+        return False  # a lam row lies on a cycle
+    return not np.any(cyc & (top < 0))

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import ceil, floor, gcd
+from math import ceil, floor, lcm
 
-from .matrix import TropMatrix, TypingError, abs_max, mat_vec_mul, max_cycle_mean
-from .games import EngineError, TwoSidedSystem
+from .matrix import TropMatrix, TypingError, abs_max, mat_vec_mul
+from .games import EngineError, TwoSidedSystem, _den_lcm, _max_cycle_mean, _scaled
 from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal, tmax
 from .pseudolinear import (
     SolveOutcome,
@@ -28,12 +28,10 @@ from .pseudolinear import (
     _bisect_on_grid,
     _bisect_real,
     _check_mode,
+    _literal_pair,
     _optimal_witness,
     _outcome_infeasible,
     _vec,
-    certify_optimal,
-    certify_unbounded,
-    spectral_value,
     _NEWTON_CAP,
 )
 
@@ -45,9 +43,6 @@ __all__ = [
     "round_bounded",
     "bisection_solve_quad",
     "newton_solve_quad",
-    "certify_optimal",
-    "certify_unbounded",
-    "spectral_value",
 ]
 
 
@@ -93,43 +88,15 @@ class PseudoquadraticProblem:
         )
 
     def data_denominator_lcm(self) -> int:
-        L = 1
-        for M in (self.U, self.V, self.C):
-            for row in M.data:
-                for e in row:
-                    if e.is_finite:
-                        L = L * e.value.denominator // gcd(L, e.value.denominator)
-        for v in (self.b, self.d, self.p, self.q):
-            for e in v:
-                if e.is_finite:
-                    L = L * e.value.denominator // gcd(L, e.value.denominator)
-        return L
+        # infinities carry value 0
+        data = chain(*self.U.data, *self.V.data, *self.C.data, self.b, self.d, self.p, self.q)
+        return lcm(*(e.value.denominator for e in data))
 
     def _prepare(self, ignore_objective=False):
         return _assemble(self, self.C.data, ignore_objective)
 
     def _objective(self, x):
         return objective_quad(self, x)
-
-    def _parametric(self, lam):
-        lamS = scal(lam)
-        m, n = self.shape
-        arows = []
-        brows = []
-        for i in range(m):
-            arows.append(list(self.U.data[i]) + [self.b[i]])
-            brows.append(list(self.V.data[i]) + [self.d[i]])
-        for j in range(n):
-            arows.append(list(self.C.data[j]) + [NEG_INF])
-            brows.append([lamS if c == j else NEG_INF for c in range(n)] + [NEG_INF])
-        for j in range(n):
-            arows.append([NEG_INF] * n + [self.p[j]])
-            brows.append([lamS if c == j else NEG_INF for c in range(n)] + [NEG_INF])
-        arows.append([qj.conj() for qj in self.q] + [NEG_INF])
-        brows.append([NEG_INF] * n + [lamS])
-        A = TropMatrix(arows, "max")
-        B = TropMatrix(brows, "max")
-        return A, B, frozenset(range(m, m + 2 * n + 1))
 
     def _lam_floor(self) -> Fraction:
         return _lam_floor_quad(self)
@@ -138,7 +105,7 @@ class PseudoquadraticProblem:
 def parametric_game_quad(prob: PseudoquadraticProblem, lam) -> TwoSidedSystem:
     """The literal parametric two-sided system at level lam; raises
     IsolatedNode when a variable never occurs on the constraining side."""
-    A, B, _ = prob._parametric(lam)
+    A, B, _ = _literal_pair(prob, lam, aug=False)
     return TwoSidedSystem(A, B)
 
 
@@ -182,9 +149,14 @@ def round_bounded(lam, D: int, direction: str) -> Fraction:
 
 
 def _lower_bound_quad(prob) -> ExtScalar:
+    """The anchor gap, or the largest cycle mean of C when that is higher
+    (a cycle of C bounds the coupling term from below on any x); the
+    cycle mean runs on C scaled to integers."""
     terms = [prob.p[j] + prob.q[j].conj() for j in range(len(prob.p))]
     anchor = tmax(*terms).half()
-    return tmax(anchor, max_cycle_mean(prob.C))
+    L = _den_lcm(prob.C)
+    mu = _max_cycle_mean(*_scaled(prob.C, L))
+    return anchor if mu is None else tmax(anchor, fin(mu / L))
 
 
 def _lam_floor_quad(prob) -> Fraction:

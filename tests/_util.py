@@ -13,15 +13,23 @@ import numpy as np
 from tropopt import (
     NEG_INF,
     POS_INF,
+    ZERO,
     ExtScalar,
+    InvalidStrategy,
+    IsolatedNode,
     PseudolinearProblem,
     PseudoquadraticProblem,
     TropMatrix,
+    TwoSidedSystem,
+    TypingError,
+    build_game,
     conjugate,
     fin,
+    mat_vec_mul,
+    scal,
 )
-from tropopt.games import _CUT64, _INF64, EngineError
-from tropopt.matrix import tarjan_sccs
+from tropopt.games import _CUT64, _INF64, Arena, EngineError, GameValues, _den_lcm, solve_arena
+from tropopt.matrix import digraph_min_cycle_mean, tarjan_sccs
 
 
 def E(v):
@@ -437,3 +445,178 @@ def oracle_gate(arena, ev, tau):
         == Fraction(-int(G_num[tau[j]]), int(G_den[tau[j]]))
         for j in range(arena.n_min)
     )
+
+
+# ---------------------------------------------------------------------------
+# certificates on Fractions
+#
+# The certificate route the integer one replaced: the literal pair built
+# entry by entry as max-plus matrices, games solved through build_game,
+# and the checkers running one Fraction Karp per start column on a
+# reachable subgraph.  Fully vacuous structural rows are left out of the
+# games (sigma None there), as the library does.
+
+
+def oracle_pair(prob, lam):
+    """(A, B, lam_rows): the literal parametric pair at lam plus one
+    tautological row per column without a finite left entry."""
+    lamS = scal(lam)
+    m, n = prob.shape
+    quad = isinstance(prob, PseudoquadraticProblem)
+    arows, brows = [], []
+    for i in range(m):
+        arows.append(list(prob.U.data[i]) + [prob.b[i]])
+        brows.append(list(prob.V.data[i]) + [prob.d[i]])
+    lam_at = [[lamS if c == j else NEG_INF for c in range(n)] + [NEG_INF] for j in range(n)]
+    if quad:
+        for j in range(n):
+            arows.append(list(prob.C.data[j]) + [NEG_INF])
+            brows.append(lam_at[j])
+    for j in range(n):
+        arows.append([NEG_INF] * n + [prob.p[j]])
+        brows.append(lam_at[j])
+    arows.append([qj.conj() for qj in prob.q] + [NEG_INF])
+    brows.append([NEG_INF] * n + [lamS])
+    lam_rows = frozenset(range(m, len(arows)))
+    for c in range(n + 1):
+        if not any(row[c].is_finite for row in arows):
+            arows.append([ZERO if k == c else NEG_INF for k in range(n + 1)])
+            brows.append([ZERO if k == c else NEG_INF for k in range(n + 1)])
+    return TropMatrix(arows, "max"), TropMatrix(brows, "max"), lam_rows
+
+
+def oracle_solve_values(sys):
+    """solve_values through build_game and per-entry Fraction scaling."""
+    game = build_game(sys)
+    L = _den_lcm(sys.A, sys.B)
+    min_arcs = [[(i, int(w * L)) for (i, w) in arcs] for arcs in game.min_arcs]
+    max_arcs = [[(j, int(w * L)) for (j, w) in arcs] for arcs in game.max_arcs]
+    chi, tau, sigma, _ = solve_arena(Arena(min_arcs, max_arcs, L))
+    return GameValues(chi, tau, sigma)
+
+
+def _vacuous(A, B, r):
+    return not any(e.is_finite for e in A.data[r]) and not any(e.is_finite for e in B.data[r])
+
+
+def _live(A, B):
+    """The pair without its vacuous rows, and the kept row indices; a row
+    with a finite left entry and no finite right one is IsolatedNode."""
+    rows = [r for r in range(A.rows) if not _vacuous(A, B, r)]
+    for r in rows:
+        if not any(e.is_finite for e in B.data[r]):
+            raise IsolatedNode(f"row {r} of the right matrix has no finite entry")
+    keep = lambda X: TropMatrix([X.data[r] for r in rows], "max")  # noqa: E731
+    return keep(A), keep(B), rows
+
+
+def _oracle_game(A, B):
+    """Values of the pair's game without its vacuous rows, with tau and
+    sigma on the pair's row indices (sigma None at the rows left out)."""
+    sigma = [None] * A.rows
+    vals = oracle_solve_values(TwoSidedSystem(*_live(A, B)[:2]))
+    rows = _live(A, B)[2]
+    for k, r in enumerate(rows):
+        sigma[r] = vals.sigma[k]
+    return vals.chi, [rows[t] for t in vals.tau], sigma
+
+
+def _oracle_feasible(A, B):
+    """Whether A (x) <= B (x) (vacuous rows left out) has a finite
+    solution: the Fraction descent when it converges, else the game."""
+    A, B, _ = _live(A, B)
+    sys = TwoSidedSystem(A, B)
+    W = max(A.finite_abs_max(), B.finite_abs_max())
+    x, converged = descent_oracle(A, B, W, 3 * (A.rows + A.cols) + 6)
+    if converged:
+        return all(v.is_finite for v in x)
+    return min(oracle_solve_values(sys).chi) >= 0
+
+
+def _finite_level(lam):
+    lamS = scal(lam)
+    if not lamS.is_finite:
+        raise TypingError("certificate level must be finite")
+    return lamS
+
+
+def oracle_optimality_certificate(prob, lam):
+    lamS = _finite_level(lam)
+    A, B, _ = oracle_pair(prob, lamS)
+    nodes = A.rows + A.cols
+    dl = lamS.value.denominator
+    L = _den_lcm(A, B)
+    delta = Fraction(1, 4 * nodes * nodes * L * dl)
+    chi, tau, _ = _oracle_game(*oracle_pair(prob, fin(lamS.value - delta))[:2])
+    return None if min(chi) >= 0 else tau
+
+
+def oracle_certify_optimal(prob, lam, tau, x=None):
+    lamS = _finite_level(lam)
+    A, B, lam_rows = oracle_pair(prob, lamS)
+    M, n1 = A.shape
+    if x is not None:
+        xs = [scal(v) for v in x]
+        if len(xs) != n1 - 1 or not all(v.is_finite for v in xs):
+            raise TypingError("certificate point must be finite of full dimension")
+        hom = xs + [ZERO]
+        if not all(a <= c for a, c in zip(mat_vec_mul(A, hom), mat_vec_mul(B, hom))):
+            return False
+    elif not _oracle_feasible(A, B):
+        return False
+    if len(tau) != n1:
+        raise InvalidStrategy("tau length mismatch")
+    arcs = []
+    for j in range(n1):
+        r = tau[j]
+        if not (0 <= r < M) or not A.data[r][j].is_finite:
+            raise InvalidStrategy(f"tau[{j}] selects no finite entry")
+        arcs.append((j, n1 + r, -A.data[r][j].value))
+    for r in range(M):
+        for c in range(n1):
+            if B.data[r][c].is_finite:
+                arcs.append((n1 + r, c, B.data[r][c].value))
+    lam_nodes = {n1 + r for r in lam_rows}
+    for start in range(n1):
+        reach = reachable(n1 + M, arcs, start)
+        sub = [(s, t, w) for (s, t, w) in arcs if s in reach and t in reach]
+        mm = digraph_min_cycle_mean(n1 + M, [(s, t, -w) for (s, t, w) in sub])
+        if mm is not None and -mm > 0:
+            continue
+        hard = [(s, t, -w) for (s, t, w) in sub if s not in lam_nodes and t not in lam_nodes]
+        mmh = digraph_min_cycle_mean(n1 + M, hard)
+        if mmh is None or -mmh < 0:
+            return True
+    return False
+
+
+def oracle_unboundedness_certificate(prob):
+    chi, _, sigma = _oracle_game(*oracle_pair(prob, fin(prob._lam_floor()))[:2])
+    return None if min(chi) < 0 else sigma
+
+
+def oracle_certify_unbounded(prob, sigma):
+    A, B, lam_rows = oracle_pair(prob, ZERO)
+    M, n1 = A.shape
+    if len(sigma) != M:
+        raise InvalidStrategy("sigma length mismatch")
+    arcs = []
+    for j in range(n1):
+        for r in range(M):
+            if A.data[r][j].is_finite:
+                arcs.append((j, n1 + r, -A.data[r][j].value))
+    for r in range(M):
+        c = sigma[r]
+        if _vacuous(A, B, r) and c is None:
+            continue
+        if c is None or not (0 <= c < n1) or not B.data[r][c].is_finite:
+            raise InvalidStrategy(f"sigma[{r}] selects no finite entry")
+        arcs.append((n1 + r, c, B.data[r][c].value))
+    succ = [[] for _ in range(n1 + M)]
+    for (s, t, _) in arcs:
+        succ[s].append(t)
+    for comp in tarjan_sccs(n1 + M, succ):
+        if len(comp) > 1 and any(u - n1 in lam_rows for u in comp):
+            return False
+    mm = digraph_min_cycle_mean(n1 + M, arcs)
+    return mm is None or mm >= 0
