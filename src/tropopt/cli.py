@@ -15,6 +15,7 @@ import json
 import sys
 
 from .experiments import parse_dims, run_experiments, write_csv
+from .games import IsolatedNode
 from .io import (
     dump_problem,
     format_outcome,
@@ -71,10 +72,15 @@ def _cmd_phi(args):
 def _cmd_certify(args):
     prob = _load(args.file)
     lam = parse_level(args.level)
-    tau = optimality_certificate(prob, lam)
-    opt = tau is not None and certify_optimal(prob, lam, tau)
-    sig = unboundedness_certificate(prob)
-    unb = sig is not None and certify_unbounded(prob, sig)
+    try:
+        tau = optimality_certificate(prob, lam)
+        opt = tau is not None and certify_optimal(prob, lam, tau)
+        sig = unboundedness_certificate(prob)
+        unb = sig is not None and certify_unbounded(prob, sig)
+    except IsolatedNode:
+        # a finite left side against an empty right side: the problem is
+        # infeasible, so neither verdict holds
+        opt = unb = False
     _emit({"lambda": scalar_to_json(lam), "optimal": opt, "unbounded": unb})
     return 0
 

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
-from .matrix import TropMatrix, TypingError
+from .matrix import TropMatrix, TypingError, _den_lcm, _fit, _scaled
 from .semiring import NEG_INF
 
 
@@ -186,13 +185,6 @@ def restrict_strategies(sys: TwoSidedSystem, tau=None, sigma=None) -> TwoSidedSy
 
 _INF64 = np.int64(1) << 62
 _CUT64 = np.int64(1) << 61
-_GUARD = 1 << 61
-
-
-def _fit(w, big):
-    """w as int64 when big, a bound on every value the caller forms from
-    it, stays below 2^61, otherwise as Python ints."""
-    return w.astype(np.int64 if big < _GUARD else object)
 
 
 class Arena:
@@ -686,29 +678,6 @@ def solve_values(sys: TwoSidedSystem) -> GameValues:
 
 # ---------------------------------------------------------------------------
 # finite witnesses
-
-
-def _den_lcm(*mats: TropMatrix) -> int:
-    """Common denominator of the entries (infinities carry value 0)."""
-    L = 1
-    for M in mats:
-        for row in M.data:
-            for e in row:
-                L = lcm(L, e.value.denominator)
-    return L
-
-
-def _scaled(M, L: int):
-    """(w, finite): L * M as Python ints (0 off the finite entries) in an
-    object array, and the mask of finite entries.  M is a TropMatrix or a
-    list of rows of scalars; its denominators must divide L."""
-    rows = M.data if isinstance(M, TropMatrix) else M
-    finite = np.array([[e.is_finite for e in row] for row in rows], dtype=bool)
-    w = np.array(
-        [[e.value.numerator * (L // e.value.denominator) for e in row] for row in rows],
-        dtype=object,
-    )
-    return w, finite
 
 
 def _descend(A: TropMatrix, B: TropMatrix, W: Fraction, L: int, sweeps: int):

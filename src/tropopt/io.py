@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 
-from .semiring import NEG_INF, POS_INF, scal
+from .semiring import NEG_INF, POS_INF, fin, scal
 from .matrix import TropMatrix
 from .pseudolinear import PseudolinearProblem, SolveOutcome
 from .pseudoquadratic import PseudoquadraticProblem
@@ -41,14 +41,14 @@ def scalar_from_json(tok):
     if isinstance(tok, bool):
         raise BadRational(f"bad scalar {tok!r}")
     if isinstance(tok, int):
-        return scal(tok)
+        return fin(tok)
     if isinstance(tok, str):
         if tok == "-inf":
             return NEG_INF
         if tok == "+inf":
             return POS_INF
         if _RAT_RE.match(tok):
-            return scal(Fraction(tok))
+            return fin(tok)
         raise BadRational(f"bad scalar {tok!r}")
     raise BadRational(f"bad scalar {tok!r}")
 

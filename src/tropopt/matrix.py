@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class TropMatrix:
     __slots__ = ("rows", "cols", "typing", "data")
 
     def __init__(self, entries, typing: str = "max"):
-        data = [[scal(x) for x in row] for row in entries]
+        data = [[x if type(x) is ExtScalar else scal(x) for x in row] for row in entries]
         if not data or not data[0]:
             raise TypingError("matrix must have at least one row and column")
         ncols = len(data[0])
@@ -381,82 +381,71 @@ def max_cycle_mean(A: TropMatrix) -> ExtScalar:
 
 
 # ---------------------------------------------------------------------------
-# Kleene star
+# scaled integer form and the Kleene star
 
-_FW_SAFE = 1 << 52
+_GUARD = 1 << 61
 
 
-def _star_floats(W: np.ndarray, n: int) -> np.ndarray:
-    # max-plus Floyd-Warshall; early positive-diagonal detection keeps
-    # magnitudes bounded so float64 sums stay exact for integer weights
+def _fit(w, big):
+    """w as int64 when big, a bound on every value the caller forms from
+    it, stays below 2^61, otherwise as Python ints."""
+    return w.astype(np.int64 if big < _GUARD else object)
+
+
+def _den_lcm(*mats: TropMatrix) -> int:
+    """Common denominator of the entries (infinities carry value 0)."""
+    L = 1
+    for M in mats:
+        for row in M.data:
+            for e in row:
+                L = lcm(L, e.value.denominator)
+    return L
+
+
+def _scaled(M, L: int):
+    """(w, finite): L * M as Python ints (0 off the finite entries) in an
+    object array, and the mask of finite entries.  M is a TropMatrix or a
+    list of rows of scalars; its denominators must divide L."""
+    rows = M.data if isinstance(M, TropMatrix) else M
+    finite = np.array([[e.is_finite for e in row] for row in rows], dtype=bool)
+    w = np.array(
+        [[e.value.numerator * (L // e.value.denominator) for e in row] for row in rows],
+        dtype=object,
+    )
+    return w, finite
+
+
+def _star(W, big):
+    """Kleene star of a square matrix of scaled integers with -big for
+    -inf, by max-plus Floyd-Warshall; the star has the same form, with
+    max(W*_ii, 0) on the diagonal.  big must exceed 2n max |w| over the
+    finite entries: every walk weight met before a positive cycle is found
+    stays below that.  Raises DivergentStar after the first pivot that
+    closes a positive cycle."""
+    n = len(W)
     for k in range(n):
-        W = np.maximum(W, np.add.outer(W[:, k], W[k, :]))
+        col, row = W[:, k, None], W[k]
+        W = np.maximum(W, np.where((col > -big) & (row > -big), col + row, -big))
         if np.any(np.diagonal(W) > 0):
             raise DivergentStar("matrix has a positive-weight cycle")
+    d = np.arange(n)
+    W[d, d] = np.maximum(W[d, d], 0)
     return W
 
 
 def kleene_star(A: TropMatrix) -> TropMatrix:
     """I + A + A^2 + ... + A^(n-1); requires max cycle mean <= 0.
 
-    Raises DivergentStar otherwise.  The closure is computed by max-plus
-    Floyd-Warshall; for integer-valued data in a safe range the inner
-    loop is vectorized.
-    """
+    Raises DivergentStar otherwise.  Exact: the closure runs on the
+    entries scaled by their denominator lcm (see _star)."""
     if A.typing != "max":
         raise TypingError("kleene_star is for max-plus typed matrices")
     if A.rows != A.cols:
         raise TypingError("kleene_star needs a square matrix")
-    n = A.rows
-
-    # scale rationals to integers when possible so the fast path applies
-    den_lcm = 1
-    for row in A.data:
-        for x in row:
-            if x.is_finite:
-                d = x.value.denominator
-                den_lcm = den_lcm * d // gcd(den_lcm, d)
-    big = A.finite_abs_max() * den_lcm
-    if big * max(n, 1) < _FW_SAFE:
-        W = np.full((n, n), -np.inf)
-        for i in range(n):
-            for j in range(n):
-                x = A.data[i][j]
-                if x.is_finite:
-                    W[i, j] = float(x.value * den_lcm)
-        W = _star_floats(W, n)
-        out = []
-        for i in range(n):
-            orow = []
-            for j in range(n):
-                w = W[i, j]
-                if i == j:
-                    w = max(w, 0.0)
-                if w == -np.inf:
-                    orow.append(NEG_INF)
-                else:
-                    orow.append(ExtScalar(0, Fraction(int(w), den_lcm)))
-            out.append(orow)
-        return TropMatrix(out, "max")
-
-    # exact fallback for out-of-range data
-    D = [row[:] for row in A.data]
-    for k in range(n):
-        for i in range(n):
-            dik = D[i][k]
-            if dik.is_neg_inf:
-                continue
-            for j in range(n):
-                dkj = D[k][j]
-                if dkj.is_neg_inf:
-                    continue
-                cand = dik + dkj
-                if D[i][j] < cand:
-                    D[i][j] = cand
-        for i in range(n):
-            if D[i][i] > ZERO:
-                raise DivergentStar("matrix has a positive-weight cycle")
-    for i in range(n):
-        if D[i][i] < ZERO:
-            D[i][i] = ZERO
-    return TropMatrix(D, "max")
+    L = _den_lcm(A)
+    w, finite = _scaled(A, L)
+    big = 4 * (A.rows + 1) * (int(np.abs(w).max()) + 1)
+    W = _star(_fit(np.where(finite, w, -big), big), big)
+    return TropMatrix(
+        [[fin(Fraction(int(v), L)) if v > -big else NEG_INF for v in row] for row in W], "max"
+    )

@@ -29,30 +29,28 @@ from .matrix import (
     DivergentStar,
     TropMatrix,
     TypingError,
+    _den_lcm,
+    _fit,
+    _scaled,
+    _star,
     abs_max,
-    conjugate,
-    kleene_star,
-    mat_vec_mul,
-    dual_mat_vec_mul,
 )
 from .games import (
     Arena,
     EngineError,
     InvalidStrategy,
     TwoSidedSystem,
-    _den_lcm,
     _descend,
     _finite_point,
     _mean_signs,
     _min_arcs,
     _one_player_min,
-    _scaled,
     _solve_pair,
     _solves,
     feasible_finite,
     solve_arena,
 )
-from .semiring import ExtScalar, NEG_INF, POS_INF, ZERO, fin, scal, tmax, tmin
+from .semiring import ExtScalar, NEG_INF, POS_INF, ZERO, fin, scal, tmax
 
 _NEWTON_CAP = 100000
 _BISECT_CAP = 100000
@@ -646,6 +644,85 @@ class AlcovedProblem:
                 raise TypingError(f"{nm} has length {len(v)}, expected {n}")
 
 
+def _filled(parts, S: int, n: int):
+    """The drop step's integer form of (vector or matrix, sign) pairs:
+    each entry times S, with -big / +big for an infinity of that sign.
+    big = 16(n+1)(A+1), A the largest |scaled entry|, exceeds every finite
+    value _reduce and _alcoved form from data of this size; int64 while
+    that fits, Python ints beyond.  Returns (arrays, big)."""
+    sc = [_scaled(M if isinstance(M, TropMatrix) else [M], S) for M, _ in parts]
+    A = max(int(np.abs(w).max()) for w, _ in sc)
+    big = 16 * (n + 1) * (A + 1)
+    out = []
+    for (w, f), (M, sign) in zip(sc, parts):
+        v = _fit(np.where(f, w, sign * big), big)
+        out.append(v if isinstance(M, TropMatrix) else v[0])
+    return out, big
+
+
+def _ext(v, S: int, big):
+    """ExtScalars of an array in the drop step's integer form."""
+    return [
+        NEG_INF if e <= -big else POS_INF if e >= big else fin(Fraction(int(e), S)) for e in v
+    ]
+
+
+def _drop_data(prob):
+    """(U, V, b, d, p, q, S, big): the problem in the drop step's integer
+    form, scaled by S = 2L.  Every entry of the reduced problem is then a
+    multiple of 2, so the closed form's halving stays integral."""
+    S = 2 * prob.data_denominator_lcm()
+    arrays, big = _filled(
+        [(prob.U, -1), (prob.V, -1), (prob.b, -1), (prob.d, -1), (prob.p, -1), (prob.q, 1)],
+        S,
+        prob.shape[1],
+    )
+    return (*arrays, S, big)
+
+
+def _reduce(U, V, b, d, sigma, big):
+    """reduce_by_strategy on the drop step's integer form: (R, l, u)."""
+    m, n = U.shape
+    if len(sigma) != m:
+        raise InvalidStrategy("sigma length mismatch")
+    lhs = (U > -big).any(axis=1) | (b > -big)
+    rows, tgts, consts = [], [], []
+    for i, s in enumerate(sigma):
+        if s is None:
+            if lhs[i]:
+                raise InvalidStrategy(f"row {i} is not vacuous")
+        elif not (0 <= s <= n):
+            raise InvalidStrategy(f"sigma[{i}] out of range")
+        elif s == n:
+            if not d[i] > -big:
+                raise InvalidStrategy(f"sigma[{i}] selects a -inf constant")
+            if not b[i] <= d[i]:
+                raise InfeasibleReduction(f"row {i}: constant sides conflict")
+            consts.append(i)
+        elif not V[i, s] > -big:
+            raise InvalidStrategy(f"sigma[{i}] selects a -inf entry")
+        else:
+            rows.append(i)
+            tgts.append(s)
+    R = np.full((n, n), -big, dtype=U.dtype)
+    l = np.full(n, -big, dtype=U.dtype)
+    if rows:
+        # row i, pinned to column s, gives U_ik - V_is to R_sk and
+        # b_i - V_is to l_s; rows sorted by s reduce by segment
+        order = np.argsort(tgts, kind="stable")
+        rows, tgts = np.asarray(rows)[order], np.asarray(tgts)[order]
+        heads, starts = np.unique(tgts, return_index=True)
+        vis = V[rows, tgts]
+        Ur, br = U[rows], b[rows]
+        R[heads] = np.maximum.reduceat(np.where(Ur > -big, Ur - vis[:, None], -big), starts)
+        l[heads] = np.maximum.reduceat(np.where(br > -big, br - vis, -big), starts)
+    u = np.full(n, big, dtype=U.dtype)
+    if consts:
+        Uc = U[consts]
+        u = np.where(Uc > -big, d[consts][:, None] - Uc, big).min(axis=0)
+    return R, l, u
+
+
 def reduce_by_strategy(prob, sigma) -> AlcovedProblem:
     """Collapse each structural row onto one chosen right-hand term.
 
@@ -653,62 +730,49 @@ def reduce_by_strategy(prob, sigma) -> AlcovedProblem:
     to None for a vacuous row.  Rows sent to n require b_i <= d_i, else
     the reduction is infeasible.  The result keeps all n variables:
     R x <= x gathers the rows pinned to a column, u the rows pinned to
-    their constant."""
-    m, n = prob.shape
-    if len(sigma) != m:
-        raise InvalidStrategy("sigma length mismatch")
-    R = [[NEG_INF] * n for _ in range(n)]
-    l = [NEG_INF] * n
-    u = [POS_INF] * n
-    for i in range(m):
-        s = sigma[i]
-        if s is None:
-            if any(prob.U.data[i][j].is_finite for j in range(n)) or prob.b[i].is_finite:
-                raise InvalidStrategy(f"row {i} is not vacuous")
-            continue
-        if not (0 <= s <= n):
-            raise InvalidStrategy(f"sigma[{i}] out of range")
-        if s == n:
-            if not prob.d[i].is_finite:
-                raise InvalidStrategy(f"sigma[{i}] selects a -inf constant")
-            if not prob.b[i] <= prob.d[i]:
-                raise InfeasibleReduction(f"row {i}: constant sides conflict")
-            for k in range(n):
-                uik = prob.U.data[i][k]
-                if uik.is_finite:
-                    cand = prob.d[i] + (-uik)
-                    if cand < u[k]:
-                        u[k] = cand
-        else:
-            vis = prob.V.data[i][s]
-            if not vis.is_finite:
-                raise InvalidStrategy(f"sigma[{i}] selects a -inf entry")
-            lc = prob.b[i] + (-vis)
-            if l[s] < lc:
-                l[s] = lc
-            for k in range(n):
-                uik = prob.U.data[i][k]
-                if uik.is_finite:
-                    rc = uik + (-vis)
-                    if R[s][k] < rc:
-                        R[s][k] = rc
-    return AlcovedProblem(TropMatrix(R, "max"), l, u, prob.p, prob.q)
+    their constant.  Exact on scaled integers (see _reduce)."""
+    U, V, b, d, _, _, S, big = _drop_data(prob)
+    R, l, u = _reduce(U, V, b, d, sigma, big)
+    R = TropMatrix([_ext(row, S, big) for row in R], "max")
+    return AlcovedProblem(R, _ext(l, S, big), _ext(u, S, big), prob.p, prob.q)
 
 
-def _max_form(row, M, col) -> ExtScalar:
-    """max over j,k of row_j + M_jk + col_k, skipping -inf factors."""
-    best = NEG_INF
-    for j, rj in enumerate(row):
-        if rj.is_neg_inf:
-            continue
-        Mrow = M.data[j]
-        for k, ck in enumerate(col):
-            if ck.is_neg_inf or Mrow[k].is_neg_inf:
-                continue
-            c = rj + Mrow[k] + ck
-            if best < c:
-                best = c
-    return best
+def _mv(M, x, big):
+    """Max-plus product M x in the drop step's integer form."""
+    return np.where((M > -big) & (x > -big), M + x, -big).max(axis=1)
+
+
+def _alcoved(R, l, u, p, q, big):
+    """solve_alcoved on the drop step's integer form (see _filled), whose
+    max-plus entries -q_j + R*_jk + p_k must be even: (theta, x) in the
+    same scale, theta None when the objective is unbounded below."""
+    try:
+        Rs = _star(R, big)
+    except DivergentStar:
+        raise InfeasibleReduction("positive self-coupling cycle") from None
+    Rl, Rp = _mv(Rs, l, big), _mv(Rs, p, big)
+    if np.any(Rl > u):
+        raise InfeasibleReduction("bounds incompatible with coupling")
+    pf, qf = p > -big, q < big
+    # the closed form max(half(q^c R* p), u^c R* p, q^c R* l), -big if all
+    # three are -inf
+    f1, f2, f3 = (_mv(a[None], y, big)[0] for a, y in ((-q, Rp), (-u, Rp), (-q, Rl)))
+    theta = int(max(f1 // 2 if f1 > -big else -big, f2, f3))
+    if theta == -big:
+        return None, None
+    w = np.minimum(np.where(qf, theta + q, big), u)
+    vup = -_mv(Rs.T, -w, big)  # min-plus product with the conjugate of R*
+    alt = np.maximum(l, np.where(pf, p - theta, -big))
+    x = _mv(Rs, np.where(vup < big, vup, np.where(alt > -big, alt, 0)), big)
+    if not np.all(x > -big):
+        raise EngineError("alcoved point is not finite")
+    ok = (l <= x) & (x <= u) & (_mv(R, x, big) <= x)
+    ok &= (~qf | (x - q <= theta)) & (~pf | (p - x <= theta))
+    if not ok.all():
+        raise EngineError(
+            f"alcoved point fails its bounds, R x <= x or theta at {int(np.argmin(ok))}"
+        )
+    return theta, x
 
 
 def solve_alcoved(alc: AlcovedProblem):
@@ -716,47 +780,16 @@ def solve_alcoved(alc: AlcovedProblem):
 
     Returns (theta, x): theta NEG_INF with x None when the objective is
     unbounded below on the feasible set.  Requires the feasible set to be
-    nonempty: no positive cycle in R and R* l <= u."""
-    n = alc.R.rows
-    try:
-        Rstar = kleene_star(alc.R)
-    except DivergentStar:
-        raise InfeasibleReduction("positive self-coupling cycle") from None
-    Rl = mat_vec_mul(Rstar, alc.l)
-    for k in range(n):
-        if not Rl[k] <= alc.u[k]:
-            raise InfeasibleReduction("bounds incompatible with coupling")
-    qc = [e.conj() for e in alc.q]
-    uc = [e.conj() for e in alc.u]
-    theta = tmax(
-        _max_form(qc, Rstar, alc.p).half(),
-        _max_form(uc, Rstar, alc.p),
-        _max_form(qc, Rstar, alc.l),
-    )
-    if theta.is_neg_inf:
+    nonempty: no positive cycle in R and R* l <= u.  Exact on the data
+    scaled by twice its denominator lcm (see _alcoved)."""
+    data = chain(*alc.R.data, alc.l, alc.u, alc.p, alc.q)
+    S = 2 * lcm(*(e.value.denominator for e in data))
+    parts = [(alc.R, -1), (alc.l, -1), (alc.u, 1), (alc.p, -1), (alc.q, 1)]
+    arrays, big = _filled(parts, S, alc.R.rows)
+    theta, x = _alcoved(*arrays, big)
+    if theta is None:
         return NEG_INF, None
-    w = [tmin(theta + alc.q[k], alc.u[k]) for k in range(n)]
-    vup = dual_mat_vec_mul(conjugate(Rstar), w)
-    v = []
-    for j in range(n):
-        if not vup[j].is_pos_inf:
-            v.append(vup[j])
-        else:
-            alt = tmax(alc.l[j], alc.p[j] + (-theta))
-            v.append(alt if not alt.is_neg_inf else ZERO)
-    x = mat_vec_mul(Rstar, v)
-    if not all(e.is_finite for e in x):
-        raise EngineError("alcoved point is not finite")
-    Rx = mat_vec_mul(alc.R, x)
-    for j in range(n):
-        if not (
-            alc.l[j] <= x[j] <= alc.u[j]
-            and Rx[j] <= x[j]
-            and x[j] + alc.q[j].conj() <= theta
-            and alc.p[j] + (-x[j]) <= theta
-        ):
-            raise EngineError(f"alcoved point fails its bounds, R x <= x or theta at {j}")
-    return theta, [e.value for e in x]
+    return fin(Fraction(theta, S)), [Fraction(int(v), S) for v in x]
 
 
 # ---------------------------------------------------------------------------
@@ -784,7 +817,8 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
     if wit is None:
         return _outcome_infeasible()
     m, n = prob.shape
-    grid = _FixedGrid(2 * prob.data_denominator_lcm())
+    U, V, b, d, p, q, S, big = _drop_data(prob)
+    grid = _FixedGrid(S)
     lam_k = up.value
     if grid.down(lam_k) != lam_k:
         raise EngineError(f"start level {lam_k} is off the 1/(2L) grid")
@@ -800,22 +834,22 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
         if ph < 0:
             return SolveOutcome("optimal", fin(lam_k), x_wit, iters, tr)
         try:
-            alc = reduce_by_strategy(prob, struct.sigma_struct(sigma, m))
-            theta, x_red = solve_alcoved(alc)
+            R, l, u = _reduce(U, V, b, d, struct.sigma_struct(sigma, m), big)
+            theta, x_red = _alcoved(R, l, u, p, q, big)
         except InfeasibleReduction:
             # cannot happen for a certified strategy; drop target +inf
             return SolveOutcome("optimal", fin(lam_k), x_wit, iters, tr)
-        if theta.is_neg_inf:
+        if theta is None:
             if not lb.is_neg_inf:
                 raise EngineError("unbounded drop despite a finite lower bound")
             return SolveOutcome("unbounded", NEG_INF, None, iters, tr)
-        thv = theta.value
+        thv = Fraction(theta, S)
         if not thv < lam_k:
             raise EngineError(f"drop to {thv} does not lower the level {lam_k}")
         if grid.down(thv) != thv:
             raise EngineError(f"drop level {thv} is off the 1/(2L) grid")
         lam_k = thv
-        x_wit = x_red
+        x_wit = [Fraction(int(v), S) for v in x_red]
     raise EngineError("level iteration failed to converge")
 
 

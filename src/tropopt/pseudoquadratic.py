@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import chain
 from math import ceil, floor, lcm
 
-from .matrix import TropMatrix, TypingError, abs_max, mat_vec_mul
-from .games import EngineError, TwoSidedSystem, _den_lcm, _max_cycle_mean, _scaled
+from .matrix import TropMatrix, TypingError, _den_lcm, _scaled, abs_max, mat_vec_mul
+from .games import EngineError, TwoSidedSystem, _max_cycle_mean
 from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal, tmax
 from .pseudolinear import (
     SolveOutcome,

@@ -14,7 +14,10 @@ from tropopt import (
     NEG_INF,
     POS_INF,
     ZERO,
+    AlcovedProblem,
+    DivergentStar,
     ExtScalar,
+    InfeasibleReduction,
     InvalidStrategy,
     IsolatedNode,
     PseudolinearProblem,
@@ -24,12 +27,15 @@ from tropopt import (
     TypingError,
     build_game,
     conjugate,
+    dual_mat_vec_mul,
     fin,
     mat_vec_mul,
     scal,
+    tmax,
+    tmin,
 )
-from tropopt.games import _CUT64, _INF64, Arena, EngineError, GameValues, _den_lcm, solve_arena
-from tropopt.matrix import digraph_min_cycle_mean, tarjan_sccs
+from tropopt.games import _CUT64, _INF64, Arena, EngineError, GameValues, solve_arena
+from tropopt.matrix import _den_lcm, digraph_min_cycle_mean, tarjan_sccs
 
 
 def E(v):
@@ -620,3 +626,137 @@ def oracle_certify_unbounded(prob, sigma):
             return False
     mm = digraph_min_cycle_mean(n1 + M, arcs)
     return mm is None or mm >= 0
+
+
+# ---------------------------------------------------------------------------
+# the drop step on extended scalars
+
+
+def oracle_kleene_star(A):
+    """tropopt.kleene_star by max-plus Floyd-Warshall on ExtScalars, with
+    the positive-diagonal check after every pivot."""
+    n = A.rows
+    D = [row[:] for row in A.data]
+    for k in range(n):
+        for i in range(n):
+            dik = D[i][k]
+            if dik.is_neg_inf:
+                continue
+            for j in range(n):
+                dkj = D[k][j]
+                if dkj.is_neg_inf:
+                    continue
+                cand = dik + dkj
+                if D[i][j] < cand:
+                    D[i][j] = cand
+        for i in range(n):
+            if D[i][i] > ZERO:
+                raise DivergentStar("matrix has a positive-weight cycle")
+    for i in range(n):
+        if D[i][i] < ZERO:
+            D[i][i] = ZERO
+    return TropMatrix(D, "max")
+
+
+def oracle_reduce_by_strategy(prob, sigma):
+    """tropopt.reduce_by_strategy, one row and one entry at a time."""
+    m, n = prob.shape
+    if len(sigma) != m:
+        raise InvalidStrategy("sigma length mismatch")
+    R = [[NEG_INF] * n for _ in range(n)]
+    l = [NEG_INF] * n
+    u = [POS_INF] * n
+    for i in range(m):
+        s = sigma[i]
+        if s is None:
+            if any(prob.U.data[i][j].is_finite for j in range(n)) or prob.b[i].is_finite:
+                raise InvalidStrategy(f"row {i} is not vacuous")
+            continue
+        if not (0 <= s <= n):
+            raise InvalidStrategy(f"sigma[{i}] out of range")
+        if s == n:
+            if not prob.d[i].is_finite:
+                raise InvalidStrategy(f"sigma[{i}] selects a -inf constant")
+            if not prob.b[i] <= prob.d[i]:
+                raise InfeasibleReduction(f"row {i}: constant sides conflict")
+            for k in range(n):
+                uik = prob.U.data[i][k]
+                if uik.is_finite:
+                    cand = prob.d[i] + (-uik)
+                    if cand < u[k]:
+                        u[k] = cand
+        else:
+            vis = prob.V.data[i][s]
+            if not vis.is_finite:
+                raise InvalidStrategy(f"sigma[{i}] selects a -inf entry")
+            lc = prob.b[i] + (-vis)
+            if l[s] < lc:
+                l[s] = lc
+            for k in range(n):
+                uik = prob.U.data[i][k]
+                if uik.is_finite:
+                    rc = uik + (-vis)
+                    if R[s][k] < rc:
+                        R[s][k] = rc
+    return AlcovedProblem(TropMatrix(R, "max"), l, u, prob.p, prob.q)
+
+
+def _max_form(row, Mx, col):
+    """max over j,k of row_j + Mx_jk + col_k, skipping -inf factors."""
+    best = NEG_INF
+    for j, rj in enumerate(row):
+        if rj.is_neg_inf:
+            continue
+        Mrow = Mx.data[j]
+        for k, ck in enumerate(col):
+            if ck.is_neg_inf or Mrow[k].is_neg_inf:
+                continue
+            c = rj + Mrow[k] + ck
+            if best < c:
+                best = c
+    return best
+
+
+def oracle_solve_alcoved(alc):
+    """tropopt.solve_alcoved through the ExtScalar operator kit: the star,
+    three max-forms, the conjugate and the min-plus product."""
+    n = alc.R.rows
+    try:
+        Rstar = oracle_kleene_star(alc.R)
+    except DivergentStar:
+        raise InfeasibleReduction("positive self-coupling cycle") from None
+    Rl = mat_vec_mul(Rstar, alc.l)
+    for k in range(n):
+        if not Rl[k] <= alc.u[k]:
+            raise InfeasibleReduction("bounds incompatible with coupling")
+    qc = [e.conj() for e in alc.q]
+    uc = [e.conj() for e in alc.u]
+    theta = tmax(
+        _max_form(qc, Rstar, alc.p).half(),
+        _max_form(uc, Rstar, alc.p),
+        _max_form(qc, Rstar, alc.l),
+    )
+    if theta.is_neg_inf:
+        return NEG_INF, None
+    w = [tmin(theta + alc.q[k], alc.u[k]) for k in range(n)]
+    vup = dual_mat_vec_mul(conjugate(Rstar), w)
+    v = []
+    for j in range(n):
+        if not vup[j].is_pos_inf:
+            v.append(vup[j])
+        else:
+            alt = tmax(alc.l[j], alc.p[j] + (-theta))
+            v.append(alt if not alt.is_neg_inf else ZERO)
+    x = mat_vec_mul(Rstar, v)
+    if not all(e.is_finite for e in x):
+        raise EngineError("alcoved point is not finite")
+    Rx = mat_vec_mul(alc.R, x)
+    for j in range(n):
+        if not (
+            alc.l[j] <= x[j] <= alc.u[j]
+            and Rx[j] <= x[j]
+            and x[j] + alc.q[j].conj() <= theta
+            and alc.p[j] + (-x[j]) <= theta
+        ):
+            raise EngineError(f"alcoved point fails its bounds, R x <= x or theta at {j}")
+    return theta, [e.value for e in x]

@@ -41,7 +41,7 @@ from tropopt import (
     unboundedness_certificate,
 )
 from tropopt.cli import main as cli_main
-from tropopt.io import dump_problem
+from tropopt.io import BadRational, dump_problem
 from tropopt.pseudolinear import _augmented_parametric
 from tropopt.pseudoquadratic import _lower_bound_quad
 
@@ -270,12 +270,21 @@ def test_cli_certify_vacuous_row_and_debug(tmp_path, capsys):
     path.write_text(dump_problem(gen_random(5, 6, 8, 30, 940020)) + "\n")
     assert cli_main(["certify", str(path), "--lambda", "0"]) == 0
     assert '"unbounded":true' in capsys.readouterr().out
+    # a finite left side against an empty right side: solve says
+    # infeasible, and certify gives both verdicts false, --debug or not
     dead = tmp_path / "dead.json"
-    dead.write_text(dump_problem(linprob([[0]], [[None]], [None], [None], [0], [0])) + "\n")
-    assert cli_main(["certify", str(dead), "--lambda", "0"]) == 1
-    assert "error: row 0 of the right matrix" in capsys.readouterr().err
-    with pytest.raises(IsolatedNode, match="row 0 of the right matrix"):
-        cli_main(["--debug", "certify", str(dead), "--lambda", "0"])
+    quad = quadprob([[0, None]], [[None, None]], [None], [None], [0, 1], [0, 2], [[None, 1], [None, None]])
+    for prob in (linprob([[0]], [[None]], [None], [None], [0], [0]), quad):
+        dead.write_text(dump_problem(prob) + "\n")
+        assert cli_main(["solve", str(dead)]) == 2
+        capsys.readouterr()
+        for debug in ([], ["--debug"]):
+            assert cli_main([*debug, "certify", str(dead), "--lambda", "0"]) == 0
+            assert capsys.readouterr().out == '{"lambda":0,"optimal":false,"unbounded":false}\n'
+    assert cli_main(["certify", str(dead), "--lambda", "1.5"]) == 1
+    assert "error: bad level '1.5'" in capsys.readouterr().err
+    with pytest.raises(BadRational, match="bad level"):
+        cli_main(["--debug", "certify", str(dead), "--lambda", "1.5"])
 
 
 def _data(res):
