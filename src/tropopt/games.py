@@ -185,6 +185,7 @@ def restrict_strategies(sys: TwoSidedSystem, tau=None, sigma=None) -> TwoSidedSy
 
 _INF64 = np.int64(1) << 62
 _CUT64 = np.int64(1) << 61
+_RATIO_CAP = 10000  # Dinkelbach steps of one _least_level
 
 
 class Arena:
@@ -316,21 +317,71 @@ def _sccs(ns, src, dst):
     return reach, np.argmax(reach & reach.T, axis=1)
 
 
-def _relax(n, src, dst, w, x):
+def _relax(n, src, dst, w, x, parent=None):
     """Bellman-Ford rounds x_u <- min(x_u, w + x_v) over the arcs u -> v,
-    until nothing changes or n + 1 rounds have run."""
+    until nothing changes or n + 1 rounds have run.  When given, parent[u]
+    is set to the arc that last lowered x_u."""
     if not len(src):
         return x
     order = np.argsort(src, kind="stable")
     ps, pd, pw = src[order], dst[order], w[order]
     heads, starts = np.unique(ps, return_index=True)
+    x = x.copy()
     for _ in range(n + 1):
-        new = x.copy()
-        new[heads] = np.minimum(x[heads], np.minimum.reduceat(pw + x[pd], starts))
-        if np.array_equal(new, x):
+        cand = pw + x[pd]
+        best = np.minimum.reduceat(cand, starts)
+        xh = x[heads]
+        lower = best < xh
+        if not lower.any():
             break
-        x = new
+        if parent is not None:
+            seg = np.append(starts, len(ps))
+            arc = _first(cand == np.repeat(best, np.diff(seg)), seg)
+            parent[heads[lower]] = order[arc[lower]]
+        x[heads] = np.minimum(xh, best)
     return x
+
+
+def _negative_cycle(n, src, dst, w):
+    """The arcs of a negative cycle, or None.  Bellman-Ford from 0 at every
+    node with parent arcs: every cycle of the parent graph is negative, and
+    a negative cycle keeps the rounds from settling, which leaves one there
+    after n + 1 rounds; pointer doubling finds a node on it."""
+    parent = np.full(n, -1, dtype=np.int64)
+    _relax(n, src, dst, w, np.zeros(n, dtype=w.dtype), parent)
+    nxt = np.append(np.append(dst, n)[parent], n)
+    for _ in range(n.bit_length()):
+        nxt = nxt[nxt]
+    on = nxt[:n][nxt[:n] < n]
+    if not len(on):
+        return None
+    start = v = int(on[0])
+    arcs = []
+    while not arcs or v != start:
+        arcs.append(int(parent[v]))
+        v = int(dst[arcs[-1]])
+    return arcs
+
+
+def _least_level(n, src, dst, w0, k, L: int, lam: Fraction):
+    """Least level from lam on at which no cycle is negative, an arc
+    weighing (w0 + k * level * L) / L with k >= 0; None when none is at lam.
+    Dinkelbach's iteration: while some cycle C is negative, move up to the
+    level at which C weighs 0, its ratio -W0(C) / (K(C) L).  On int64 while
+    the walk weights fit, on Python ints beyond."""
+    top = _abs_max(w0)
+    for it in range(_RATIO_CAP):
+        num, den = lam.numerator, lam.denominator
+        big = (n + 2) * (top * den + abs(num) * L)
+        w = _fit(w0, big) * den + _fit(k, big) * (num * L)
+        cyc = _negative_cycle(n, src, dst, w)
+        if cyc is None:
+            return lam if it else None
+        K = int(k[cyc].sum())
+        if K == 0:
+            raise EngineError("negative cycle without a level arc")
+        lam = Fraction(-sum(int(v) for v in w0[cyc]), K * L)
+    raise EngineError("cycle-ratio iteration failed to converge")
 
 
 def _first(cond, off):

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partialmethod
 from itertools import chain
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -42,9 +43,9 @@ from .games import (
     TwoSidedSystem,
     _descend,
     _finite_point,
+    _least_level,
     _mean_signs,
     _min_arcs,
-    _one_player_min,
     _solve_pair,
     _solves,
     feasible_finite,
@@ -159,47 +160,34 @@ def objective(prob, x) -> ExtScalar:
 # rounding grids
 
 
-class _FixedGrid:
-    """Multiples of 1/den."""
-
-    def __init__(self, den: int):
-        self.den = den
-
-    def down(self, x: Fraction) -> Fraction:
-        return Fraction(floor(x * self.den), self.den)
-
-    def up(self, x: Fraction) -> Fraction:
-        return Fraction(ceil(x * self.den), self.den)
-
-    def strict_down(self, x: Fraction) -> Fraction:
-        return Fraction(ceil(x * self.den) - 1, self.den)
-
-    def strict_up(self, x: Fraction) -> Fraction:
-        return Fraction(floor(x * self.den) + 1, self.den)
-
-
 class _FareyGrid:
-    """Rationals that, after scaling by L, have denominator at most D."""
+    """Rationals that, after scaling by L, have denominator at most D;
+    D = 1 gives the multiples of 1/L."""
 
     def __init__(self, D: int, L: int):
         self.D = D
         self.L = L
 
-    def down(self, x: Fraction) -> Fraction:
-        y = x * self.L
-        return max(Fraction(floor(y * d), d) for d in range(1, self.D + 1)) / self.L
+    def snap(self, direction: str, x: Fraction) -> Fraction:
+        """round_bounded of x * L = a / b, divided by L, on Python ints: the
+        numerator over d is floor(a d / b) for down, ceil(a d / b) - 1 =
+        floor((a d - 1) / b) for strict_down, and those of -x, negated, for
+        up and strict_up; cross-multiplied compares, one Fraction built."""
+        if direction not in ("down", "up", "strict_down", "strict_up"):
+            raise ValueError(f"unknown direction {direction!r}")
+        s = -1 if direction.endswith("up") else 1
+        a, b, e = s * x.numerator * self.L, x.denominator, int(direction.startswith("strict"))
+        c, q = (a - e) // b, 1
+        for d in range(2, self.D + 1):
+            t = (a * d - e) // b
+            if t * q > c * d:
+                c, q = t, d
+        return Fraction(s * c, q * self.L)
 
-    def up(self, x: Fraction) -> Fraction:
-        y = x * self.L
-        return min(Fraction(ceil(y * d), d) for d in range(1, self.D + 1)) / self.L
-
-    def strict_down(self, x: Fraction) -> Fraction:
-        y = x * self.L
-        return max(Fraction(ceil(y * d) - 1, d) for d in range(1, self.D + 1)) / self.L
-
-    def strict_up(self, x: Fraction) -> Fraction:
-        y = x * self.L
-        return min(Fraction(floor(y * d) + 1, d) for d in range(1, self.D + 1)) / self.L
+    down = partialmethod(snap, "down")
+    up = partialmethod(snap, "up")
+    strict_down = partialmethod(snap, "strict_down")
+    strict_up = partialmethod(snap, "strict_up")
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +270,14 @@ class _ParamStruct:
         chi, _, _ = self.solve(lam)
         return min(chi)
 
-    def phi_fixed_sigma(self, lam: Fraction, sig_idx) -> Fraction:
-        """Value of the one-player game left after fixing the row strategy."""
-        arena = self.arena(lam)
-        sig_tgt, sig_w = arena.sigma_arrays(sig_idx)
-        t_dst = sig_tgt[arena.a_tgt]
-        t_w = arena.a_w + sig_w[arena.a_tgt]
-        g_num, g_den, _ = _one_player_min(
-            arena.n_min, arena.a_src, t_dst, t_w, need_bias=False
-        )
-        best = min(
-            Fraction(int(g_num[j]), int(g_den[j])) for j in range(arena.n_min)
-        )
-        return best / arena.scale
+    def drop(self, sig_idx, lam_floor: Fraction):
+        """Least level at which the one-player game left after fixing the
+        row strategy (a Min arc and its row's sigma arc make one arc) is
+        nonnegative, or None when it is so at lam_floor."""
+        pos = (self._b_off[:-1] + sig_idx)[self._a_tgt]
+        w0 = self._a_w0 + self._b_w0[pos]
+        tgt, k = self._b_tgt[pos], self._b_lam[pos]
+        return _least_level(self.n_min, self._a_src, tgt, w0, k, self.L0, lam_floor)
 
     def last_sig_idx(self):
         return None if self._warm is None else self._warm.copy()
@@ -512,12 +495,10 @@ def _outcome_infeasible(tr=None):
     return SolveOutcome("infeasible", None, None, 0, tr or [])
 
 
-def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOutcome:
-    """Exact minimizer by level bisection.
-
-    Integer mode bisects the half-integer grid and returns the exact
-    optimum.  Real mode bisects to within tol (default 1e-6) and returns
-    lam = f(witness), which satisfies A(lam) >= 0 and A(lam - tol) < 0."""
+def _presolve(prob, mode, tol, bounds):
+    """What the solvers do before any level search: an outcome when that
+    settles the problem, else (struct, lb, up, wit) from the prepared
+    structure and the a-priori bounds."""
     _check_mode(prob, mode, tol)
     prep = _prepare(prob)
     if prep.kind == "row_infeasible":
@@ -526,12 +507,24 @@ def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> Solv
         if _affine_witness(prob) is None:
             return _outcome_infeasible()
         return SolveOutcome("unbounded", NEG_INF, None, 0, [])
-    struct = prep.struct
-    lb, up, wit = initial_bounds(prob)
+    lb, up, wit = bounds(prob)
     if wit is None:
         return _outcome_infeasible()
+    return prep.struct, lb, up, wit
+
+
+def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOutcome:
+    """Exact minimizer by level bisection.
+
+    Integer mode bisects the half-integer grid and returns the exact
+    optimum.  Real mode bisects to within tol (default 1e-6) and returns
+    lam = f(witness), which satisfies A(lam) >= 0 and A(lam - tol) < 0."""
+    start = _presolve(prob, mode, tol, initial_bounds)
+    if isinstance(start, SolveOutcome):
+        return start
+    struct, lb, up, _ = start
     if mode == "integer":
-        grid = _FixedGrid(2)
+        grid = _FareyGrid(1, 2)
         return _bisect_on_grid(prob, struct, grid, lb, up, _lam_floor_linear(prob))
     tolF = Fraction(tol) if tol is not None else Fraction(1, 10**6)
     if tolF <= 0:
@@ -804,21 +797,13 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
     there, and drop to the exact minimum level of the strategy-reduced
     alcoved problem.  Exact in both modes (tol is not used; rational
     data works on the 1/(2L) grid)."""
-    _check_mode(prob, mode, None if mode == "integer" else tol)
-    prep = _prepare(prob)
-    if prep.kind == "row_infeasible":
-        return _outcome_infeasible()
-    if prep.kind == "free_objective":
-        if _affine_witness(prob) is None:
-            return _outcome_infeasible()
-        return SolveOutcome("unbounded", NEG_INF, None, 0, [])
-    struct = prep.struct
-    lb, up, wit = initial_bounds(prob)
-    if wit is None:
-        return _outcome_infeasible()
+    start = _presolve(prob, mode, None if mode == "integer" else tol, initial_bounds)
+    if isinstance(start, SolveOutcome):
+        return start
+    struct, lb, up, wit = start
     m, n = prob.shape
     U, V, b, d, p, q, S, big = _drop_data(prob)
-    grid = _FixedGrid(S)
+    grid = _FareyGrid(1, S)
     lam_k = up.value
     if grid.down(lam_k) != lam_k:
         raise EngineError(f"start level {lam_k} is off the 1/(2L) grid")

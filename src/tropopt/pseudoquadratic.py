@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import ceil, floor, lcm
+from math import lcm
 
 from .matrix import TropMatrix, TypingError, _den_lcm, _scaled, abs_max, mat_vec_mul
 from .games import EngineError, TwoSidedSystem, _max_cycle_mean
@@ -27,10 +27,9 @@ from .pseudolinear import (
     _assemble,
     _bisect_on_grid,
     _bisect_real,
-    _check_mode,
     _literal_pair,
     _optimal_witness,
-    _outcome_infeasible,
+    _presolve,
     _vec,
     _NEWTON_CAP,
 )
@@ -137,15 +136,7 @@ def round_bounded(lam, D: int, direction: str) -> Fraction:
     x = Fraction(lam)
     if D < 1:
         raise ValueError("denominator bound must be at least 1")
-    if direction == "down":
-        return max(Fraction(floor(x * d), d) for d in range(1, D + 1))
-    if direction == "up":
-        return min(Fraction(ceil(x * d), d) for d in range(1, D + 1))
-    if direction == "strict_down":
-        return max(Fraction(ceil(x * d) - 1, d) for d in range(1, D + 1))
-    if direction == "strict_up":
-        return min(Fraction(floor(x * d) + 1, d) for d in range(1, D + 1))
-    raise ValueError(f"unknown direction {direction!r}")
+    return _FareyGrid(D, 1).snap(direction, x)
 
 
 def _lower_bound_quad(prob) -> ExtScalar:
@@ -181,18 +172,10 @@ def bisection_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None)
 
     Integer mode searches denominators up to n + 1 exactly; real mode
     bisects to within tol (default 1e-6) and returns lam = f(witness)."""
-    _check_mode(prob, mode, tol)
-    prep = prob._prepare()
-    if prep.kind == "row_infeasible":
-        return _outcome_infeasible()
-    if prep.kind == "free_objective":
-        if _affine_witness(prob) is None:
-            return _outcome_infeasible()
-        return SolveOutcome("unbounded", NEG_INF, None, 0, [])
-    struct = prep.struct
-    lb, up, wit = bounds_quad(prob)
-    if wit is None:
-        return _outcome_infeasible()
+    start = _presolve(prob, mode, tol, bounds_quad)
+    if isinstance(start, SolveOutcome):
+        return start
+    struct, lb, up, _ = start
     n = prob.shape[1]
     if mode == "integer":
         grid = _FareyGrid(n + 1, 1)
@@ -207,23 +190,15 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
     """Exact minimizer by strategy iteration on the level.
 
     As in the pseudolinear scheme, the row player's optimal strategy
-    just below the current level is fixed; the drop target (the least
-    level at which the strategy-reduced one-player game stays
-    nonnegative) has no closed form here, so it is found by exact
-    bisection on the bounded-denominator grid with cheap one-player
-    probes.  iterations counts outer strategy evaluations only."""
-    _check_mode(prob, mode, None if mode == "integer" else tol)
-    prep = prob._prepare()
-    if prep.kind == "row_infeasible":
-        return _outcome_infeasible()
-    if prep.kind == "free_objective":
-        if _affine_witness(prob) is None:
-            return _outcome_infeasible()
-        return SolveOutcome("unbounded", NEG_INF, None, 0, [])
-    struct = prep.struct
-    lb, up, wit = bounds_quad(prob)
-    if wit is None:
-        return _outcome_infeasible()
+    just below the current level is fixed, and the level drops to the
+    least one at which the strategy-reduced one-player game stays
+    nonnegative: the largest ratio -W0 / K over its cycles, each weighing
+    W0 + K * lam, found exactly by Dinkelbach's iteration on the integer
+    arcs (games._least_level).  iterations counts strategy evaluations."""
+    start = _presolve(prob, mode, None if mode == "integer" else tol, bounds_quad)
+    if isinstance(start, SolveOutcome):
+        return start
+    struct, lb, up, _ = start
     n = prob.shape[1]
     grid = _FareyGrid(n + 1, prob.data_denominator_lcm())
     lam_floor = grid.down(_lam_floor_quad(prob))
@@ -241,24 +216,12 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
         if ph < 0:
             x = _optimal_witness(prob, struct, lam_k)
             return SolveOutcome("optimal", fin(lam_k), x, iters, tr)
-        sig = struct.last_sig_idx()
-        lo = lam_floor
-        if struct.phi_fixed_sigma(lo, sig) >= 0:
+        lam = struct.drop(struct.last_sig_idx(), lam_floor)
+        if lam is None:
             if not lb.is_neg_inf:
                 raise EngineError("unbounded drop despite a finite lower bound")
             return SolveOutcome("unbounded", NEG_INF, None, iters, tr)
-        hi = lam_minus
-        guard = 0
-        while lo < hi:
-            guard += 1
-            if guard > 10000:
-                raise EngineError("inner level bisection failed to converge")
-            mid = (lo + hi) / 2
-            if struct.phi_fixed_sigma(mid, sig) >= 0:
-                hi = grid.down(mid)
-            else:
-                lo = grid.strict_up(mid)
-        theta = hi
+        theta = grid.up(lam)
         if not theta < lam_k:
             raise EngineError(f"drop to {theta} does not lower the level {lam_k}")
         lam_k = theta

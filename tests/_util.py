@@ -760,3 +760,41 @@ def oracle_solve_alcoved(alc):
         ):
             raise EngineError(f"alcoved point fails its bounds, R x <= x or theta at {j}")
     return theta, [e.value for e in x]
+
+
+# ---------------------------------------------------------------------------
+# the pseudoquadratic Newton drop by bisection
+
+
+def oracle_phi_fixed_sigma(struct, lam, sig_idx):
+    """Value at lam of the one-player game a _ParamStruct leaves after
+    fixing the row strategy sig_idx."""
+    arena = struct.arena(lam)
+    sig_tgt, sig_w = arena.sigma_arrays(sig_idx)
+    t_w = arena.a_w + sig_w[arena.a_tgt]
+    g_num, g_den, _ = oracle_one_player_min(
+        arena.n_min, arena.a_src, sig_tgt[arena.a_tgt], t_w, need_bias=False
+    )
+    return min(Fraction(int(a), int(b)) for a, b in zip(g_num, g_den)) / arena.scale
+
+
+def oracle_quad_drop(struct, sig_idx, lam_floor, lam_minus, grid):
+    """newton_solve_quad's drop target by level bisection on the grid with
+    one-player probes: the least grid level in [lam_floor, lam_minus] at
+    which the fixed-sigma game is nonnegative, or None when it is so at
+    lam_floor already (an unbounded drop)."""
+    lo = lam_floor
+    if oracle_phi_fixed_sigma(struct, lo, sig_idx) >= 0:
+        return None
+    hi = lam_minus
+    guard = 0
+    while lo < hi:
+        guard += 1
+        if guard > 10000:
+            raise EngineError("inner level bisection failed to converge")
+        mid = (lo + hi) / 2
+        if oracle_phi_fixed_sigma(struct, mid, sig_idx) >= 0:
+            hi = grid.down(mid)
+        else:
+            lo = grid.strict_up(mid)
+    return hi
