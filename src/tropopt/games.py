@@ -752,28 +752,35 @@ def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int):
 
     Returns None when `sweeps` sweeps reach no fixpoint, otherwise
     (x, finite, y, y_finite): the fixpoint (-inf where finite is False)
-    and B (x) at it, in the scaled units.  With seed (2W+2)L, a sweep
-    lowers the least finite entry by at most 2WL, so every value met
-    stays below (sweeps+2)*seed in absolute value; int64 holds that under
-    2^61, Python ints beyond it.
+    and B (x) at it, in the scaled units.  The seed must exceed twice
+    every |weight|, as (2W+2)L does; then every finite value met stays
+    within big = (sweeps+2)*seed, x is -big where -inf, and with the
+    masked entries at -3big no sweep needs a mask: b_ij + x_j exceeds
+    -big + seed/2 exactly when both are finite.  int64 holds the sums
+    while 4big < 2^61, Python ints beyond.
     """
     big = (sweeps + 2) * seed
-    Aw, Bw = _fit(Aw, big), _fit(Bw, big)
+    Bm = np.where(Bf, _fit(Bw, 4 * big), -3 * big)
+    Am = np.where(Af, _fit(Aw, 4 * big), -3 * big)
+    cut = -big + seed // 2
     n = Af.shape[1]
-    x = np.full(Bf.shape[1], seed, dtype=Aw.dtype)
+    x = np.full(Bf.shape[1], seed, dtype=Bm.dtype)
     x[n:] = 0
     finite = np.ones(Bf.shape[1], dtype=bool)
     for _ in range(sweeps):
-        live = Bf & finite
-        y = np.where(live, Bw + x, -big).max(axis=1)
-        y_fin = live.any(axis=1)
-        z = np.where(Af, y[:, None] - Aw, big).min(axis=0)
-        nfin = finite.copy()
-        nfin[:n] &= ~(Af & ~y_fin[:, None]).any(axis=0)
+        y = (Bm + x).max(axis=1)
+        y_fin = y > cut
+        nfin = finite
+        if not y_fin.all():
+            # a row with y_i = -inf ends every column it has a finite
+            # a_ij in, and takes no part in the others' minima
+            nfin = finite.copy()
+            nfin[:n] &= ~Af[~y_fin].any(axis=0)
+            y = np.where(y_fin, y, big)
         nx = x.copy()
-        nx[:n] = np.where(nfin[:n], np.minimum(x[:n], z), -big)
-        if np.array_equal(nx, x) and np.array_equal(nfin, finite):
-            return x, finite, y, y_fin
+        nx[:n] = np.where(nfin[:n], np.minimum(x[:n], (y[:, None] - Am).min(axis=0)), -big)
+        if (nx == x).all() and (nfin == finite).all():
+            return x, finite, np.where(y_fin, y, -big), y_fin
         x, finite = nx, nfin
     return None
 
@@ -831,14 +838,15 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     below the seed); if the descent is inconclusive, the game decides
     the sign; a Bellman-Ford potential built from the optimal Max
     strategy then always produces a witness.  The witness is checked
-    exactly before it is returned.
+    exactly before it is returned.  sys may also be given scaled: the
+    tuple (Aw, Af, Bw, Bf, L) of _scaled's arrays at the scale L.
     """
-    m, n = sys.shape
+    if isinstance(sys, TwoSidedSystem):
+        L = _den_lcm(sys.A, sys.B)
+        sys = (*_scaled(sys.A, L), *_scaled(sys.B, L), L)
+    Aw, Af, Bw, Bf, L = sys
     if max_sweeps is None:
-        max_sweeps = 3 * (m + n) + 6
-    L = _den_lcm(sys.A, sys.B)
-    Aw, Af = _scaled(sys.A, L)
-    Bw, Bf = _scaled(sys.B, L)
+        max_sweeps = 3 * sum(Af.shape) + 6
     x = _finite_point(Aw, Af, Bw, Bf, L, max_sweeps)
     if x is None:
         return None

@@ -11,7 +11,7 @@ import json
 import re
 from fractions import Fraction
 
-from .semiring import NEG_INF, POS_INF, fin, scal
+from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal
 from .matrix import TropMatrix
 from .pseudolinear import PseudolinearProblem, SolveOutcome
 from .pseudoquadratic import PseudoquadraticProblem
@@ -48,7 +48,8 @@ def scalar_from_json(tok):
         if tok == "+inf":
             return POS_INF
         if _RAT_RE.match(tok):
-            return fin(tok)
+            num, den = tok.split("/")
+            return ExtScalar(0, Fraction(int(num), int(den)))
         raise BadRational(f"bad scalar {tok!r}")
     raise BadRational(f"bad scalar {tok!r}")
 
@@ -79,7 +80,18 @@ def _reject_float(tok):
     raise BadRational(f"float literal {tok} (use \"num/den\")")
 
 
-def _parse_matrix(obj, name, rows=None, cols=None):
+def _scalar(tok, seen):
+    """scalar_from_json through the parse's map from token to scalar, so
+    that each distinct value is built once (ExtScalars are immutable)."""
+    if type(tok) not in (int, str):
+        return scalar_from_json(tok)  # a bool, null or list: it raises
+    s = seen.get(tok)
+    if s is None:
+        s = seen[tok] = scalar_from_json(tok)
+    return s
+
+
+def _parse_matrix(obj, name, seen, rows=None, cols=None):
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise MalformedJson(f"{name} must be a list of rows")
     m = len(obj)
@@ -97,22 +109,22 @@ def _parse_matrix(obj, name, rows=None, cols=None):
     for r in obj:
         row = []
         for e in r:
-            s = scalar_from_json(e)
-            if s.is_pos_inf:
+            s = _scalar(e, seen)
+            if s is POS_INF:
                 raise IllegalInfinity(f"+inf entry in {name}")
             row.append(s)
         data.append(row)
     return TropMatrix(data, "max")
 
 
-def _parse_vector(obj, name, length, forbid):
+def _parse_vector(obj, name, length, forbid, seen):
     if not isinstance(obj, list):
         raise MalformedJson(f"{name} must be a list")
     if len(obj) != length:
         raise DimensionMismatch(f"{name} has length {len(obj)}, expected {length}")
     out = []
     for e in obj:
-        s = scalar_from_json(e)
+        s = _scalar(e, seen)
         if forbid == "pos" and s.is_pos_inf:
             raise IllegalInfinity(f"+inf entry in {name}")
         if forbid == "neg" and s.is_neg_inf:
@@ -142,16 +154,17 @@ def parse_problem(text: str):
         extra = set(obj.keys()) - keys
         missing = keys - set(obj.keys())
         raise MalformedJson(f"bad keys: extra {sorted(extra)}, missing {sorted(missing)}")
-    U = _parse_matrix(obj["U"], "U")
+    seen = {}
+    U = _parse_matrix(obj["U"], "U", seen)
     m, n = U.rows, U.cols
-    V = _parse_matrix(obj["V"], "V", rows=m, cols=n)
-    b = _parse_vector(obj["b"], "b", m, "pos")
-    d = _parse_vector(obj["d"], "d", m, "pos")
-    p = _parse_vector(obj["p"], "p", n, "pos")
-    q = _parse_vector(obj["q"], "q", n, "neg")
+    V = _parse_matrix(obj["V"], "V", seen, rows=m, cols=n)
+    b = _parse_vector(obj["b"], "b", m, "pos", seen)
+    d = _parse_vector(obj["d"], "d", m, "pos", seen)
+    p = _parse_vector(obj["p"], "p", n, "pos", seen)
+    q = _parse_vector(obj["q"], "q", n, "neg", seen)
     if typ == "pseudolinear":
         return PseudolinearProblem(U, V, b, d, p, q)
-    C = _parse_matrix(obj["C"], "C", rows=n, cols=n)
+    C = _parse_matrix(obj["C"], "C", seen, rows=n, cols=n)
     return PseudoquadraticProblem(U, V, b, d, p, q, C)
 
 

@@ -27,15 +27,11 @@ class DivergentStar(ArithmeticError):
     """Kleene star of a matrix with a positive-mean cycle."""
 
 
-def _check_entry(x: ExtScalar, typing: str):
-    if typing == "max":
-        if x.is_pos_inf:
-            raise TypingError("+inf entry in a max-plus typed matrix")
-    elif typing == "min":
-        if x.is_neg_inf:
-            raise TypingError("-inf entry in a min-plus typed matrix")
-    else:
-        raise TypingError("typing must be 'max' or 'min'")
+# the infinity kind a typing excludes, and the error naming it
+_EXCLUDED = {
+    "max": (1, "+inf entry in a max-plus typed matrix"),
+    "min": (-1, "-inf entry in a min-plus typed matrix"),
+}
 
 
 class TropMatrix:
@@ -45,12 +41,15 @@ class TropMatrix:
         data = [[x if type(x) is ExtScalar else scal(x) for x in row] for row in entries]
         if not data or not data[0]:
             raise TypingError("matrix must have at least one row and column")
+        if typing not in _EXCLUDED:
+            raise TypingError("typing must be 'max' or 'min'")
+        bad, msg = _EXCLUDED[typing]
         ncols = len(data[0])
         for row in data:
             if len(row) != ncols:
                 raise TypingError("ragged rows")
-            for x in row:
-                _check_entry(x, typing)
+            if any(x.kind == bad for x in row):
+                raise TypingError(msg)
         self.rows = len(data)
         self.cols = ncols
         self.typing = typing

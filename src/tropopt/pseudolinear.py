@@ -18,9 +18,11 @@ on the grid of multiples of 1/(2L), which makes both schemes exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partialmethod
+from functools import cached_property, partialmethod
 from itertools import chain
 from math import gcd, lcm
 
@@ -30,7 +32,7 @@ from .matrix import (
     DivergentStar,
     TropMatrix,
     TypingError,
-    _den_lcm,
+    _GUARD,
     _fit,
     _scaled,
     _star,
@@ -41,17 +43,20 @@ from .games import (
     EngineError,
     InvalidStrategy,
     TwoSidedSystem,
-    _descend,
+    _abs_max,
+    _descend_scaled,
     _finite_point,
     _least_level,
+    _max_cycle_mean,
     _mean_signs,
     _min_arcs,
+    _offsets,
     _solve_pair,
     _solves,
     feasible_finite,
     solve_arena,
 )
-from .semiring import ExtScalar, NEG_INF, POS_INF, ZERO, fin, scal, tmax
+from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal
 
 _NEWTON_CAP = 100000
 _BISECT_CAP = 100000
@@ -90,8 +95,61 @@ def _vec(entries, name, forbid_pos=False, forbid_neg=False):
     return out
 
 
+class _ProblemData:
+    """Validation and the whole-data scans shared by the two problem
+    dataclasses; a pseudoquadratic problem adds its coupling matrix C."""
+
+    def __post_init__(self):
+        C = getattr(self, "C", None)
+        if any(M.typing != "max" for M in self._matrices()):
+            what = "constraint" if C is None else "problem"
+            raise TypingError(f"{what} matrices must be max-plus typed")
+        if self.U.shape != self.V.shape:
+            raise TypingError("U and V must have equal shapes")
+        m, n = self.U.shape
+        if n < 1:
+            raise TypingError("at least one variable is required")
+        if C is not None and C.shape != (n, n):
+            raise TypingError("C must be n x n")
+        self.b = _vec(self.b, "b", forbid_pos=True)
+        self.d = _vec(self.d, "d", forbid_pos=True)
+        self.p = _vec(self.p, "p", forbid_pos=True)
+        self.q = _vec(self.q, "q", forbid_neg=True)
+        for nm, v, ln in (("b", self.b, m), ("d", self.d, m), ("p", self.p, n), ("q", self.q, n)):
+            if len(v) != ln:
+                raise TypingError(f"{nm} has length {len(v)}, expected {ln}")
+
+    def __setattr__(self, name, value):
+        # a field set anew makes the compiled record stale
+        self.__dict__.pop("_compiled", None)
+        object.__setattr__(self, name, value)
+
+    def _matrices(self):
+        C = getattr(self, "C", None)
+        return (self.U, self.V) if C is None else (self.U, self.V, C)
+
+    def _scalars(self):
+        """Every data entry: the matrices row by row, then b, d, p, q."""
+        rows = (row for M in self._matrices() for row in M.data)
+        return chain(*rows, self.b, self.d, self.p, self.q)
+
+    @property
+    def shape(self):
+        return self.U.shape
+
+    def weight_bound(self) -> Fraction:
+        return abs_max(self._scalars())
+
+    def data_denominator_lcm(self) -> int:
+        # infinities carry value 0
+        return lcm(*(e.value.denominator for e in self._scalars()))
+
+    def _lam_floor(self) -> Fraction:
+        return _compiled(self).lam_floor(hasattr(self, "C"))
+
+
 @dataclass
-class PseudolinearProblem:
+class PseudolinearProblem(_ProblemData):
     """Data (U, V, b, d, p, q): constraints U x + b <= V x + d, objective
     from the lower anchors p (no +inf) and upper anchors q (no -inf)."""
 
@@ -102,36 +160,8 @@ class PseudolinearProblem:
     p: list
     q: list
 
-    def __post_init__(self):
-        if self.U.typing != "max" or self.V.typing != "max":
-            raise TypingError("constraint matrices must be max-plus typed")
-        if self.U.shape != self.V.shape:
-            raise TypingError("U and V must have equal shapes")
-        m, n = self.U.shape
-        if n < 1:
-            raise TypingError("at least one variable is required")
-        self.b = _vec(self.b, "b", forbid_pos=True)
-        self.d = _vec(self.d, "d", forbid_pos=True)
-        self.p = _vec(self.p, "p", forbid_pos=True)
-        self.q = _vec(self.q, "q", forbid_neg=True)
-        for nm, v, ln in (("b", self.b, m), ("d", self.d, m), ("p", self.p, n), ("q", self.q, n)):
-            if len(v) != ln:
-                raise TypingError(f"{nm} has length {len(v)}, expected {ln}")
-
-    @property
-    def shape(self):
-        return self.U.shape
-
-    def weight_bound(self) -> Fraction:
-        return abs_max(chain(*self.U.data, *self.V.data, self.b, self.d, self.p, self.q))
-
-    def data_denominator_lcm(self) -> int:
-        # infinities carry value 0
-        data = chain(*self.U.data, *self.V.data, self.b, self.d, self.p, self.q)
-        return lcm(*(e.value.denominator for e in data))
-
-    def _lam_floor(self) -> Fraction:
-        return _lam_floor_linear(self)
+    def _objective(self, x):
+        return objective(self, x)
 
 
 def parametric_game(prob: PseudolinearProblem, lam) -> TwoSidedSystem:
@@ -143,17 +173,19 @@ def parametric_game(prob: PseudolinearProblem, lam) -> TwoSidedSystem:
 
 
 def objective(prob, x) -> ExtScalar:
-    """f(x) = max_j max(p_j - x_j, x_j - q_j); x must be finite."""
+    """f(x) = max_j max(p_j - x_j, x_j - q_j); x must be finite.  Exact
+    on the compiled record's integers."""
+    return _compiled(prob).objective(_checked_point(x, len(prob.p)), coupling=False)
+
+
+def _checked_point(x, n):
+    """x as ExtScalars, checked to be a finite point of dimension n."""
     xs = [scal(v) for v in x]
-    if len(xs) != len(prob.p):
+    if len(xs) != n:
         raise TypingError("point has wrong dimension")
     if not all(v.is_finite for v in xs):
         raise TypingError("objective requires a finite point")
-    terms = []
-    for j, v in enumerate(xs):
-        terms.append(prob.p[j] + (-v))
-        terms.append(v + prob.q[j].conj())
-    return tmax(*terms)
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -191,50 +223,209 @@ class _FareyGrid:
 
 
 # ---------------------------------------------------------------------------
-# prepared parametric structure
+# the compiled problem
+
+
+class _Compiled:
+    """A problem's data in the integer form that its solvers, bounds,
+    witness and certificates read, derived once on first use (_compiled)
+    and kept on the problem, which is treated as immutable.
+
+    L is the data's denominator lcm and WL its largest |entry| times L.
+    data maps each field name to its (weights, finite mask), scaled by L:
+    weights 0 off the mask, int64 below the guard and Python ints beyond
+    it (_fit).  core is the literal parametric pair at level 0 without
+    its stabilizing rows, in the layout of _param_pair.  The rest is
+    derived from these when first asked for."""
+
+    def __init__(self, prob):
+        m, n = prob.shape
+        ents = list(prob._scalars())
+        vals = [e.value for e in ents]  # infinities carry value 0
+        L = lcm(*{v.denominator for v in vals})
+        nums = [v.numerator * (L // v.denominator) for v in vals]
+        self.m, self.n, self.L, self.WL = m, n, L, max(map(abs, nums))
+        self.quad = hasattr(prob, "C")
+        w, f = _fit(np.array(nums, dtype=object), self.WL), np.array([e.kind == 0 for e in ents])
+        shapes = dict(U=(m, n), V=(m, n), C=(n, n), b=m, d=m, p=n, q=n)
+        if not self.quad:
+            del shapes["C"]
+        self.data, at = {}, 0
+        for name, shape in shapes.items():
+            size = int(np.prod(shape))
+            self.data[name] = (w[at : at + size].reshape(shape), f[at : at + size].reshape(shape))
+            at += size
+        self.k = k = 2 * n if self.quad else n  # lam rows before the q row
+        Aw, Bw = (np.zeros((m + k + 1, n + 1), dtype=w.dtype) for _ in "AB")
+        Af, Bf = (np.zeros((m + k + 1, n + 1), dtype=bool) for _ in "AB")
+        (Aw[:m, :n], Af[:m, :n]), (Bw[:m, :n], Bf[:m, :n]) = self.data["U"], self.data["V"]
+        (Aw[:m, n], Af[:m, n]), (Bw[:m, n], Bf[:m, n]) = self.data["b"], self.data["d"]
+        if self.quad:
+            Aw[m : m + n, :n], Af[m : m + n, :n] = self.data["C"]
+        Aw[m + k - n : m + k, n], Af[m + k - n : m + k, n] = self.data["p"]
+        Aw[-1, :n], Af[-1, :n] = -self.data["q"][0], self.data["q"][1]
+        Bf[np.arange(m, m + k), np.arange(k) % n] = True
+        Bf[-1, n] = True
+        self.core = (Aw, Af, Bw, Bf)
+
+    def lam_floor(self, quad: bool) -> Fraction:
+        """A level below every achievable finite optimum, for the
+        pseudoquadratic objective when quad, else for the linear one."""
+        per_col = 6 * self.n + 6 if quad else 2 * self.n + 4
+        return Fraction(-(2 * self.m + per_col)) * max(Fraction(1), Fraction(self.WL, self.L))
+
+    @cached_property
+    def row_infeasible(self) -> bool:
+        """A structural row whose finite left side faces an all -inf
+        right side."""
+        _, Af, _, Bf = self.core
+        return bool(np.any(Af[: self.m].any(axis=1) & ~Bf[: self.m].any(axis=1)))
+
+    @cached_property
+    def free_objective(self) -> bool:
+        """No finite p, q or coupling entry: nothing bounds the level."""
+        return not self.core[1][self.m :].any()
+
+    def _with_aug(self, rows, own_scale):
+        """The pair of the core rows `rows` (ascending) plus one
+        tautological "aug" row x_c <= x_c for each column they leave
+        without a finite left entry; rescaled to the denominator lcm of its
+        own entries when own_scale, else kept at L."""
+        Aw, Af, Bw, Bf = (a[rows] for a in self.core)
+        aug = np.flatnonzero(~Af.any(axis=0))
+        eye = np.zeros((len(aug), self.n + 1), dtype=bool)
+        eye[np.arange(len(aug)), aug] = True
+        Af, Bf = np.vstack([Af, eye]), np.vstack([Bf, eye])
+        Aw, Bw = (np.vstack([w, np.zeros(eye.shape, dtype=w.dtype)]) for w in (Aw, Bw))
+        L = self.L
+        if own_scale and L > 1:
+            g = gcd(L, int(np.gcd.reduce(Aw.ravel())), int(np.gcd.reduce(Bw.ravel())))
+            # int64 weights lie below the guard, so a g past it divides only zeros
+            Aw, Bw = (w // g if w.dtype == object or g < _GUARD else 0 * w for w in (Aw, Bw))
+            L //= g
+        lo, hi = np.searchsorted(rows, [self.m, self.m + self.k + 1])
+        return Aw, Af, Bw, Bf, L, range(int(lo), int(hi))
+
+    @cached_property
+    def pair(self):
+        """_param_pair's tuple."""
+        return self._with_aug(np.arange(len(self.core[0])), False)
+
+    def _struct(self, coupling):
+        """The prepared structure on the core rows with a finite left
+        entry, without the coupling rows unless asked for."""
+        keep = self.core[1].any(axis=1)
+        if not coupling:
+            keep[self.m : self.m + self.k - self.n] = False
+        rows = np.flatnonzero(keep)
+        return _ParamStruct(self._with_aug(rows, True), rows, self.m)
+
+    @cached_property
+    def struct(self):
+        """The template of the prepared structure (see _prepare)."""
+        return self._struct(coupling=True)
+
+    @cached_property
+    def witness_struct(self):
+        """The structure _descent_witness probes: no coupling rows."""
+        return self._struct(coupling=False) if self.quad else self.struct
+
+    @cached_property
+    def affine_witness(self):
+        return _descent_witness(self)
+
+    @cached_property
+    def anchor(self) -> ExtScalar:
+        """The anchor gap max_j (p_j - q_j) / 2, -inf when no j has both."""
+        (p, pf), (q, qf) = self.data["p"], self.data["q"]
+        both = pf & qf
+        return fin(Fraction(int((p - q)[both].max()), 2 * self.L)) if both.any() else NEG_INF
+
+    @cached_property
+    def coupling_mean(self):
+        """The largest cycle mean of C, None when C is acyclic."""
+        mu = _max_cycle_mean(*self.data["C"])
+        return None if mu is None else mu / self.L
+
+    @cached_property
+    def drop(self):
+        """_drop_data's tuple."""
+        parts = [(w * 2, f, -1) for w, f in map(self.data.get, "UVbdp")]
+        arrays, big = _filled(parts + [(self.data["q"][0] * 2, self.data["q"][1], 1)], self.n)
+        return (*arrays, 2 * self.L, big)
+
+    def objective(self, xs, coupling):
+        """The objective at the finite point xs (ExtScalars) on Python
+        ints: the anchor terms, and the coupling terms when asked for."""
+        L = lcm(self.L, *(v.value.denominator for v in xs))
+        f = L // self.L
+        x = np.array([v.value.numerator * (L // v.value.denominator) for v in xs], dtype=object)
+        (p, pf), (q, qf) = self.data["p"], self.data["q"]
+        terms = [(p.astype(object) * f - x)[pf], (x - q.astype(object) * f)[qf]]
+        if coupling:
+            Cw, Cf = self.data["C"]
+            Cw, live = Cw.astype(object) * f, Cf.any(axis=1)
+            low = -(_abs_max(Cw.ravel()) + _abs_max(x) + 1)
+            terms.append(np.where(Cf, Cw + x, low).max(axis=1)[live] - x[live])
+        top = [int(t.max()) for t in terms if len(t)]
+        return fin(Fraction(max(top), L)) if top else NEG_INF
+
+
+def _compiled(prob) -> _Compiled:
+    """The problem's compiled record, built on first use.  It lives in a
+    private attribute, not a dataclass field, so ==, repr and dump_problem
+    do not see it."""
+    rec = prob.__dict__.get("_compiled")
+    if rec is None:
+        rec = prob.__dict__["_compiled"] = _Compiled(prob)
+    return rec
+
+
+def _tmat(w, f, L):
+    """The max-plus matrix of scaled weights w (finite where f) over L."""
+    rows = [[fin(Fraction(int(v), L)) if ok else NEG_INF for v, ok in zip(*r)] for r in zip(w, f)]
+    return TropMatrix(rows, "max")
 
 
 class _ParamStruct:
-    """Preprocessed parametric system with fast integer arc arrays.
+    """The prepared parametric structure: the literal pair's rows with a
+    finite left entry and the stabilizing rows they need, as a pair tuple
+    (see _param_pair) scaled by the denominator lcm L0 of its own entries,
+    and its integer arc arrays.  rows[r] is the core row of row r (the aug
+    rows come after them).  The record keeps unsolved templates; each
+    solve warm-starts its own copy (_prepare), which shares the arrays."""
 
-    Row bookkeeping: meta[r] is ("struct", i), ("cblock", j), ("plow", j),
-    ("qrow",) or ("aug", col).  b_entries[r] lists (target, weight, is_lam)
-    with weight None on lam entries."""
-
-    def __init__(self, A: TropMatrix, b_entries, meta, n):
-        self.A = A
-        self.b_entries = b_entries
-        self.meta = meta
-        self.n = n
-        self.n_min = n + 1
-        self.n_max = A.rows
+    def __init__(self, pair, rows, m):
+        self.pair = pair
+        Aw, Af, Bw, Bf, self.L0, self.lam_rows = pair
+        self.rows = rows
+        self.m = m
+        self.n = Af.shape[1] - 1
+        self.n_min = self.n + 1
+        self.n_max = len(Af)
         self._warm = None
-        L = _den_lcm(A)
-        for ents in b_entries:
-            for (_, wv, islam) in ents:
-                if not islam:
-                    L = lcm(L, wv.value.denominator)
-        self.L0 = L
-        self._a_off, self._a_src, self._a_tgt, a_w0 = _min_arcs(*_scaled(A, L))
+        self._a_off, self._a_src, self._a_tgt, a_w0 = _min_arcs(Aw, Af)
         self._a_w0 = np.asarray(a_w0, dtype=np.int64)
-        b_tgt, b_w, b_lam = [], [], []
-        b_off = [0]
-        for ents in b_entries:
-            for (t, wv, islam) in ents:
-                b_tgt.append(t)
-                b_w.append(0 if islam else wv.value.numerator * (L // wv.value.denominator))
-                b_lam.append(islam)
-            b_off.append(len(b_tgt))
-        self._b_off = np.asarray(b_off, dtype=np.int64)
-        self._b_tgt = np.asarray(b_tgt, dtype=np.int64)
-        self._b_w0 = np.asarray(b_w, dtype=np.int64)
-        self._b_lam = np.asarray(b_lam, dtype=bool)
-        m0 = 1
-        if len(self._a_w0):
-            m0 = max(m0, int(np.max(np.abs(self._a_w0))))
-        if len(self._b_w0):
-            m0 = max(m0, int(np.max(np.abs(self._b_w0))))
-        self._absmax0 = m0
+        b_src, self._b_tgt = np.nonzero(Bf)
+        self._b_off = _offsets(b_src, self.n_max)
+        self._b_w0 = np.asarray(Bw[Bf], dtype=np.int64)
+        self._b_lam = (b_src >= self.lam_rows.start) & (b_src < self.lam_rows.stop)
+        self._absmax0 = max(1, _abs_max(self._a_w0), _abs_max(self._b_w0))
+
+    @property
+    def A(self) -> TropMatrix:
+        Aw, Af, _, _, L, _ = self.pair
+        return _tmat(Aw, Af, L)
+
+    @property
+    def b_entries(self):
+        """Per row, the (target, weight, is_lam) of its finite right
+        entries, with weight None on the lam entries."""
+        _, _, Bw, Bf, L, lam = self.pair
+        return [
+            [(int(c), None if r in lam else fin(Fraction(int(Bw[r, c]), L)), r in lam) for c in js]
+            for r, js in enumerate(map(np.flatnonzero, Bf))
+        ]
 
     def arena(self, lam: Fraction) -> Arena:
         num, den = lam.numerator, lam.denominator
@@ -245,21 +436,10 @@ class _ParamStruct:
         big = max(self._absmax0 * fa, abs(num) * fl, 1)
         if big * v * v * v >= (1 << 62):
             raise EngineError("probe level too fine for the integer engine")
-        aw = self._a_w0 * fa
         bw = self._b_w0 * fa
         bw[self._b_lam] = num * fl
-        return Arena.raw(
-            self.n_min,
-            self.n_max,
-            self._a_off,
-            self._a_src,
-            self._a_tgt,
-            aw,
-            self._b_off,
-            self._b_tgt,
-            bw,
-            S,
-        )
+        a_arcs = (self._a_off, self._a_src, self._a_tgt, self._a_w0 * fa)
+        return Arena.raw(self.n_min, self.n_max, *a_arcs, self._b_off, self._b_tgt, bw, S)
 
     def solve(self, lam: Fraction):
         chi, tau, sigma, sig_idx = solve_arena(self.arena(lam), self._warm)
@@ -283,109 +463,39 @@ class _ParamStruct:
         return None if self._warm is None else self._warm.copy()
 
     def system(self, lam: Fraction) -> TwoSidedSystem:
-        lamS = fin(lam)
-        rows = []
-        for ents in self.b_entries:
-            row = [NEG_INF] * self.n_min
-            for (t, wv, islam) in ents:
-                row[t] = lamS if islam else wv
-            rows.append(row)
-        return TwoSidedSystem(self.A, TropMatrix(rows, "max"))
+        Aw, Af, Bw, Bf, L, _ = _at_level(self.pair, lam)
+        return TwoSidedSystem(_tmat(Aw, Af, L), _tmat(Bw, Bf, L))
 
     def witness(self, lam: Fraction):
-        """Finite point at a feasible level: solve the system at lam,
-        de-homogenize."""
-        w = feasible_finite(self.system(lam))
+        """Finite point at a feasible level: solve the system at lam on
+        its scaled arrays, de-homogenize."""
+        w = feasible_finite(_at_level(self.pair, lam)[:5])
         if w is None:
             raise EngineError(f"no finite point at the feasible level {lam}")
         t = w[self.n]
         return [w[j] - t for j in range(self.n)]
 
-    def sigma_struct(self, sigma, m):
+    def sigma_struct(self, sigma):
         """Full-length structural strategy (None on dropped rows)."""
-        out = [None] * m
-        for r, tag in enumerate(self.meta):
-            if tag[0] == "struct":
-                out[tag[1]] = sigma[r]
+        out = [None] * self.m
+        for r, row in enumerate(self.rows[self.rows < self.m]):
+            out[row] = sigma[r]
         return out
 
 
-class _Prep:
-    __slots__ = ("kind", "struct")
-
-    def __init__(self, kind, struct=None):
-        self.kind = kind
-        self.struct = struct
-
-
-def _row_classes(U, V, b, d):
-    """Partition structural rows: kept, vacuous (dropped), or a proof of
-    infeasibility (finite left side against an all -inf right side)."""
-    m, n = U.shape
-    kept = []
-    for i in range(m):
-        lhs = any(U.data[i][j].is_finite for j in range(n)) or b[i].is_finite
-        rhs = any(V.data[i][j].is_finite for j in range(n)) or d[i].is_finite
-        if not lhs:
-            continue
-        if not rhs:
-            return None
-        kept.append(i)
-    return kept
-
-
-def _assemble(prob, crows=None, ignore_objective=False):
-    """Build the prepared structure; returns a _Prep."""
-    m, n = prob.shape
-    kept = _row_classes(prob.U, prob.V, prob.b, prob.d)
-    if kept is None:
-        return _Prep("row_infeasible")
-    has_c = crows is not None and any(
-        any(e.is_finite for e in row) for row in crows
-    )
-    if (
-        not ignore_objective
-        and all(e.is_neg_inf for e in prob.p)
-        and all(e.is_pos_inf for e in prob.q)
-        and not has_c
-    ):
-        return _Prep("free_objective")
-    arows, b_entries, meta = [], [], []
-    for i in kept:
-        arows.append(list(prob.U.data[i]) + [prob.b[i]])
-        ents = [(j, prob.V.data[i][j], False) for j in range(n) if prob.V.data[i][j].is_finite]
-        if prob.d[i].is_finite:
-            ents.append((n, prob.d[i], False))
-        b_entries.append(ents)
-        meta.append(("struct", i))
-    if crows is not None:
-        for j in range(n):
-            if any(e.is_finite for e in crows[j]):
-                arows.append(list(crows[j]) + [NEG_INF])
-                b_entries.append([(j, None, True)])
-                meta.append(("cblock", j))
-    for j in range(n):
-        if prob.p[j].is_finite:
-            arows.append([NEG_INF] * n + [prob.p[j]])
-            b_entries.append([(j, None, True)])
-            meta.append(("plow", j))
-    if any(e.is_finite for e in prob.q):
-        arows.append([qj.conj() for qj in prob.q] + [NEG_INF])
-        b_entries.append([(n, None, True)])
-        meta.append(("qrow",))
-    for c in range(n + 1):
-        if not any(row[c].is_finite for row in arows):
-            arows.append([ZERO if k == c else NEG_INF for k in range(n + 1)])
-            b_entries.append([(c, ZERO, False)])
-            meta.append(("aug", c))
-    A = TropMatrix(arows, "max")
-    return _Prep("ok", _ParamStruct(A, b_entries, meta, n))
+_Prep = namedtuple("_Prep", "kind struct", defaults=[None])
 
 
 def _prepare(prob, ignore_objective=False) -> _Prep:
-    if isinstance(prob, PseudolinearProblem):
-        return _assemble(prob, None, ignore_objective)
-    return prob._prepare(ignore_objective)
+    """The prepared structure of a problem, or why there is none: a
+    row-infeasible problem, or a free objective unless that is ignored
+    (the structure then has the structural rows alone)."""
+    rec = _compiled(prob)
+    if rec.row_infeasible:
+        return _Prep("row_infeasible")
+    if rec.free_objective and not ignore_objective:
+        return _Prep("free_objective")
+    return _Prep("ok", copy(rec.struct))
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +503,13 @@ def _prepare(prob, ignore_objective=False) -> _Prep:
 
 
 def _affine_witness(prob):
+    """A finite solution of U x + b <= V x + d, or None; computed once
+    per problem (_descent_witness)."""
+    wit = _compiled(prob).affine_witness
+    return None if wit is None else list(wit)
+
+
+def _descent_witness(rec):
     """A finite solution of U x + b <= V x + d, or None.
 
     First a greatest-point descent from a seed pinned at (2W+2): each
@@ -402,38 +519,24 @@ def _affine_witness(prob):
     parametric engine: any finite feasible point has bounded spread, so
     the level cap -lam_floor is reachable whenever any level is.  A
     feasible system then gets its point exactly from the homogenized
-    game."""
-    m, n = prob.shape
-    kept = _row_classes(prob.U, prob.V, prob.b, prob.d)
-    if kept is None:
+    game, [U | b] <= [V | d] over (x, t) on its own scale."""
+    if rec.row_infeasible:
         return None
-    L = prob.data_denominator_lcm()
-    Vd = TropMatrix([row + [di] for row, di in zip(prob.V.data, prob.d)], "max")
-    fix = _descend(prob.U, Vd, prob.weight_bound(), L, min(3 * (m + n) + 6, 64))
+    m, n, L = rec.m, rec.n, rec.L
+    Aw, Af, Bw, Bf = rec.core
+    sweeps = min(3 * (m + n) + 6, 64)
+    fix = _descend_scaled(Aw[:m, :n], Af[:m, :n], Bw[:m], Bf[:m], 2 * rec.WL + 2 * L, sweeps)
     if fix is not None:
         x, finite, y, y_fin = fix
-        if finite.all() and all(
-            e.is_neg_inf or (y_fin[i] and e.value * L <= int(y[i]))
-            for i, e in enumerate(prob.b)
-        ):
+        if finite.all() and not np.any(Af[:m, n] & ~(y_fin & (Aw[:m, n] <= y))):
             return [Fraction(int(v), L) for v in x[:n]]
-    pre = _assemble(prob, None, True)
-    if pre.kind == "ok":
-        try:
-            if pre.struct.phi(-_lam_floor_linear(prob)) < 0:
-                return None
-        except EngineError:
-            pass
-    # homogenize [U | b] <= [V | d] over (x, t) and let the game decide
-    arows, brows = [], []
-    for i in kept:
-        arows.append(list(prob.U.data[i]) + [prob.b[i]])
-        brows.append(list(prob.V.data[i]) + [prob.d[i]])
-    for c in range(n + 1):
-        if not any(row[c].is_finite for row in arows):
-            arows.append([ZERO if k == c else NEG_INF for k in range(n + 1)])
-            brows.append([ZERO if k == c else NEG_INF for k in range(n + 1)])
-    w = feasible_finite(TwoSidedSystem(TropMatrix(arows, "max"), TropMatrix(brows, "max")))
+    try:
+        if copy(rec.witness_struct).phi(-rec.lam_floor(False)) < 0:
+            return None
+    except EngineError:
+        pass
+    kept = np.flatnonzero(Af[:m].any(axis=1))
+    w = feasible_finite(rec._with_aug(kept, True)[:5])
     if w is None:
         return None
     return [w[j] - w[n] for j in range(n)]
@@ -451,23 +554,19 @@ def initial_bounds(prob: PseudolinearProblem):
 
 
 def _lower_bound_linear(prob) -> ExtScalar:
-    terms = [prob.p[j] + prob.q[j].conj() for j in range(len(prob.p))]
-    return tmax(*terms).half()
-
-
-def _lam_floor_linear(prob) -> Fraction:
-    m, n = prob.shape
-    W = prob.weight_bound()
-    return Fraction(-(2 * m + 2 * n + 4)) * max(Fraction(1), W)
+    return _compiled(prob).anchor
 
 
 def _check_mode(prob, mode, tol):
     if mode not in ("integer", "real"):
         raise ValueError("mode must be 'integer' or 'real'")
-    if mode == "integer" and prob.data_denominator_lcm() != 1:
+    if mode == "integer" and _compiled(prob).L != 1:
         raise ValueError("integer mode requires integer data")
-    if tol is not None and mode == "integer":
-        raise ValueError("tol applies to real mode only")
+    if tol is not None:
+        if mode == "integer":
+            raise ValueError("tol applies to real mode only")
+        if Fraction(tol) <= 0:
+            raise ValueError("tol must be positive")
 
 
 def spectral_value(prob, lam) -> ExtScalar:
@@ -479,11 +578,9 @@ def spectral_value(prob, lam) -> ExtScalar:
     lamF = scal(lam)
     if not lamF.is_finite:
         raise TypingError("level must be finite")
-    prep = _prepare(prob)
+    prep = _prepare(prob, ignore_objective=True)
     if prep.kind == "row_infeasible":
         return NEG_INF
-    if prep.kind == "free_objective":
-        prep = _prepare(prob, ignore_objective=True)
     return fin(prep.struct.phi(lamF.value))
 
 
@@ -519,17 +616,20 @@ def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> Solv
     Integer mode bisects the half-integer grid and returns the exact
     optimum.  Real mode bisects to within tol (default 1e-6) and returns
     lam = f(witness), which satisfies A(lam) >= 0 and A(lam - tol) < 0."""
-    start = _presolve(prob, mode, tol, initial_bounds)
+    return _bisect(prob, mode, tol, initial_bounds, _FareyGrid(1, 2))
+
+
+def _bisect(prob, mode, tol, bounds, grid) -> SolveOutcome:
+    """Both bisection solvers: integer mode on the level grid, real mode
+    to within tol."""
+    start = _presolve(prob, mode, tol, bounds)
     if isinstance(start, SolveOutcome):
         return start
     struct, lb, up, _ = start
     if mode == "integer":
-        grid = _FareyGrid(1, 2)
-        return _bisect_on_grid(prob, struct, grid, lb, up, _lam_floor_linear(prob))
+        return _bisect_on_grid(prob, struct, grid, lb, up, prob._lam_floor())
     tolF = Fraction(tol) if tol is not None else Fraction(1, 10**6)
-    if tolF <= 0:
-        raise ValueError("tol must be positive")
-    return _bisect_real(prob, struct, lb, up, tolF, _lam_floor_linear(prob))
+    return _bisect_real(prob, struct, lb, up, tolF, prob._lam_floor())
 
 
 def _bisect_on_grid(prob, struct, grid, lb, up, lam_floor) -> SolveOutcome:
@@ -566,7 +666,7 @@ def _bisect_on_grid(prob, struct, grid, lb, up, lam_floor) -> SolveOutcome:
 def _optimal_witness(prob, struct, lam):
     """A finite point at level lam with objective exactly lam."""
     x = struct.witness(lam)
-    if _outer_objective(prob, x) != fin(lam):
+    if prob._objective(x) != fin(lam):
         raise EngineError(f"witness objective differs from the optimal level {lam}")
     return x
 
@@ -599,14 +699,8 @@ def _bisect_real(prob, struct, lb, up, tolF, lam_floor) -> SolveOutcome:
         else:
             lo = mid
     x = struct.witness(hi)
-    val = _outer_objective(prob, x)
+    val = prob._objective(x)
     return SolveOutcome("optimal", val, x, iters, tr)
-
-
-def _outer_objective(prob, x) -> ExtScalar:
-    if isinstance(prob, PseudolinearProblem):
-        return objective(prob, x)
-    return prob._objective(x)
 
 
 # ---------------------------------------------------------------------------
@@ -637,20 +731,14 @@ class AlcovedProblem:
                 raise TypingError(f"{nm} has length {len(v)}, expected {n}")
 
 
-def _filled(parts, S: int, n: int):
-    """The drop step's integer form of (vector or matrix, sign) pairs:
-    each entry times S, with -big / +big for an infinity of that sign.
-    big = 16(n+1)(A+1), A the largest |scaled entry|, exceeds every finite
-    value _reduce and _alcoved form from data of this size; int64 while
-    that fits, Python ints beyond.  Returns (arrays, big)."""
-    sc = [_scaled(M if isinstance(M, TropMatrix) else [M], S) for M, _ in parts]
-    A = max(int(np.abs(w).max()) for w, _ in sc)
-    big = 16 * (n + 1) * (A + 1)
-    out = []
-    for (w, f), (M, sign) in zip(sc, parts):
-        v = _fit(np.where(f, w, sign * big), big)
-        out.append(v if isinstance(M, TropMatrix) else v[0])
-    return out, big
+def _filled(parts, n: int):
+    """The drop step's integer form of (weights, finite mask, sign)
+    triples already scaled by S: -big / +big for an infinity of that
+    sign.  big = 16(n+1)(A+1), A the largest |scaled entry|, exceeds
+    every finite value _reduce and _alcoved form from data of this size;
+    int64 while that fits, Python ints beyond.  Returns (arrays, big)."""
+    big = 16 * (n + 1) * (max(_abs_max(w.ravel()) for w, _, _ in parts) + 1)
+    return [np.where(f, _fit(w, big), sign * big) for w, f, sign in parts], big
 
 
 def _ext(v, S: int, big):
@@ -664,13 +752,7 @@ def _drop_data(prob):
     """(U, V, b, d, p, q, S, big): the problem in the drop step's integer
     form, scaled by S = 2L.  Every entry of the reduced problem is then a
     multiple of 2, so the closed form's halving stays integral."""
-    S = 2 * prob.data_denominator_lcm()
-    arrays, big = _filled(
-        [(prob.U, -1), (prob.V, -1), (prob.b, -1), (prob.d, -1), (prob.p, -1), (prob.q, 1)],
-        S,
-        prob.shape[1],
-    )
-    return (*arrays, S, big)
+    return _compiled(prob).drop
 
 
 def _reduce(U, V, b, d, sigma, big):
@@ -777,9 +859,9 @@ def solve_alcoved(alc: AlcovedProblem):
     scaled by twice its denominator lcm (see _alcoved)."""
     data = chain(*alc.R.data, alc.l, alc.u, alc.p, alc.q)
     S = 2 * lcm(*(e.value.denominator for e in data))
-    parts = [(alc.R, -1), (alc.l, -1), (alc.u, 1), (alc.p, -1), (alc.q, 1)]
-    arrays, big = _filled(parts, S, alc.R.rows)
-    theta, x = _alcoved(*arrays, big)
+    parts = [(alc.R.data, -1), ([alc.l], -1), ([alc.u], 1), ([alc.p], -1), ([alc.q], 1)]
+    (R, l, u, p, q), big = _filled([(*_scaled(M, S), sign) for M, sign in parts], alc.R.rows)
+    theta, x = _alcoved(R, l[0], u[0], p[0], q[0], big)
     if theta is None:
         return NEG_INF, None
     return fin(Fraction(theta, S)), [Fraction(int(v), S) for v in x]
@@ -801,7 +883,6 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
     if isinstance(start, SolveOutcome):
         return start
     struct, lb, up, wit = start
-    m, n = prob.shape
     U, V, b, d, p, q, S, big = _drop_data(prob)
     grid = _FareyGrid(1, S)
     lam_k = up.value
@@ -819,7 +900,7 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
         if ph < 0:
             return SolveOutcome("optimal", fin(lam_k), x_wit, iters, tr)
         try:
-            R, l, u = _reduce(U, V, b, d, struct.sigma_struct(sigma, m), big)
+            R, l, u = _reduce(U, V, b, d, struct.sigma_struct(sigma), big)
             theta, x_red = _alcoved(R, l, u, p, q, big)
         except InfeasibleReduction:
             # cannot happen for a certified strategy; drop target +inf
@@ -846,7 +927,7 @@ def _param_pair(prob):
     """The literal parametric pair (A, B(lam)) at lam = 0, with its
     stabilizing rows, on integer arrays: (Aw, Af, Bw, Bf, L, lam_rows),
     the weights scaled by the data's denominator lcm L (see _scaled) and
-    the masks of finite entries.  The only place that knows the layout.
+    the masks of finite entries, built once per problem by _Compiled.
 
     Columns are x_1..x_n and the constant t.  Rows, in order: the m
     structural rows [U | b] <= [V | d]; for pseudoquadratic data, one row
@@ -855,30 +936,7 @@ def _param_pair(prob):
     tautological "aug" row x_c <= x_c for each column without a finite
     left entry.  lam_rows is the range of the rows bearing lam, and the
     finite right entries of those rows are exactly the lam entries."""
-    m, n = prob.shape
-    C = None if isinstance(prob, PseudolinearProblem) else prob.C
-    L = prob.data_denominator_lcm()
-    k = n if C is None else 2 * n  # lam rows before the q row
-    rows = m + k + 1
-    Aw, Bw = (np.zeros((rows, n + 1), dtype=object) for _ in "AB")
-    Af, Bf = (np.zeros((rows, n + 1), dtype=bool) for _ in "AB")
-    (b, d), (bf, df) = _scaled([prob.b, prob.d], L)
-    (p, qc), (pf, qcf) = _scaled([prob.p, [e.conj() for e in prob.q]], L)
-    Aw[:m, :n], Af[:m, :n] = _scaled(prob.U, L)
-    Bw[:m, :n], Bf[:m, :n] = _scaled(prob.V, L)
-    Aw[:m, n], Af[:m, n], Bw[:m, n], Bf[:m, n] = b, bf, d, df
-    if C is not None:
-        Aw[m : m + n, :n], Af[m : m + n, :n] = _scaled(C, L)
-    Aw[m + k - n : m + k, n], Af[m + k - n : m + k, n] = p, pf
-    Aw[-1, :n], Af[-1, :n] = qc, qcf
-    Bf[np.arange(m, m + k), np.arange(k) % n] = True
-    Bf[-1, n] = True
-    aug = np.flatnonzero(~Af.any(axis=0))
-    eye = np.zeros((len(aug), n + 1), dtype=bool)
-    eye[np.arange(len(aug)), aug] = True
-    Af, Bf = np.vstack([Af, eye]), np.vstack([Bf, eye])
-    pad = np.zeros((len(aug), n + 1), dtype=object)
-    return np.vstack([Aw, pad]), Af, np.vstack([Bw, pad]), Bf, L, range(m, rows)
+    return _compiled(prob).pair
 
 
 def _at_level(pair, lam: Fraction, L=None):
@@ -888,10 +946,11 @@ def _at_level(pair, lam: Fraction, L=None):
     Aw, Af, Bw, Bf, L0, lam_rows = pair
     if L is None:
         L = lcm(L0, lam.denominator)
-    f = L // L0
-    Aw, Bw = (Aw * f, Bw * f) if f != 1 else (Aw, Bw.copy())
+    f, lw = L // L0, lam.numerator * (L // lam.denominator)
+    big = max(_abs_max(Aw.ravel()), _abs_max(Bw.ravel())) * f + abs(lw)
+    Aw, Bw = _fit(Aw, big) * f, _fit(Bw, big) * f  # copies
     lr = slice(lam_rows.start, lam_rows.stop)
-    Bw[lr][Bf[lr]] = lam.numerator * (L // lam.denominator)
+    Bw[lr][Bf[lr]] = lw
     return Aw, Af, Bw, Bf, L, lam_rows
 
 
@@ -906,14 +965,7 @@ def _literal_pair(prob, lam, aug=True):
         Bf = Bf.copy()
         Bf[lam_rows.start : lam_rows.stop] = False
     keep = len(Af) if aug else lam_rows.stop
-
-    def mat(w, f):
-        rows = zip(w[:keep], f[:keep])
-        return TropMatrix(
-            [[fin(Fraction(int(v), L)) if ok else NEG_INF for v, ok in zip(*r)] for r in rows], "max"
-        )
-
-    return mat(Aw, Af), mat(Bw, Bf), frozenset(lam_rows)
+    return _tmat(Aw[:keep], Af[:keep], L), _tmat(Bw[:keep], Bf[:keep], L), frozenset(lam_rows)
 
 
 _augmented_parametric = _literal_pair

@@ -14,24 +14,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import lcm
 
-from .matrix import TropMatrix, TypingError, _den_lcm, _scaled, abs_max, mat_vec_mul
-from .games import EngineError, TwoSidedSystem, _max_cycle_mean
-from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal, tmax
+from .matrix import TropMatrix
+from .games import EngineError, TwoSidedSystem
+from .semiring import ExtScalar, NEG_INF, POS_INF, fin, tmax
 from .pseudolinear import (
     SolveOutcome,
     _FareyGrid,
     _affine_witness,
-    _assemble,
-    _bisect_on_grid,
-    _bisect_real,
+    _bisect,
+    _checked_point,
+    _compiled,
     _literal_pair,
     _optimal_witness,
     _presolve,
-    _vec,
     _NEWTON_CAP,
+    _ProblemData,
 )
 
 __all__ = [
@@ -46,7 +44,7 @@ __all__ = [
 
 
 @dataclass
-class PseudoquadraticProblem:
+class PseudoquadraticProblem(_ProblemData):
     """Data (U, V, b, d, p, q, C): constraints U x + b <= V x + d, the
     (p, q) anchors, and the n x n coupling matrix C of the extra
     objective term (C x - x)."""
@@ -59,46 +57,8 @@ class PseudoquadraticProblem:
     q: list
     C: TropMatrix
 
-    def __post_init__(self):
-        if self.U.typing != "max" or self.V.typing != "max" or self.C.typing != "max":
-            raise TypingError("problem matrices must be max-plus typed")
-        if self.U.shape != self.V.shape:
-            raise TypingError("U and V must have equal shapes")
-        m, n = self.U.shape
-        if n < 1:
-            raise TypingError("at least one variable is required")
-        if self.C.shape != (n, n):
-            raise TypingError("C must be n x n")
-        self.b = _vec(self.b, "b", forbid_pos=True)
-        self.d = _vec(self.d, "d", forbid_pos=True)
-        self.p = _vec(self.p, "p", forbid_pos=True)
-        self.q = _vec(self.q, "q", forbid_neg=True)
-        for nm, v, ln in (("b", self.b, m), ("d", self.d, m), ("p", self.p, n), ("q", self.q, n)):
-            if len(v) != ln:
-                raise TypingError(f"{nm} has length {len(v)}, expected {ln}")
-
-    @property
-    def shape(self):
-        return self.U.shape
-
-    def weight_bound(self) -> Fraction:
-        return abs_max(
-            chain(*self.U.data, *self.V.data, *self.C.data, self.b, self.d, self.p, self.q)
-        )
-
-    def data_denominator_lcm(self) -> int:
-        # infinities carry value 0
-        data = chain(*self.U.data, *self.V.data, *self.C.data, self.b, self.d, self.p, self.q)
-        return lcm(*(e.value.denominator for e in data))
-
-    def _prepare(self, ignore_objective=False):
-        return _assemble(self, self.C.data, ignore_objective)
-
     def _objective(self, x):
         return objective_quad(self, x)
-
-    def _lam_floor(self) -> Fraction:
-        return _lam_floor_quad(self)
 
 
 def parametric_game_quad(prob: PseudoquadraticProblem, lam) -> TwoSidedSystem:
@@ -109,22 +69,9 @@ def parametric_game_quad(prob: PseudoquadraticProblem, lam) -> TwoSidedSystem:
 
 
 def objective_quad(prob: PseudoquadraticProblem, x) -> ExtScalar:
-    """max of the (p, q) anchor terms and the coupling terms (C x)_j - x_j."""
-    xs = [scal(v) for v in x]
-    n = prob.shape[1]
-    if len(xs) != n:
-        raise TypingError("point has wrong dimension")
-    if not all(v.is_finite for v in xs):
-        raise TypingError("objective requires a finite point")
-    terms = []
-    for j, v in enumerate(xs):
-        terms.append(prob.p[j] + (-v))
-        terms.append(v + prob.q[j].conj())
-    Cx = mat_vec_mul(prob.C, xs)
-    for j in range(n):
-        if not Cx[j].is_neg_inf:
-            terms.append(Cx[j] + (-xs[j]))
-    return tmax(*terms)
+    """max of the (p, q) anchor terms and the coupling terms (C x)_j - x_j,
+    exact on the compiled record's integers."""
+    return _compiled(prob).objective(_checked_point(x, prob.shape[1]), coupling=True)
 
 
 def round_bounded(lam, D: int, direction: str) -> Fraction:
@@ -142,18 +89,10 @@ def round_bounded(lam, D: int, direction: str) -> Fraction:
 def _lower_bound_quad(prob) -> ExtScalar:
     """The anchor gap, or the largest cycle mean of C when that is higher
     (a cycle of C bounds the coupling term from below on any x); the
-    cycle mean runs on C scaled to integers."""
-    terms = [prob.p[j] + prob.q[j].conj() for j in range(len(prob.p))]
-    anchor = tmax(*terms).half()
-    L = _den_lcm(prob.C)
-    mu = _max_cycle_mean(*_scaled(prob.C, L))
-    return anchor if mu is None else tmax(anchor, fin(mu / L))
-
-
-def _lam_floor_quad(prob) -> Fraction:
-    m, n = prob.shape
-    W = prob.weight_bound()
-    return Fraction(-(2 * m + 6 * n + 6)) * max(Fraction(1), W)
+    cycle mean runs on the compiled record's integers."""
+    rec = _compiled(prob)
+    mu = rec.coupling_mean
+    return rec.anchor if mu is None else tmax(rec.anchor, fin(mu))
 
 
 def bounds_quad(prob: PseudoquadraticProblem):
@@ -172,18 +111,7 @@ def bisection_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None)
 
     Integer mode searches denominators up to n + 1 exactly; real mode
     bisects to within tol (default 1e-6) and returns lam = f(witness)."""
-    start = _presolve(prob, mode, tol, bounds_quad)
-    if isinstance(start, SolveOutcome):
-        return start
-    struct, lb, up, _ = start
-    n = prob.shape[1]
-    if mode == "integer":
-        grid = _FareyGrid(n + 1, 1)
-        return _bisect_on_grid(prob, struct, grid, lb, up, _lam_floor_quad(prob))
-    tolF = Fraction(tol) if tol is not None else Fraction(1, 10**6)
-    if tolF <= 0:
-        raise ValueError("tol must be positive")
-    return _bisect_real(prob, struct, lb, up, tolF, _lam_floor_quad(prob))
+    return _bisect(prob, mode, tol, bounds_quad, _FareyGrid(prob.shape[1] + 1, 1))
 
 
 def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) -> SolveOutcome:
@@ -200,8 +128,8 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
         return start
     struct, lb, up, _ = start
     n = prob.shape[1]
-    grid = _FareyGrid(n + 1, prob.data_denominator_lcm())
-    lam_floor = grid.down(_lam_floor_quad(prob))
+    grid = _FareyGrid(n + 1, _compiled(prob).L)
+    lam_floor = grid.down(prob._lam_floor())
     lam_k = up.value
     if grid.down(lam_k) != lam_k:
         raise EngineError(f"start level {lam_k} is off the level grid")

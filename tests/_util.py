@@ -7,6 +7,7 @@ something that cannot share a bug with the solver machinery.
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import numpy as np
 
@@ -798,3 +799,136 @@ def oracle_quad_drop(struct, sig_idx, lam_floor, lam_minus, grid):
         else:
             lo = grid.strict_up(mid)
     return hi
+
+
+# ---------------------------------------------------------------------------
+# the parametric structure and pair, built entry by entry
+
+
+def _row_classes(U, V, b, d):
+    """Kept structural rows (finite left side), or None when a finite left
+    side faces an all -inf right side; rows with no finite left entry are
+    dropped."""
+    m, n = U.shape
+    kept = []
+    for i in range(m):
+        lhs = any(U.data[i][j].is_finite for j in range(n)) or b[i].is_finite
+        rhs = any(V.data[i][j].is_finite for j in range(n)) or d[i].is_finite
+        if not lhs:
+            continue
+        if not rhs:
+            return None
+        kept.append(i)
+    return kept
+
+
+def oracle_struct(prob, ignore_objective=False, coupling=True):
+    """The prepared parametric structure, assembled row by row: the kept
+    structural rows, the coupling rows with a finite entry (pseudoquadratic
+    data, unless coupling is False), the epigraph rows of the finite p_j,
+    the q row when some q_j is finite, then one tautological row per column
+    without a finite left entry.  Returns "row_infeasible",
+    "free_objective", or a dict of the integer arc arrays the engine reads,
+    as Python ints, the scale L0 (the lcm of the structure's own
+    denominators) and `rows`, the pair row of each non-aug row."""
+    m, n = prob.shape
+    quad = isinstance(prob, PseudoquadraticProblem)
+    crows = prob.C.data if quad and coupling else None
+    kept = _row_classes(prob.U, prob.V, prob.b, prob.d)
+    if kept is None:
+        return "row_infeasible"
+    has_c = quad and any(e.is_finite for row in prob.C.data for e in row)
+    if (
+        not ignore_objective
+        and all(e.is_neg_inf for e in prob.p)
+        and all(e.is_pos_inf for e in prob.q)
+        and not has_c
+    ):
+        return "free_objective"
+    k = 2 * n if quad else n
+    arows, b_entries, rows = [], [], []
+    for i in kept:
+        arows.append(list(prob.U.data[i]) + [prob.b[i]])
+        ents = [(j, prob.V.data[i][j], False) for j in range(n) if prob.V.data[i][j].is_finite]
+        if prob.d[i].is_finite:
+            ents.append((n, prob.d[i], False))
+        b_entries.append(ents)
+        rows.append(i)
+    if crows is not None:
+        for j in range(n):
+            if any(e.is_finite for e in crows[j]):
+                arows.append(list(crows[j]) + [NEG_INF])
+                b_entries.append([(j, None, True)])
+                rows.append(m + j)
+    for j in range(n):
+        if prob.p[j].is_finite:
+            arows.append([NEG_INF] * n + [prob.p[j]])
+            b_entries.append([(j, None, True)])
+            rows.append(m + k - n + j)
+    if any(e.is_finite for e in prob.q):
+        arows.append([qj.conj() for qj in prob.q] + [NEG_INF])
+        b_entries.append([(n, None, True)])
+        rows.append(m + k)
+    for c in range(n + 1):
+        if not any(row[c].is_finite for row in arows):
+            arows.append([ZERO if i == c else NEG_INF for i in range(n + 1)])
+            b_entries.append([(c, ZERO, False)])
+    L = 1
+    for row in arows:
+        for e in row:
+            L = L * e.value.denominator // gcd(L, e.value.denominator)
+    for ents in b_entries:
+        for (_, w, islam) in ents:
+            if not islam:
+                L = L * w.value.denominator // gcd(L, w.value.denominator)
+    a_off, a_src, a_tgt, a_w0 = [0], [], [], []
+    for j in range(n + 1):
+        for r, row in enumerate(arows):
+            if row[j].is_finite:
+                a_src.append(j)
+                a_tgt.append(r)
+                a_w0.append(int(-row[j].value * L))
+        a_off.append(len(a_src))
+    b_off, b_tgt, b_w0, b_lam = [0], [], [], []
+    for ents in b_entries:
+        for (t, w, islam) in ents:
+            b_tgt.append(t)
+            b_w0.append(0 if islam else int(w.value * L))
+            b_lam.append(islam)
+        b_off.append(len(b_tgt))
+    return dict(
+        L0=L, a_off=a_off, a_src=a_src, a_tgt=a_tgt, a_w0=a_w0,
+        b_off=b_off, b_tgt=b_tgt, b_w0=b_w0, b_lam=b_lam, rows=rows,
+    )
+
+
+def oracle_param_pair(prob):
+    """The literal pair at level 0 with its stabilizing rows, scaled by
+    the data's denominator lcm, entry by entry: (Aw, Af, Bw, Bf, L,
+    lam_rows) with Python-int weights, 0 off the finite masks."""
+    A, B, lam_rows = oracle_pair(prob, ZERO)
+    L = _den_lcm(A, B)
+
+    def arrays(M):
+        w = np.array([[int(e.value * L) for e in row] for row in M.data], dtype=object)
+        return w, np.array([[e.is_finite for e in row] for row in M.data], dtype=bool)
+
+    (Aw, Af), (Bw, Bf) = arrays(A), arrays(B)
+    lam = sorted(lam_rows)
+    return Aw, Af, Bw, Bf, L, range(lam[0], lam[-1] + 1)
+
+
+def oracle_objective(prob, x):
+    """The objective at a finite point, term by term on extended
+    scalars: the anchor terms p_j - x_j and x_j - q_j, and for
+    pseudoquadratic data the coupling terms (C x)_j - x_j."""
+    xs = [scal(v) for v in x]
+    terms = []
+    for j, v in enumerate(xs):
+        terms.append(prob.p[j] + (-v))
+        terms.append(v + prob.q[j].conj())
+    if isinstance(prob, PseudoquadraticProblem):
+        for j, Cx in enumerate(mat_vec_mul(prob.C, xs)):
+            if not Cx.is_neg_inf:
+                terms.append(Cx + (-xs[j]))
+    return tmax(*terms)

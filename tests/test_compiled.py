@@ -1,0 +1,257 @@
+"""The compiled problem record: each problem's integer form is derived
+once and read by the solvers, bounds, witness and certificates.
+
+The record's prepared structure and literal pair must equal the entry-by-
+entry builds kept in _util as oracles, on sparse problems with vacuous
+rows, -inf anchors, all +inf q, free objectives and row-infeasible data,
+a third of them on denominators past the int64 range.  A solve or
+certify request scans the data for its lcm and weight bound at most
+once, the integer objectives equal the extended-scalar ones, and a
+non-positive tol is rejected before any work.
+"""
+
+from fractions import Fraction
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tropopt import (
+    PseudolinearProblem,
+    PseudoquadraticProblem,
+    TypingError,
+    bisection_solve,
+    bisection_solve_quad,
+    certify_optimal,
+    certify_unbounded,
+    fin,
+    gen_random,
+    newton_solve,
+    newton_solve_quad,
+    objective,
+    objective_quad,
+    optimality_certificate,
+    unboundedness_certificate,
+)
+from tropopt.io import BadRational, IllegalInfinity, dump_problem, format_outcome, parse_problem
+from tropopt.pseudolinear import _compiled, _param_pair, _prepare
+
+from _util import linprob, oracle_objective, oracle_param_pair, oracle_struct, quadprob
+
+_SMALL = [1, 1, 2, 3]
+_HUGE = [5**30, 7**25]
+
+
+@st.composite
+def _entry(draw, dens, miss, p):
+    if draw(st.floats(0, 1)) >= p:
+        return miss
+    return Fraction(draw(st.integers(-8, 8)), draw(st.sampled_from(dens)))
+
+
+@st.composite
+def _problem(draw, quad):
+    """A sparse problem; rows may be vacuous or row-infeasible, anchors
+    missing, q all +inf and the objective free."""
+    dens = draw(st.sampled_from([_SMALL, _SMALL, _HUGE]))
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def vec(k, miss, p):
+        return [draw(_entry(dens, miss, p)) for _ in range(k)]
+
+    def mat(r, p):
+        return [vec(n, None, p) for _ in range(r)]
+
+    p_fill, q_fill = draw(st.sampled_from([(0.5, 0.5), (0.0, 0.5), (0.5, 0.0), (0.0, 0.0)]))
+    data = (mat(m, 0.4), mat(m, 0.4), vec(m, None, 0.3), vec(m, None, 0.4))
+    objective = (vec(n, None, p_fill), vec(n, "+inf", q_fill))
+    if quad:
+        return quadprob(*data, *objective, mat(n, draw(st.sampled_from([0.0, 0.3]))))
+    return linprob(*data, *objective)
+
+
+def _int64(values):
+    return all(-(2**63) <= v < 2**63 for v in values)
+
+
+def _check_struct(struct, want):
+    """The structure's arc arrays against the oracle's, or the oracle's
+    weights past int64 when building them raised OverflowError."""
+    if isinstance(struct, OverflowError):
+        assert not _int64(want["a_w0"] + want["b_w0"])
+        return
+    assert struct.L0 == want["L0"]
+    assert struct.rows.tolist() == want["rows"]
+    for name in ("a_off", "a_src", "a_tgt", "a_w0", "b_off", "b_tgt", "b_w0", "b_lam"):
+        got = getattr(struct, "_" + name)
+        assert got.tolist() == want[name], name
+        assert got.dtype != object
+
+
+def _build(fn):
+    try:
+        return fn()
+    except OverflowError as e:
+        return e
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(_problem))
+def test_record_matches_entrywise_build(prob):
+    quad = isinstance(prob, PseudoquadraticProblem)
+    for ignore in (False, True):
+        want = oracle_struct(prob, ignore_objective=ignore)
+        prep = _build(lambda: _prepare(prob, ignore_objective=ignore))
+        if isinstance(want, str):
+            assert prep.kind == want
+        else:
+            _check_struct(prep if isinstance(prep, OverflowError) else prep.struct, want)
+    want = oracle_struct(prob, ignore_objective=True, coupling=False)
+    if not isinstance(want, str):
+        _check_struct(_build(lambda: _compiled(prob).witness_struct), want)
+    got, want = _param_pair(prob), oracle_param_pair(prob)
+    for g, w in zip(got[:4], want[:4]):
+        assert g.shape == w.shape and g.tolist() == w.tolist()
+    assert got[4:] == want[4:]
+    rec = _compiled(prob)
+    assert rec.L == prob.data_denominator_lcm()
+    assert Fraction(rec.WL, rec.L) == prob.weight_bound()
+    assert not quad or rec.quad
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans().flatmap(_problem), st.data())
+def test_integer_objectives_match_extended_scalars(prob, data):
+    n = prob.shape[1]
+    draw = data.draw
+    dens = draw(st.sampled_from([[1], _SMALL, _HUGE]))
+    x = [Fraction(draw(st.integers(-20, 20)), draw(st.sampled_from(dens))) for _ in range(n)]
+    fn = objective_quad if isinstance(prob, PseudoquadraticProblem) else objective
+    assert fn(prob, x) == oracle_objective(prob, x)
+    with pytest.raises(TypingError, match="wrong dimension"):
+        fn(prob, x + [0])
+    with pytest.raises(TypingError, match="finite point"):
+        fn(prob, x[:-1] + ["+inf"])
+
+
+def test_record_is_private_and_built_once():
+    prob = gen_random(6, 6, 20, 100, 3)
+    twin = parse_problem(dump_problem(prob))
+    rec = _compiled(prob)
+    assert _compiled(prob) is rec
+    assert prob == twin and repr(prob) == repr(twin)
+    assert dump_problem(prob) == dump_problem(twin)
+    # two solves of one problem object give what two fresh objects give
+    for solve in (bisection_solve, newton_solve):
+        first, again = solve(prob), solve(prob)
+        fresh = solve(parse_problem(dump_problem(prob)))
+        assert (first.status, first.lam, first.x, first.iterations, first.trace) == (
+            again.status, again.lam, again.x, again.iterations, again.trace
+        ) == (fresh.status, fresh.lam, fresh.x, fresh.iterations, fresh.trace)
+    # a field set anew drops the record
+    prob = gen_random(6, 6, 20, 100, 1)
+    assert bisection_solve(prob).lam == fin(Fraction(25, 2))
+    prob.p = prob.q = [fin(0)] * 6
+    assert bisection_solve(prob).lam == fin(7) and _compiled(prob) is not rec
+
+
+def _count_scans(request):
+    """(data_denominator_lcm calls, weight_bound calls) during request()."""
+    counts = {"data_denominator_lcm": 0, "weight_bound": 0}
+    patches = []
+    for cls in (PseudolinearProblem, PseudoquadraticProblem):
+        for name in counts:
+            orig = getattr(cls, name)
+
+            def counted(self, _orig=orig, _name=name):
+                counts[_name] += 1
+                return _orig(self)
+
+            patches.append(patch.object(cls, name, counted))
+    for p in patches:
+        p.start()
+    try:
+        request()
+    finally:
+        for p in patches:
+            p.stop()
+    return counts["data_denominator_lcm"], counts["weight_bound"]
+
+
+@pytest.mark.parametrize("quad", [False, True])
+def test_one_scan_of_the_data_per_request(quad):
+    prob = gen_random(8, 8, 100, 100, 11, True) if quad else gen_random(12, 12, 100, 100, 5)
+    text = dump_problem(prob)
+    solvers = (bisection_solve_quad, newton_solve_quad) if quad else (bisection_solve, newton_solve)
+    outs = []
+    for solve in solvers:
+
+        def request(solve=solve):
+            out = solve(parse_problem(text))
+            format_outcome(out, include_trace=True)
+            outs.append(out)
+
+        lcm_calls, wb_calls = _count_scans(request)
+        assert lcm_calls <= 1 and wb_calls <= 1
+    assert outs[0].status == "optimal"
+    lam = outs[0].lam.value
+
+    def certify():
+        p = parse_problem(text)
+        tau = optimality_certificate(p, lam)
+        assert tau is not None and certify_optimal(p, lam, tau)
+        sig = unboundedness_certificate(p)
+        assert sig is None or not certify_unbounded(p, sig)
+
+    lcm_calls, wb_calls = _count_scans(certify)
+    assert lcm_calls <= 1 and wb_calls <= 1
+
+
+def _row_infeasible(quad):
+    data = ([[1, None]], [[None, None]], [None], [None], [0, None], [1, "+inf"])
+    return quadprob(*data, [[None, None], [None, None]]) if quad else linprob(*data)
+
+
+def _free(quad):
+    data = ([[0, None]], [[None, 1]], [None], [0], [None, None], ["+inf", "+inf"])
+    return quadprob(*data, [[None, None], [None, None]]) if quad else linprob(*data)
+
+
+@pytest.mark.parametrize(
+    "solve, make",
+    [
+        (bisection_solve, lambda: gen_random(6, 6, 20, 100, 0)),
+        (bisection_solve, lambda: _row_infeasible(False)),
+        (bisection_solve, lambda: _free(False)),
+        (bisection_solve_quad, lambda: gen_random(5, 5, 20, 100, 2, quadratic=True)),
+        (bisection_solve_quad, lambda: _row_infeasible(True)),
+        (bisection_solve_quad, lambda: _free(True)),
+    ],
+)
+def test_nonpositive_tol_is_rejected_before_any_work(solve, make):
+    prob = make()
+    status = solve(prob, mode="real").status
+    assert status in ("infeasible", "unbounded")
+    for tol in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(prob, mode="real", tol=tol)
+    with pytest.raises(ValueError, match="tol applies to real mode only"):
+        solve(prob, tol=0)
+
+
+def test_parse_builds_each_distinct_value_once():
+    doc = (
+        '{"type":"pseudolinear","U":[[1,"-inf"],["1/2",1]],"V":[[1,0],["-inf","1/2"]],'
+        '"b":["-inf",0],"d":[1,"-inf"],"p":[0,"-inf"],"q":["+inf",1]}'
+    )
+    prob = parse_problem(doc)
+    assert prob.U.data[0][0] is prob.U.data[1][1] is prob.V.data[0][0] is prob.d[0] is prob.q[1]
+    assert prob.U.data[1][0] is prob.V.data[1][1]
+    assert prob.V.data[0][1] is prob.b[1] is prob.p[0]
+    # a cached 1 does not let a JSON true through, nor a cached "+inf" into U
+    with pytest.raises(BadRational, match="bad scalar True"):
+        parse_problem(doc.replace('"b":["-inf",0]', '"b":["-inf",true]'))
+    with pytest.raises(IllegalInfinity, match=r"\+inf entry in V"):
+        parse_problem(doc.replace('"V":[[1,0]', '"V":[[1,"+inf"]'))
+    assert np.array_equal(_param_pair(prob)[1], _param_pair(parse_problem(doc))[1])
