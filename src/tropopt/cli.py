@@ -115,7 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--method", choices=("bisection", "newton"), default="bisection")
     s.add_argument("--mode", choices=("integer", "real"), default="integer")
-    s.add_argument("--tol", default=None, help="real-mode tolerance, integer or num/den")
+    s.add_argument(
+        "--tol",
+        default=None,
+        help="real-mode tolerance, integer or num/den; validated, but the answer is exact anyway",
+    )
     s.add_argument("--trace", action="store_true", help="include probed levels")
     s.set_defaults(fn=_cmd_solve)
 

@@ -24,7 +24,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .matrix import TropMatrix, TypingError, _den_lcm, _fit, _scaled
+from .matrix import (
+    _INF64,
+    TropMatrix,
+    TypingError,
+    _abs_max,
+    _adjacency,
+    _closure,
+    _den_lcm,
+    _fit,
+    _karp_table,
+    _karp_values,
+    _scaled,
+    _sccs,
+)
 from .semiring import NEG_INF
 
 
@@ -183,7 +196,6 @@ def restrict_strategies(sys: TwoSidedSystem, tau=None, sigma=None) -> TwoSidedSy
 # node (a_src nondecreasing); Max arcs are grouped by Max node with
 # offsets, so a Max strategy is an index into its group.
 
-_INF64 = np.int64(1) << 62
 _CUT64 = np.int64(1) << 61
 _RATIO_CAP = 10000  # Dinkelbach steps of one _least_level
 
@@ -241,12 +253,6 @@ class Arena:
         return self.b_tgt[pos], self.b_w[pos]
 
 
-def _abs_max(w) -> int:
-    """Largest |w| over an int64 array, or a list or object array of
-    Python ints; 0 when empty."""
-    return int(np.max(np.abs(np.asarray(w)))) if len(w) else 0
-
-
 def _offsets(src, k):
     """Group offsets of the nondecreasing node ids src over k nodes."""
     off = np.zeros(k + 1, dtype=np.int64)
@@ -289,32 +295,6 @@ def _pair_arena(Aw, Af, Bw, Bf, scale):
     m, n = Af.shape
     arena = Arena.raw(n, m, a_off, a_src, a_tgt, a_w, _offsets(b_src, m), b_tgt, Bw[Bf], scale)
     return arena, rows
-
-
-def _adjacency(ns, src, dst):
-    adj = np.zeros((ns, ns), dtype=bool)
-    adj[src, dst] = True
-    return adj
-
-
-def _closure(adj):
-    """Reflexive-transitive closure of a boolean adjacency matrix, by
-    repeated squaring.  The float32 product only counts 0/1 paths (sums of
-    at most n ones), so it is exact."""
-    r = adj | np.eye(len(adj), dtype=bool)
-    while True:
-        f = r.astype(np.float32)
-        nr = (f @ f) > 0
-        if np.array_equal(nr, r):
-            return r
-        r = nr
-
-
-def _sccs(ns, src, dst):
-    """(reach, root): the reflexive-transitive closure of a digraph, and
-    the least node of each node's SCC (R & R^T gives the SCCs)."""
-    reach = _closure(_adjacency(ns, src, dst))
-    return reach, np.argmax(reach & reach.T, axis=1)
 
 
 def _relax(n, src, dst, w, x, parent=None):
@@ -397,60 +377,6 @@ def _last(cond, off):
     return np.maximum.reduceat(np.where(cond, np.arange(len(cond)), -1), off[:-1])
 
 
-def _karp_table(ns, src, dst, w, root):
-    """Karp's table for every SCC at once, walks starting at each SCC's
-    least node (root) and using only arcs inside one SCC.
-
-    Returns (D, N, cut): D[k, v] is the least weight of a k-arc walk from
-    v's root to v, or at least cut when there is none, for k = 0..N with
-    N the largest SCC size.  w is int64 (walk weights below 2^61) or
-    Python ints in an object array, whose sentinel grows with the
-    weights."""
-    inner = root[src] == root[dst]
-    isrc, idst, iw = src[inner], dst[inner], w[inner]
-    N = int(np.max(np.bincount(root, minlength=ns)))
-    inf = _INF64 if w.dtype != object else 4 * (N + 1) * (_abs_max(iw) + 1)
-    D = np.full((N + 1, ns), inf, dtype=w.dtype)
-    D[0, root == np.arange(ns)] = 0
-    if len(idst):
-        order = np.argsort(idst, kind="stable")
-        isrc, idst, iw = isrc[order], idst[order], iw[order]
-        heads, starts = np.unique(idst, return_index=True)
-        for k in range(1, N + 1):
-            D[k, heads] = np.minimum.reduceat(D[k - 1][isrc] + iw, starts)
-    return D, N, inf // 2
-
-
-def _karp_values(ns, src, dst, w, root):
-    """Karp's value at every node, from one table for all SCCs.
-
-    Returns (cyc, vn, vd): cyc marks the nodes v with a finite walk of N
-    arcs, and vn/vd is the reduced fraction max_k (D_N(v) - D_k(v)) /
-    (N - k) at those nodes.  Karp's theorem holds for any N at least the
-    SCC size, so the least value over the cyc nodes of an SCC is its
-    minimum cycle mean; an SCC without a cycle has no cyc node.  On
-    Python ints every node is scanned exactly, with no float ratio."""
-    D, N, cut = _karp_table(ns, src, dst, w, root)
-    cyc = D[N] < cut
-    ok = (D[:N] < cut) & cyc
-    nums = np.where(ok, D[N] - D[:N], 0)
-    dens = (N - np.arange(N, dtype=np.int64))[:, None]
-    if w.dtype == object:
-        vn, vd = np.zeros(ns, dtype=object), np.ones(ns, dtype=object)
-        exact = np.zeros(ns, dtype=bool)
-    else:
-        kk = np.argmax(np.where(ok, nums / dens, -np.inf), axis=0)
-        vn = nums[kk, np.arange(ns)]
-        vd = dens[kk, 0]
-        # float prefilter, re-checked exactly; exact scan where it missed
-        exact = np.all(~ok | (vn * dens >= nums * vd), axis=0)
-    for v in np.flatnonzero(cyc & ~exact):
-        f = max(Fraction(int(nums[k, v]), int(dens[k, 0])) for k in np.flatnonzero(ok[:, v]))
-        vn[v], vd[v] = f.numerator, f.denominator
-    g = np.gcd(vn, vd)
-    return cyc, np.where(cyc, vn // g, 0), np.where(cyc, vd // g, 1)
-
-
 def _mean_signs(ns, src, dst, w):
     """Signs of the minimum cycle means of a digraph, with no division.
 
@@ -468,21 +394,6 @@ def _mean_signs(ns, src, dst, w):
     cyc = D[N] < cut
     top = np.where((D[:N] < cut) & cyc, D[N] - D[:N], -2 * cut).max(axis=0)
     return reach, cyc, top
-
-
-def _max_cycle_mean(w, finite):
-    """Largest cycle mean of the digraph of the finite entries of a square
-    array of scaled integer weights, exact and in the same scale; None
-    when the digraph is acyclic.  Karp on the negated weights, on int64
-    whenever it fits and on Python ints beyond."""
-    ns = len(finite)
-    src, dst = np.nonzero(finite)
-    neg = -w[finite]
-    _, root = _sccs(ns, src, dst)
-    cyc, vn, vd = _karp_values(ns, src, dst, _fit(neg, (ns + 2) ** 3 * _abs_max(neg)), root)
-    if not cyc.any():
-        return None
-    return -min(Fraction(int(vn[v]), int(vd[v])) for v in np.flatnonzero(cyc))
 
 
 def _one_player_min(ns, src, dst, w, need_bias):

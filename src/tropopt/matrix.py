@@ -16,7 +16,7 @@ from math import lcm
 
 import numpy as np
 
-from .semiring import ExtScalar, Fraction as Frac, NEG_INF, POS_INF, ZERO, fin, scal, tmax, tmin
+from .semiring import ExtScalar, NEG_INF, POS_INF, ZERO, fin, scal, tmax, tmin
 
 
 class TypingError(ValueError):
@@ -234,152 +234,6 @@ def dual_mat_vec_mul(A: TropMatrix, x: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# cycle means
-
-
-def tarjan_sccs(n: int, succ) -> list:
-    """Strongly connected components, iterative Tarjan.
-
-    succ[u] is an iterable of successors.  Returns a list of components
-    (each a list of nodes) in reverse topological order.
-    """
-    index = [0] * n
-    low = [0] * n
-    onstack = [False] * n
-    visited = [False] * n
-    stack = []
-    comps = []
-    counter = [1]
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, iter(succ[root]))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack[root] = True
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
-                if not visited[v]:
-                    visited[v] = True
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    onstack[v] = True
-                    work.append((v, iter(succ[v])))
-                    advanced = True
-                    break
-                elif onstack[v]:
-                    if index[v] < low[u]:
-                        low[u] = index[v]
-            if advanced:
-                continue
-            work.pop()
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == u:
-                        break
-                comps.append(comp)
-            if work:
-                p = work[-1][0]
-                if low[u] < low[p]:
-                    low[p] = low[u]
-    return comps
-
-
-def min_mean_cycle(nodes: list, arcs: list):
-    """Karp's minimum cycle mean on one strongly connected component.
-
-    nodes: node ids; arcs: (u, v, w) with Fraction weights, all endpoints
-    in nodes.  Returns the exact minimum mean as a Fraction, or None if
-    the component has no cycle (single node, no self-loop).
-    """
-    ns = len(nodes)
-    if ns == 1:
-        self_w = [w for (u, v, w) in arcs if u == v == nodes[0]]
-        return min(self_w) if self_w else None
-    if not arcs:
-        return None
-    idx = {u: i for i, u in enumerate(nodes)}
-    local = [(idx[u], idx[v], w) for (u, v, w) in arcs]
-    INF = None
-    D = [[INF] * ns for _ in range(ns + 1)]
-    D[0][0] = Fraction(0)
-    for k in range(1, ns + 1):
-        prev = D[k - 1]
-        cur = D[k]
-        for (u, v, w) in local:
-            pu = prev[u]
-            if pu is None:
-                continue
-            cand = pu + w
-            if cur[v] is None or cand < cur[v]:
-                cur[v] = cand
-    best = None
-    top = D[ns]
-    for v in range(ns):
-        if top[v] is None:
-            continue
-        worst = None
-        for k in range(ns):
-            dk = D[k][v]
-            if dk is None:
-                continue
-            ratio = (top[v] - dk) / (ns - k)
-            if worst is None or ratio > worst:
-                worst = ratio
-        if worst is not None and (best is None or worst < best):
-            best = worst
-    return best
-
-
-def digraph_min_cycle_mean(n: int, arcs: list):
-    """Exact minimum cycle mean over a whole digraph; None if acyclic.
-
-    arcs: (u, v, w) with Fraction weights.
-    """
-    succ = [[] for _ in range(n)]
-    for (u, v, _) in arcs:
-        succ[u].append(v)
-    best = None
-    for comp in tarjan_sccs(n, succ):
-        comp_set = set(comp)
-        sub = [(u, v, w) for (u, v, w) in arcs if u in comp_set and v in comp_set]
-        mu = min_mean_cycle(comp, sub)
-        if mu is not None and (best is None or mu < best):
-            best = mu
-    return best
-
-
-def max_cycle_mean(A: TropMatrix) -> ExtScalar:
-    """Largest mean weight of a cycle in the digraph of finite entries.
-
-    -inf when the digraph is acyclic.  Runs the minimum-mean routine on
-    negated weights per strongly connected component and takes the max.
-    """
-    if A.typing != "max":
-        raise TypingError("max_cycle_mean is for max-plus typed matrices")
-    if A.rows != A.cols:
-        raise TypingError("max_cycle_mean needs a square matrix")
-    n = A.rows
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            x = A.data[i][j]
-            if x.is_finite:
-                arcs.append((i, j, -x.value))
-    mu = digraph_min_cycle_mean(n, arcs)
-    return NEG_INF if mu is None else ExtScalar.finite(-mu)
-
-
-# ---------------------------------------------------------------------------
 # scaled integer form and the Kleene star
 
 _GUARD = 1 << 61
@@ -448,3 +302,142 @@ def kleene_star(A: TropMatrix) -> TropMatrix:
     return TropMatrix(
         [[fin(Fraction(int(v), L)) if v > -big else NEG_INF for v in row] for row in W], "max"
     )
+
+
+# ---------------------------------------------------------------------------
+# cycle means on scaled integers: one Karp table for all SCCs
+
+_INF64 = np.int64(1) << 62
+
+
+def _abs_max(w) -> int:
+    """Largest |w| over an int64 array, or a list or object array of
+    Python ints; 0 when empty."""
+    return int(np.max(np.abs(np.asarray(w)))) if len(w) else 0
+
+
+def _adjacency(ns, src, dst):
+    adj = np.zeros((ns, ns), dtype=bool)
+    adj[src, dst] = True
+    return adj
+
+
+def _closure(adj):
+    """Reflexive-transitive closure of a boolean adjacency matrix, by
+    repeated squaring.  The float32 product only counts 0/1 paths (sums of
+    at most n ones), so it is exact."""
+    r = adj | np.eye(len(adj), dtype=bool)
+    while True:
+        f = r.astype(np.float32)
+        nr = (f @ f) > 0
+        if np.array_equal(nr, r):
+            return r
+        r = nr
+
+
+def _sccs(ns, src, dst):
+    """(reach, root): the reflexive-transitive closure of a digraph, and
+    the least node of each node's SCC (R & R^T gives the SCCs)."""
+    reach = _closure(_adjacency(ns, src, dst))
+    return reach, np.argmax(reach & reach.T, axis=1)
+
+
+def _karp_table(ns, src, dst, w, root):
+    """Karp's table for every SCC at once, walks starting at each SCC's
+    least node (root) and using only arcs inside one SCC.
+
+    Returns (D, N, cut): D[k, v] is the least weight of a k-arc walk from
+    v's root to v, or at least cut when there is none, for k = 0..N with
+    N the largest SCC size.  w is int64 (walk weights below 2^61) or
+    Python ints in an object array, whose sentinel grows with the
+    weights."""
+    inner = root[src] == root[dst]
+    isrc, idst, iw = src[inner], dst[inner], w[inner]
+    N = int(np.max(np.bincount(root, minlength=ns)))
+    inf = _INF64 if w.dtype != object else 4 * (N + 1) * (_abs_max(iw) + 1)
+    D = np.full((N + 1, ns), inf, dtype=w.dtype)
+    D[0, root == np.arange(ns)] = 0
+    if len(idst):
+        order = np.argsort(idst, kind="stable")
+        isrc, idst, iw = isrc[order], idst[order], iw[order]
+        heads, starts = np.unique(idst, return_index=True)
+        for k in range(1, N + 1):
+            D[k, heads] = np.minimum.reduceat(D[k - 1][isrc] + iw, starts)
+    return D, N, inf // 2
+
+
+def _karp_values(ns, src, dst, w, root):
+    """Karp's value at every node, from one table for all SCCs.
+
+    Returns (cyc, vn, vd): cyc marks the nodes v with a finite walk of N
+    arcs, and vn/vd is the reduced fraction max_k (D_N(v) - D_k(v)) /
+    (N - k) at those nodes.  Karp's theorem holds for any N at least the
+    SCC size, so the least value over the cyc nodes of an SCC is its
+    minimum cycle mean; an SCC without a cycle has no cyc node.  On
+    Python ints every node is scanned exactly, with no float ratio."""
+    D, N, cut = _karp_table(ns, src, dst, w, root)
+    cyc = D[N] < cut
+    ok = (D[:N] < cut) & cyc
+    nums = np.where(ok, D[N] - D[:N], 0)
+    dens = (N - np.arange(N, dtype=np.int64))[:, None]
+    if w.dtype == object:
+        vn, vd = np.zeros(ns, dtype=object), np.ones(ns, dtype=object)
+        exact = np.zeros(ns, dtype=bool)
+    else:
+        kk = np.argmax(np.where(ok, nums / dens, -np.inf), axis=0)
+        vn = nums[kk, np.arange(ns)]
+        vd = dens[kk, 0]
+        # float prefilter, re-checked exactly; exact scan where it missed
+        exact = np.all(~ok | (vn * dens >= nums * vd), axis=0)
+    for v in np.flatnonzero(cyc & ~exact):
+        f = max(Fraction(int(nums[k, v]), int(dens[k, 0])) for k in np.flatnonzero(ok[:, v]))
+        vn[v], vd[v] = f.numerator, f.denominator
+    g = np.gcd(vn, vd)
+    return cyc, np.where(cyc, vn // g, 0), np.where(cyc, vd // g, 1)
+
+
+def _max_cycle_mean(w, finite):
+    """Largest cycle mean of the digraph of the finite entries of a square
+    array of scaled integer weights, exact and in the same scale; None
+    when the digraph is acyclic.  Karp on the negated weights, on int64
+    whenever it fits and on Python ints beyond."""
+    ns = len(finite)
+    src, dst = np.nonzero(finite)
+    neg = -w[finite]
+    _, root = _sccs(ns, src, dst)
+    cyc, vn, vd = _karp_values(ns, src, dst, _fit(neg, (ns + 2) ** 3 * _abs_max(neg)), root)
+    if not cyc.any():
+        return None
+    return -min(Fraction(int(vn[v]), int(vd[v])) for v in np.flatnonzero(cyc))
+
+
+def max_cycle_mean(A: TropMatrix) -> ExtScalar:
+    """Largest mean weight of a cycle in the digraph of finite entries.
+
+    -inf when the digraph is acyclic.  Exact: Karp's table on the entries
+    scaled by their denominator lcm (see _max_cycle_mean)."""
+    if A.typing != "max":
+        raise TypingError("max_cycle_mean is for max-plus typed matrices")
+    if A.rows != A.cols:
+        raise TypingError("max_cycle_mean needs a square matrix")
+    L = _den_lcm(A)
+    mu = _max_cycle_mean(*_scaled(A, L))
+    return NEG_INF if mu is None else fin(mu / L)
+
+
+def min_mean_cycle(nodes: list, arcs: list):
+    """Karp's minimum cycle mean on one strongly connected component.
+
+    nodes: node ids; arcs: (u, v, w) with Fraction weights, all endpoints
+    in nodes.  Returns the exact minimum mean as a Fraction, or None if
+    the component has no cycle (single node, no self-loop).  Runs
+    _max_cycle_mean on the negated weights, the least of parallel arcs
+    kept."""
+    idx = {u: i for i, u in enumerate(nodes)}
+    neg = [[NEG_INF] * len(nodes) for _ in nodes]
+    for u, v, w in arcs:
+        cell = fin(-Fraction(w))
+        if neg[idx[u]][idx[v]] < cell:
+            neg[idx[u]][idx[v]] = cell
+    mu = max_cycle_mean(TropMatrix(neg, "max")) if nodes else NEG_INF
+    return None if mu.is_neg_inf else -mu.value

@@ -33,7 +33,9 @@ from .matrix import (
     TropMatrix,
     TypingError,
     _GUARD,
+    _abs_max,
     _fit,
+    _max_cycle_mean,
     _scaled,
     _star,
     abs_max,
@@ -43,11 +45,9 @@ from .games import (
     EngineError,
     InvalidStrategy,
     TwoSidedSystem,
-    _abs_max,
     _descend_scaled,
     _finite_point,
     _least_level,
-    _max_cycle_mean,
     _mean_signs,
     _min_arcs,
     _offsets,
@@ -246,6 +246,10 @@ class _Compiled:
         nums = [v.numerator * (L // v.denominator) for v in vals]
         self.m, self.n, self.L, self.WL = m, n, L, max(map(abs, nums))
         self.quad = hasattr(prob, "C")
+        # the level grid every solver searches: the optimum is a multiple
+        # of 1/(2L) for linear data, and has denominator at most n + 1
+        # after scaling by L for pseudoquadratic data
+        self.grid = _FareyGrid(n + 1, L) if self.quad else _FareyGrid(1, 2 * L)
         w, f = _fit(np.array(nums, dtype=object), self.WL), np.array([e.kind == 0 for e in ents])
         shapes = dict(U=(m, n), V=(m, n), C=(n, n), b=m, d=m, p=n, q=n)
         if not self.quad:
@@ -565,8 +569,12 @@ def _check_mode(prob, mode, tol):
     if tol is not None:
         if mode == "integer":
             raise ValueError("tol applies to real mode only")
-        if Fraction(tol) <= 0:
-            raise ValueError("tol must be positive")
+        try:
+            ok = Fraction(tol) > 0
+        except (TypeError, ValueError, ArithmeticError):  # inf, nan, "1/0", junk
+            ok = False
+        if not ok:
+            raise ValueError(f"tol must be positive, finite and rational, not {tol!r}")
 
 
 def spectral_value(prob, lam) -> ExtScalar:
@@ -613,29 +621,21 @@ def _presolve(prob, mode, tol, bounds):
 def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOutcome:
     """Exact minimizer by level bisection.
 
-    Integer mode bisects the half-integer grid and returns the exact
-    optimum.  Real mode bisects to within tol (default 1e-6) and returns
-    lam = f(witness), which satisfies A(lam) >= 0 and A(lam - tol) < 0."""
-    return _bisect(prob, mode, tol, initial_bounds, _FareyGrid(1, 2))
+    Both modes bisect the grid of multiples of 1/(2L), L the data's
+    denominator lcm, on which the optimum lies, and return the exact
+    optimum; real mode only validates tol (the answer is within any)."""
+    return _bisect(prob, mode, tol, initial_bounds)
 
 
-def _bisect(prob, mode, tol, bounds, grid) -> SolveOutcome:
-    """Both bisection solvers: integer mode on the level grid, real mode
-    to within tol."""
+def _bisect(prob, mode, tol, bounds) -> SolveOutcome:
+    """Both bisection solvers, on the problem's level grid."""
     start = _presolve(prob, mode, tol, bounds)
     if isinstance(start, SolveOutcome):
         return start
     struct, lb, up, _ = start
-    if mode == "integer":
-        return _bisect_on_grid(prob, struct, grid, lb, up, prob._lam_floor())
-    tolF = Fraction(tol) if tol is not None else Fraction(1, 10**6)
-    return _bisect_real(prob, struct, lb, up, tolF, prob._lam_floor())
-
-
-def _bisect_on_grid(prob, struct, grid, lb, up, lam_floor) -> SolveOutcome:
-    tr = []
+    grid, tr = _compiled(prob).grid, []
     if lb.is_neg_inf:
-        lf = grid.down(lam_floor)
+        lf = grid.down(prob._lam_floor())
         ph = struct.phi(lf)
         tr.append((lf, ph))
         if ph >= 0:
@@ -669,38 +669,6 @@ def _optimal_witness(prob, struct, lam):
     if prob._objective(x) != fin(lam):
         raise EngineError(f"witness objective differs from the optimal level {lam}")
     return x
-
-
-def _bisect_real(prob, struct, lb, up, tolF, lam_floor) -> SolveOutcome:
-    tr = []
-    if lb.is_neg_inf:
-        lo = lam_floor
-        ph = struct.phi(lo)
-        tr.append((lo, ph))
-        if ph >= 0:
-            return SolveOutcome("unbounded", NEG_INF, None, 0, tr)
-    else:
-        lo = lb.value
-        ph = struct.phi(lo)
-        tr.append((lo, ph))
-        if ph >= 0:
-            return SolveOutcome("optimal", fin(lo), struct.witness(lo), 0, tr)
-    hi = up.value
-    iters = 0
-    while hi - lo > tolF:
-        if iters > _BISECT_CAP:
-            raise EngineError("bisection failed to converge")
-        mid = (lo + hi) / 2
-        ph = struct.phi(mid)
-        iters += 1
-        tr.append((mid, ph))
-        if ph >= 0:
-            hi = mid
-        else:
-            lo = mid
-    x = struct.witness(hi)
-    val = prob._objective(x)
-    return SolveOutcome("optimal", val, x, iters, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -877,46 +845,70 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
     From a feasible start, repeatedly: probe just below the current
     level, certify with the game, fix the row player's optimal strategy
     there, and drop to the exact minimum level of the strategy-reduced
-    alcoved problem.  Exact in both modes (tol is not used; rational
-    data works on the 1/(2L) grid)."""
-    start = _presolve(prob, mode, None if mode == "integer" else tol, initial_bounds)
+    alcoved problem.  Exact in both modes on the grid of multiples of
+    1/(2L); real mode only validates tol."""
+    return _newton(prob, mode, tol, initial_bounds)
+
+
+def _newton(prob, mode, tol, bounds) -> SolveOutcome:
+    """Both Newton solvers, on the problem's level grid.  Only the drop
+    differs.  Linear data drops to the alcoved closed form of the
+    strategy-reduced problem, whose point it keeps.  Pseudoquadratic data
+    drops to the least level at which the strategy-reduced game stays
+    nonnegative (_ParamStruct.drop), rounded up onto the grid, and finds
+    its point at the optimum."""
+    start = _presolve(prob, mode, tol, bounds)
     if isinstance(start, SolveOutcome):
         return start
-    struct, lb, up, wit = start
-    U, V, b, d, p, q, S, big = _drop_data(prob)
-    grid = _FareyGrid(1, S)
-    lam_k = up.value
+    struct, lb, up, x = start
+    rec = _compiled(prob)
+    grid, lam_k = rec.grid, up.value
+    if rec.quad:
+        x, lam_floor = None, grid.down(prob._lam_floor())
+
+        def drop(sigma):
+            lam = struct.drop(struct.last_sig_idx(), lam_floor)
+            return None if lam is None else grid.up(lam), None
+
+    else:
+        U, V, b, d, p, q, S, big = rec.drop
+
+        def drop(sigma):
+            R, l, u = _reduce(U, V, b, d, struct.sigma_struct(sigma), big)
+            theta, x = _alcoved(R, l, u, p, q, big)
+            if theta is None:
+                return None, None
+            return Fraction(theta, S), [Fraction(int(v), S) for v in x]
+
     if grid.down(lam_k) != lam_k:
-        raise EngineError(f"start level {lam_k} is off the 1/(2L) grid")
-    x_wit = wit
+        raise EngineError(f"start level {lam_k} is off the level grid")
     iters = 0
     tr = []
     for _ in range(_NEWTON_CAP):
-        lam_minus = grid.strict_down(lam_k)
-        chi, tau, sigma = struct.solve(lam_minus)
+        chi, _, sigma = struct.solve(grid.strict_down(lam_k))
         iters += 1
         ph = min(chi)
         tr.append((lam_k, ph))
         if ph < 0:
-            return SolveOutcome("optimal", fin(lam_k), x_wit, iters, tr)
+            break
         try:
-            R, l, u = _reduce(U, V, b, d, struct.sigma_struct(sigma), big)
-            theta, x_red = _alcoved(R, l, u, p, q, big)
+            lam, x_lam = drop(sigma)
         except InfeasibleReduction:
-            # cannot happen for a certified strategy; drop target +inf
-            return SolveOutcome("optimal", fin(lam_k), x_wit, iters, tr)
-        if theta is None:
+            break  # cannot happen for a certified strategy; drop target +inf
+        if lam is None:
             if not lb.is_neg_inf:
                 raise EngineError("unbounded drop despite a finite lower bound")
             return SolveOutcome("unbounded", NEG_INF, None, iters, tr)
-        thv = Fraction(theta, S)
-        if not thv < lam_k:
-            raise EngineError(f"drop to {thv} does not lower the level {lam_k}")
-        if grid.down(thv) != thv:
-            raise EngineError(f"drop level {thv} is off the 1/(2L) grid")
-        lam_k = thv
-        x_wit = [Fraction(int(v), S) for v in x_red]
-    raise EngineError("level iteration failed to converge")
+        if not lam < lam_k:
+            raise EngineError(f"drop to {lam} does not lower the level {lam_k}")
+        if grid.down(lam) != lam:
+            raise EngineError(f"drop level {lam} is off the level grid")
+        lam_k, x = lam, x_lam
+    else:
+        raise EngineError("level iteration failed to converge")
+    if x is None:
+        x = _optimal_witness(prob, struct, lam_k)
+    return SolveOutcome("optimal", fin(lam_k), x, iters, tr)
 
 
 # ---------------------------------------------------------------------------

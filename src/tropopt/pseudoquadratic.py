@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import TropMatrix
-from .games import EngineError, TwoSidedSystem
-from .semiring import ExtScalar, NEG_INF, POS_INF, fin, tmax
+from .games import TwoSidedSystem
+from .semiring import ExtScalar, POS_INF, fin, tmax
 from .pseudolinear import (
     SolveOutcome,
     _FareyGrid,
@@ -26,9 +26,7 @@ from .pseudolinear import (
     _checked_point,
     _compiled,
     _literal_pair,
-    _optimal_witness,
-    _presolve,
-    _NEWTON_CAP,
+    _newton,
     _ProblemData,
 )
 
@@ -80,7 +78,10 @@ def round_bounded(lam, D: int, direction: str) -> Fraction:
     direction: "down"/"up" give the nearest grid point on that side
     (lam itself when already on the grid); "strict_down"/"strict_up"
     give the nearest strictly beyond lam."""
-    x = Fraction(lam)
+    try:
+        x = Fraction(lam)
+    except OverflowError:  # Fraction(nan) already raises ValueError
+        raise ValueError(f"cannot round the non-finite level {lam!r}") from None
     if D < 1:
         raise ValueError("denominator bound must be at least 1")
     return _FareyGrid(D, 1).snap(direction, x)
@@ -109,9 +110,10 @@ def bounds_quad(prob: PseudoquadraticProblem):
 def bisection_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) -> SolveOutcome:
     """Exact minimizer by level bisection on the bounded-denominator grid.
 
-    Integer mode searches denominators up to n + 1 exactly; real mode
-    bisects to within tol (default 1e-6) and returns lam = f(witness)."""
-    return _bisect(prob, mode, tol, bounds_quad, _FareyGrid(prob.shape[1] + 1, 1))
+    Both modes search the levels whose multiple by L, the data's
+    denominator lcm, has denominator at most n + 1, and return the exact
+    optimum; real mode only validates tol (the answer is within any)."""
+    return _bisect(prob, mode, tol, bounds_quad)
 
 
 def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) -> SolveOutcome:
@@ -122,35 +124,6 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
     least one at which the strategy-reduced one-player game stays
     nonnegative: the largest ratio -W0 / K over its cycles, each weighing
     W0 + K * lam, found exactly by Dinkelbach's iteration on the integer
-    arcs (games._least_level).  iterations counts strategy evaluations."""
-    start = _presolve(prob, mode, None if mode == "integer" else tol, bounds_quad)
-    if isinstance(start, SolveOutcome):
-        return start
-    struct, lb, up, _ = start
-    n = prob.shape[1]
-    grid = _FareyGrid(n + 1, _compiled(prob).L)
-    lam_floor = grid.down(prob._lam_floor())
-    lam_k = up.value
-    if grid.down(lam_k) != lam_k:
-        raise EngineError(f"start level {lam_k} is off the level grid")
-    iters = 0
-    tr = []
-    for _ in range(_NEWTON_CAP):
-        lam_minus = grid.strict_down(lam_k)
-        chi, tau, sigma = struct.solve(lam_minus)
-        iters += 1
-        ph = min(chi)
-        tr.append((lam_k, ph))
-        if ph < 0:
-            x = _optimal_witness(prob, struct, lam_k)
-            return SolveOutcome("optimal", fin(lam_k), x, iters, tr)
-        lam = struct.drop(struct.last_sig_idx(), lam_floor)
-        if lam is None:
-            if not lb.is_neg_inf:
-                raise EngineError("unbounded drop despite a finite lower bound")
-            return SolveOutcome("unbounded", NEG_INF, None, iters, tr)
-        theta = grid.up(lam)
-        if not theta < lam_k:
-            raise EngineError(f"drop to {theta} does not lower the level {lam_k}")
-        lam_k = theta
-    raise EngineError("level iteration failed to converge")
+    arcs (games._least_level).  iterations counts strategy evaluations;
+    real mode only validates tol."""
+    return _newton(prob, mode, tol, bounds_quad)

@@ -36,7 +36,7 @@ from tropopt import (
     tmin,
 )
 from tropopt.games import _CUT64, _INF64, Arena, EngineError, GameValues, solve_arena
-from tropopt.matrix import _den_lcm, digraph_min_cycle_mean, tarjan_sccs
+from tropopt.matrix import _den_lcm
 
 
 def E(v):
@@ -205,6 +205,141 @@ def one_player_value(A, B, tau=None, sigma=None, start=0):
 
 
 # ---------------------------------------------------------------------------
+# Karp on Fractions, one SCC at a time
+
+
+def tarjan_sccs(n: int, succ) -> list:
+    """Strongly connected components, iterative Tarjan.
+
+    succ[u] is an iterable of successors.  Returns a list of components
+    (each a list of nodes) in reverse topological order.
+    """
+    index = [0] * n
+    low = [0] * n
+    onstack = [False] * n
+    visited = [False] * n
+    stack = []
+    comps = []
+    counter = [1]
+    for root in range(n):
+        if visited[root]:
+            continue
+        work = [(root, iter(succ[root]))]
+        visited[root] = True
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        onstack[root] = True
+        while work:
+            u, it = work[-1]
+            advanced = False
+            for v in it:
+                if not visited[v]:
+                    visited[v] = True
+                    index[v] = low[v] = counter[0]
+                    counter[0] += 1
+                    stack.append(v)
+                    onstack[v] = True
+                    work.append((v, iter(succ[v])))
+                    advanced = True
+                    break
+                elif onstack[v]:
+                    if index[v] < low[u]:
+                        low[u] = index[v]
+            if advanced:
+                continue
+            work.pop()
+            if low[u] == index[u]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    onstack[w] = False
+                    comp.append(w)
+                    if w == u:
+                        break
+                comps.append(comp)
+            if work:
+                p = work[-1][0]
+                if low[u] < low[p]:
+                    low[p] = low[u]
+    return comps
+
+
+def fraction_min_mean_cycle(nodes: list, arcs: list):
+    """Karp's minimum cycle mean on one strongly connected component, on
+    Fractions (the body tropopt.min_mean_cycle had before it wrapped the
+    integer Karp).
+
+    nodes: node ids; arcs: (u, v, w) with Fraction weights, all endpoints
+    in nodes.  Returns the exact minimum mean as a Fraction, or None if
+    the component has no cycle (single node, no self-loop).
+    """
+    ns = len(nodes)
+    if ns == 1:
+        self_w = [w for (u, v, w) in arcs if u == v == nodes[0]]
+        return min(self_w) if self_w else None
+    if not arcs:
+        return None
+    idx = {u: i for i, u in enumerate(nodes)}
+    local = [(idx[u], idx[v], w) for (u, v, w) in arcs]
+    INF = None
+    D = [[INF] * ns for _ in range(ns + 1)]
+    D[0][0] = Fraction(0)
+    for k in range(1, ns + 1):
+        prev = D[k - 1]
+        cur = D[k]
+        for (u, v, w) in local:
+            pu = prev[u]
+            if pu is None:
+                continue
+            cand = pu + w
+            if cur[v] is None or cand < cur[v]:
+                cur[v] = cand
+    best = None
+    top = D[ns]
+    for v in range(ns):
+        if top[v] is None:
+            continue
+        worst = None
+        for k in range(ns):
+            dk = D[k][v]
+            if dk is None:
+                continue
+            ratio = (top[v] - dk) / (ns - k)
+            if worst is None or ratio > worst:
+                worst = ratio
+        if worst is not None and (best is None or worst < best):
+            best = worst
+    return best
+
+
+def digraph_min_cycle_mean(n: int, arcs: list):
+    """Exact minimum cycle mean over a whole digraph; None if acyclic.
+
+    arcs: (u, v, w) with Fraction weights.
+    """
+    succ = [[] for _ in range(n)]
+    for (u, v, _) in arcs:
+        succ[u].append(v)
+    best = None
+    for comp in tarjan_sccs(n, succ):
+        comp_set = set(comp)
+        sub = [(u, v, w) for (u, v, w) in arcs if u in comp_set and v in comp_set]
+        mu = fraction_min_mean_cycle(comp, sub)
+        if mu is not None and (best is None or mu < best):
+            best = mu
+    return best
+
+
+def oracle_max_cycle_mean(A):
+    """tropopt.max_cycle_mean by the Fraction Karp on negated weights."""
+    n = A.rows
+    arcs = [(i, j, -e.value) for i in range(n) for j, e in enumerate(A.data[i]) if e.is_finite]
+    mu = digraph_min_cycle_mean(n, arcs)
+    return NEG_INF if mu is None else fin(-mu)
+
+
+# ---------------------------------------------------------------------------
 # greatest-solution descent on extended scalars
 
 
@@ -290,36 +425,9 @@ def descent_oracle(A, B, W, sweeps, d=None):
 def _min_mean_of_scc(nodes, src, dst, w):
     """Karp's minimum cycle mean on one SCC, exact; None for a single
     node without a self-loop."""
-    ns = len(nodes)
-    if ns == 1:
-        selfmask = src == dst
-        if not np.any(selfmask):
-            return None
-        return Fraction(int(np.min(w[selfmask])), 1)
-    remap = {int(u): k for k, u in enumerate(nodes)}
-    ne = len(src)
-    lsrc = np.fromiter((remap[int(u)] for u in src), dtype=np.int64, count=ne)
-    ldst = np.fromiter((remap[int(u)] for u in dst), dtype=np.int64, count=ne)
-    order = np.argsort(ldst, kind="stable")
-    lsrc, ldst, lw = lsrc[order], ldst[order], w[order]
-    grp_dst, grp_starts = np.unique(ldst, return_index=True)
-    D = np.full((ns + 1, ns), _INF64, dtype=np.int64)
-    D[0][0] = 0
-    for k in range(1, ns + 1):
-        D[k][grp_dst] = np.minimum.reduceat(D[k - 1][lsrc] + lw, grp_starts)
-    best = None
-    for v in range(ns):
-        tv = int(D[ns][v])
-        if tv >= int(_CUT64):
-            continue
-        cands = [
-            Fraction(tv - int(D[k][v]), ns - k)
-            for k in range(ns)
-            if int(D[k][v]) < int(_CUT64)
-        ]
-        if cands and (best is None or max(cands) < best):
-            best = max(cands)
-    return best
+    arcs = [(int(u), int(v), int(x)) for u, v, x in zip(src, dst, w)]
+    mu = fraction_min_mean_cycle([int(u) for u in nodes], arcs)
+    return None if mu is None else Fraction(mu)
 
 
 class _SuccView:

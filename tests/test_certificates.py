@@ -7,7 +7,7 @@ strategies, at the optimum (zero-weight cycles through lam rows are
 allowed, lam-free ones are not) and half a step either side, with rows
 that no column reaches, with fully vacuous rows, and on Python ints when
 the denominators have a 300-digit lcm.  The quadratic lower bound's
-integer cycle mean is checked against matrix.max_cycle_mean.
+integer cycle mean is checked against the Fraction Karp oracle.
 """
 
 import itertools
@@ -31,7 +31,6 @@ from tropopt import (
     certify_unbounded,
     fin,
     gen_random,
-    max_cycle_mean,
     newton_solve,
     newton_solve_quad,
     optimality_certificate,
@@ -50,6 +49,7 @@ from _util import (
     linprob,
     oracle_certify_optimal,
     oracle_certify_unbounded,
+    oracle_max_cycle_mean,
     oracle_optimality_certificate,
     oracle_pair,
     oracle_unboundedness_certificate,
@@ -387,4 +387,4 @@ def test_quad_lower_bound_matches_fraction_cycle_mean(n, data):
     prob = quadprob([[None] * n], [[None] * n], [None], [None], p, ["+inf"] * n, rows)
     C = M(rows)
     anchor = tmax(*[prob.p[j] + prob.q[j].conj() for j in range(n)]).half()
-    assert _lower_bound_quad(prob) == tmax(anchor, max_cycle_mean(C))
+    assert _lower_bound_quad(prob) == tmax(anchor, oracle_max_cycle_mean(C))

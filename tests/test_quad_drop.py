@@ -1,5 +1,6 @@
 """The exact Newton drop: Dinkelbach's cycle-ratio iteration on the
-parametric structure's integer arcs (games._least_level).
+parametric structure's integer arcs (games._least_level), and the exact
+level search of real-mode bisection on the same grids.
 
 At every Newton step it must give the drop the former inner level
 bisection gives (kept in _util as an oracle), on theta and on the
@@ -16,7 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropopt import PseudoquadraticProblem, gen_random, newton_solve, newton_solve_quad
+from tropopt import (
+    PseudolinearProblem,
+    PseudoquadraticProblem,
+    TropMatrix,
+    bisection_solve,
+    bisection_solve_quad,
+    fin,
+    gen_random,
+    newton_solve,
+    newton_solve_quad,
+)
 from tropopt import games, pseudolinear
 from tropopt.games import EngineError, _least_level
 from tropopt.pseudolinear import _FareyGrid, _ParamStruct, _drop_data
@@ -127,6 +138,39 @@ def test_drops_on_seeded_instances():
     ld = [d[-1] for p in lin for d in _check_linear(p)]
     for got in (qd, ld):
         assert any(t is None for t in got) and sum(t is not None for t in got) > 20
+
+
+def _times(prob, s):
+    """prob with every finite entry multiplied by s."""
+
+    def sc(e):
+        return fin(e.value * s) if e.is_finite else e
+
+    def mat(M):
+        return TropMatrix([[sc(e) for e in row] for row in M.data], "max")
+
+    vecs = [[sc(e) for e in v] for v in (prob.b, prob.d, prob.p, prob.q)]
+    if isinstance(prob, PseudoquadraticProblem):
+        return PseudoquadraticProblem(mat(prob.U), mat(prob.V), *vecs, mat(prob.C))
+    return PseudolinearProblem(mat(prob.U), mat(prob.V), *vecs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.booleans().flatmap(_problem))
+def test_real_bisection_is_exact(prob):
+    """Real-mode bisection answers as real-mode Newton does, and as
+    integer-mode bisection on the data scaled by its denominator lcm L,
+    divided by L."""
+    if isinstance(prob, PseudoquadraticProblem):
+        bisect, newton = bisection_solve_quad, newton_solve_quad
+    else:
+        bisect, newton = bisection_solve, newton_solve
+    got, want = bisect(prob, mode="real"), newton(prob, mode="real")
+    assert (got.status, got.lam) == (want.status, want.lam)
+    L = prob.data_denominator_lcm()
+    ref = bisect(_times(prob, L))
+    lam = fin(ref.lam.value / L) if ref.status == "optimal" else ref.lam
+    assert (got.status, got.lam) == (ref.status, lam)
 
 
 @st.composite
