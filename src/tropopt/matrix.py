@@ -4,8 +4,9 @@ A matrix is max-plus typed (entries in Q + {-inf}) or min-plus typed
 (entries in Q + {+inf}).  Keeping the two families apart is what makes
 the checked scalar sum safe: products never mix -inf with +inf.
 
-Conventions: matrices are dense lists of ExtScalar rows; vectors are
-plain lists of ExtScalar.
+Conventions: a matrix holds its ExtScalar entries as a tuple of row
+tuples, so it cannot be edited in place; vectors are plain lists of
+ExtScalar.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class TropMatrix:
     __slots__ = ("rows", "cols", "typing", "data")
 
     def __init__(self, entries, typing: str = "max"):
-        data = [[x if type(x) is ExtScalar else scal(x) for x in row] for row in entries]
+        data = tuple(tuple(x if type(x) is ExtScalar else scal(x) for x in row) for row in entries)
         if not data or not data[0]:
             raise TypingError("matrix must have at least one row and column")
         if typing not in _EXCLUDED:

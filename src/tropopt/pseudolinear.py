@@ -84,6 +84,8 @@ class SolveOutcome:
 
 
 def _vec(entries, name, forbid_pos=False, forbid_neg=False):
+    """The entries as a tuple of scalars, so that a problem's vectors
+    cannot be edited in place behind its compiled record (_compiled)."""
     out = []
     for e in entries:
         s = scal(e)
@@ -92,7 +94,7 @@ def _vec(entries, name, forbid_pos=False, forbid_neg=False):
         if forbid_neg and s.is_neg_inf:
             raise TypingError(f"{name} entries must not be -inf")
         out.append(s)
-    return out
+    return tuple(out)
 
 
 class _ProblemData:

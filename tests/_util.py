@@ -562,6 +562,44 @@ def oracle_gate(arena, ev, tau):
     )
 
 
+def oracle_seed_sigma(arena):
+    """tropopt.games._seed_sigma node by node on Python ints: n_min rounds
+    of value iteration from 0, renormalized to a largest value of 0, then
+    per Max node the first arc of the largest value."""
+    a_off, a_tgt, a_w = arena.a_off.tolist(), arena.a_tgt.tolist(), arena.a_w.tolist()
+    b_off, b_tgt, b_w = arena.b_off.tolist(), arena.b_tgt.tolist(), arena.b_w.tolist()
+
+    def arc_values(i, x):
+        return [b_w[e] + x[b_tgt[e]] for e in range(b_off[i], b_off[i + 1])]
+
+    x = [0] * arena.n_min
+    for _ in range(arena.n_min):
+        y = [max(arc_values(i, x)) for i in range(arena.n_max)]
+        x = [
+            min(a_w[e] + y[a_tgt[e]] for e in range(a_off[j], a_off[j + 1]))
+            for j in range(arena.n_min)
+        ]
+        top = max(x)
+        x = [v - top for v in x]
+    return [v.index(max(v)) for v in (arc_values(i, x) for i in range(arena.n_max))]
+
+
+def oracle_arena_values(arena):
+    """Game values of an arena by enumeration: every Max strategy
+    evaluated by oracle_one_player_min, then the componentwise max, which
+    an optimal positional strategy attains at every node at once."""
+    best = None
+    for sig in product(*(range(int(d)) for d in np.diff(arena.b_off))):
+        pos = arena.b_off[:-1] + np.array(sig, dtype=np.int64)
+        tgt, bw = arena.b_tgt[pos], arena.b_w[pos]
+        g_num, g_den, _ = oracle_one_player_min(
+            arena.n_min, arena.a_src, tgt[arena.a_tgt], arena.a_w + bw[arena.a_tgt], False
+        )
+        vals = [Fraction(int(n), int(d)) / arena.scale for n, d in zip(g_num, g_den)]
+        best = vals if best is None else list(map(max, best, vals))
+    return best
+
+
 # ---------------------------------------------------------------------------
 # certificates on Fractions
 #
@@ -745,7 +783,7 @@ def oracle_kleene_star(A):
     """tropopt.kleene_star by max-plus Floyd-Warshall on ExtScalars, with
     the positive-diagonal check after every pivot."""
     n = A.rows
-    D = [row[:] for row in A.data]
+    D = [list(row) for row in A.data]
     for k in range(n):
         for i in range(n):
             dik = D[i][k]

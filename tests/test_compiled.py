@@ -255,3 +255,24 @@ def test_parse_builds_each_distinct_value_once():
     with pytest.raises(IllegalInfinity, match=r"\+inf entry in V"):
         parse_problem(doc.replace('"V":[[1,0]', '"V":[[1,"+inf"]'))
     assert np.array_equal(_param_pair(prob)[1], _param_pair(parse_problem(doc))[1])
+
+
+def test_problem_data_cannot_be_edited_in_place():
+    """An in-place edit would leave the compiled record stale, so problem
+    vectors and matrix rows are tuples; reassigning a field drops the
+    record and the next solve sees the new data."""
+    prob = gen_random(6, 6, 20, 100, 1)
+    assert bisection_solve(prob).lam == fin(Fraction(25, 2))
+    for vec in (prob.p, prob.q):
+        with pytest.raises(TypeError):
+            vec[0] = fin(0)
+    with pytest.raises(TypeError):
+        prob.U.data[0][0] = fin(0)
+    with pytest.raises(TypeError):
+        prob.U.data[0] = prob.V.data[0]
+    zeros = [fin(0)] * prob.shape[1]
+    prob.p = prob.q = zeros
+    assert bisection_solve(prob).lam == fin(7)
+    base = gen_random(6, 6, 20, 100, 1)
+    fresh = PseudolinearProblem(base.U, base.V, base.b, base.d, zeros, zeros)
+    assert bisection_solve(fresh).lam == fin(7)

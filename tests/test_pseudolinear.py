@@ -181,15 +181,15 @@ def test_reduction_goldens():
     prob = golden_linear()
     alc1 = reduce_by_strategy(prob, [0, 2])
     assert alc1.R == M([[None, -3], [None, None]])
-    assert alc1.l == V([None, None])
-    assert alc1.u == V([-2, "+inf"])
+    assert alc1.l == tuple(V([None, None]))
+    assert alc1.u == tuple(V([-2, "+inf"]))
     th1, x1 = solve_alcoved(alc1)
     assert th1 == fin(2)
     assert _feasible_at(prob, x1, 2) or True  # reduced point solves the reduction
     alc2 = reduce_by_strategy(prob, [1, 1])
     # the -2 self-loop is vacuous but faithfully collected
     assert alc2.R == M([[None, None], [2, -2]])
-    assert alc2.u == V(["+inf", "+inf"])
+    assert alc2.u == tuple(V(["+inf", "+inf"]))
     th2, x2 = solve_alcoved(alc2)
     assert th2 == fin(1)
     assert x2 == [F(-1), F(1)]
