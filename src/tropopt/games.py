@@ -665,13 +665,6 @@ def solve_values(sys: TwoSidedSystem) -> GameValues:
 # finite witnesses
 
 
-def _descend(A: TropMatrix, B: TropMatrix, W: Fraction, L: int, sweeps: int):
-    """Greatest-solution descent for A (x) <= B (x) on data scaled by L,
-    from the seed (2W+2)*ones; see _descend_scaled.  W and the data must
-    have denominators dividing L."""
-    return _descend_scaled(*_scaled(A, L), *_scaled(B, L), int((2 * W + 2) * L), sweeps)
-
-
 def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int):
     """Greatest-solution descent for A (x) <= B (x), scaled (weights and
     finite masks as _scaled returns them).
@@ -719,10 +712,6 @@ def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int):
     return None
 
 
-def system_weight_bound(sys: TwoSidedSystem) -> Fraction:
-    return max(sys.A.finite_abs_max(), sys.B.finite_abs_max())
-
-
 def _solves(Aw, Af, Bw, Bf, xs) -> bool:
     """Whether the integer point xs solves the scaled system exactly:
     max_j (a_ij + x_j) <= max_j (b_ij + x_j) on every row, in int64 while
@@ -732,18 +721,6 @@ def _solves(Aw, Af, Bw, Bf, xs) -> bool:
     lhs = np.where(Af, _fit(Aw, big) + xv, -big - 1).max(axis=1)
     rhs = np.where(Bf, _fit(Bw, big) + xv, -big - 1).max(axis=1)
     return not np.any(lhs > rhs)
-
-
-def _check_witness(A: TropMatrix, B: TropMatrix, x, L: int):
-    """Raise EngineError unless the finite point x solves A (x) <= B (x).
-
-    Exact: the data and x are scaled by L and compared by _solves.
-    x * L must be integral."""
-    xs = [v * L for v in x]
-    if any(v.denominator != 1 for v in xs):
-        raise EngineError("finite witness is not on the 1/L grid of the data")
-    if not _solves(*_scaled(A, L), *_scaled(B, L), [int(v) for v in xs]):
-        raise EngineError("finite witness violates the system")
 
 
 def _finite_point(Aw, Af, Bw, Bf, L: int, sweeps: int):

@@ -3,17 +3,26 @@
 Scalars: integers as JSON numbers, other rationals as "num/den" strings,
 the infinities as "-inf" and "+inf".  Floating literals are rejected so
 that every file round-trips byte for byte through parse + dump (canonical
-output: sorted keys, no whitespace)."""
+output: sorted keys, no whitespace).
+
+A problem document is decoded straight into the problem's compiled
+integer record (pseudolinear._Compiled): each distinct token is decoded
+once, to a numerator and denominator or an infinity, and the entries are
+mapped through that to the scaled weights and finite masks.  The
+ExtScalar fields are built from the record only when first read, and
+dump_problem writes the document from the record."""
 
 from __future__ import annotations
 
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
-from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal
-from .matrix import TropMatrix
-from .pseudolinear import PseudolinearProblem, SolveOutcome
+import numpy as np
+
+from .semiring import ExtScalar, NEG_INF, POS_INF, scal
+from .pseudolinear import _FIELDS, PseudolinearProblem, SolveOutcome, _Compiled, _compiled
 from .pseudoquadratic import PseudoquadraticProblem
 
 
@@ -33,25 +42,32 @@ class IllegalInfinity(ValueError):
     """An infinity where the field does not admit one."""
 
 
-_RAT_RE = re.compile(r"^-?[0-9]+/[1-9][0-9]*$")
+_INFINITIES = frozenset(("-inf", "+inf"))
+_RAT_RE = re.compile(r"^(-?[0-9]+)/([1-9][0-9]*)$")
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
 
-def scalar_from_json(tok):
-    if isinstance(tok, bool):
-        raise BadRational(f"bad scalar {tok!r}")
-    if isinstance(tok, int):
-        return fin(tok)
+def _token(tok):
+    """(kind, num, den) of a scalar token: kind -1 / +1 for -inf / +inf
+    (num 0, den 1), else 0 with num / den in lowest terms."""
     if isinstance(tok, str):
-        if tok == "-inf":
-            return NEG_INF
-        if tok == "+inf":
-            return POS_INF
-        if _RAT_RE.match(tok):
-            num, den = tok.split("/")
-            return ExtScalar(0, Fraction(int(num), int(den)))
-        raise BadRational(f"bad scalar {tok!r}")
+        if tok in _INFINITIES:
+            return (1 if tok == "+inf" else -1), 0, 1
+        rat = _RAT_RE.match(tok)
+        if rat:
+            num, den = int(rat[1]), int(rat[2])
+            g = gcd(num, den)
+            return 0, num // g, den // g
+    elif isinstance(tok, int) and not isinstance(tok, bool):
+        return 0, int(tok), 1
     raise BadRational(f"bad scalar {tok!r}")
+
+
+def scalar_from_json(tok):
+    kind, num, den = _token(tok)
+    if kind:
+        return POS_INF if kind > 0 else NEG_INF
+    return ExtScalar(0, Fraction(num, den))
 
 
 def scalar_to_json(v):
@@ -80,18 +96,8 @@ def _reject_float(tok):
     raise BadRational(f"float literal {tok} (use \"num/den\")")
 
 
-def _scalar(tok, seen):
-    """scalar_from_json through the parse's map from token to scalar, so
-    that each distinct value is built once (ExtScalars are immutable)."""
-    if type(tok) not in (int, str):
-        return scalar_from_json(tok)  # a bool, null or list: it raises
-    s = seen.get(tok)
-    if s is None:
-        s = seen[tok] = scalar_from_json(tok)
-    return s
-
-
-def _parse_matrix(obj, name, seen, rows=None, cols=None):
+def _matrix_tokens(obj, name, rows=None, cols=None):
+    """The entries of a matrix field, row by row, after its shape checks."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise MalformedJson(f"{name} must be a list of rows")
     m = len(obj)
@@ -105,32 +111,28 @@ def _parse_matrix(obj, name, seen, rows=None, cols=None):
             raise DimensionMismatch(f"{name} has ragged rows")
     if cols is not None and n != cols:
         raise DimensionMismatch(f"{name} has {n} columns, expected {cols}")
-    data = []
-    for r in obj:
-        row = []
-        for e in r:
-            s = _scalar(e, seen)
-            if s is POS_INF:
-                raise IllegalInfinity(f"+inf entry in {name}")
-            row.append(s)
-        data.append(row)
-    return TropMatrix(data, "max")
+    return [e for r in obj for e in r]
 
 
-def _parse_vector(obj, name, length, forbid, seen):
-    if not isinstance(obj, list):
-        raise MalformedJson(f"{name} must be a list")
-    if len(obj) != length:
-        raise DimensionMismatch(f"{name} has length {len(obj)}, expected {length}")
-    out = []
-    for e in obj:
-        s = _scalar(e, seen)
-        if forbid == "pos" and s.is_pos_inf:
-            raise IllegalInfinity(f"+inf entry in {name}")
-        if forbid == "neg" and s.is_neg_inf:
-            raise IllegalInfinity(f"-inf entry in {name}")
-        out.append(s)
-    return out
+def _decode_field(toks, name, forbid, ints, words):
+    """Collect the field's distinct tokens: the integers into ints, and
+    the strings into words, each decoded once (token -> _token's triple).
+    A bad token, or the infinity `forbid` that the field does not admit,
+    raises the error of the first such entry."""
+    types = set(map(type, toks))
+    uniq = set(toks) if types <= {int, str} else ()  # no bool, null, float or list
+    if uniq and forbid not in uniq:
+        new = [t for t in uniq if type(t) is str] if str in types else []
+        ints.update(uniq.difference(new))
+        try:
+            words.update((w, _token(w)) for w in new if w not in words)
+            return
+        except BadRational:
+            pass
+    for tok in toks:
+        _token(tok)
+        if tok == forbid:
+            raise IllegalInfinity(f"{forbid} entry in {name}")
 
 
 def parse_problem(text: str):
@@ -147,46 +149,50 @@ def parse_problem(text: str):
     typ = obj.get("type")
     if typ not in ("pseudolinear", "pseudoquadratic"):
         raise MalformedJson("type must be pseudolinear or pseudoquadratic")
-    keys = {"type", "U", "V", "b", "d", "p", "q"}
-    if typ == "pseudoquadratic":
-        keys.add("C")
+    quad = typ == "pseudoquadratic"
+    keys = {"type", *_FIELDS[: 7 if quad else 6]}
     if set(obj.keys()) != keys:
         extra = set(obj.keys()) - keys
         missing = keys - set(obj.keys())
         raise MalformedJson(f"bad keys: extra {sorted(extra)}, missing {sorted(missing)}")
-    seen = {}
-    U = _parse_matrix(obj["U"], "U", seen)
-    m, n = U.rows, U.cols
-    V = _parse_matrix(obj["V"], "V", seen, rows=m, cols=n)
-    b = _parse_vector(obj["b"], "b", m, "pos", seen)
-    d = _parse_vector(obj["d"], "d", m, "pos", seen)
-    p = _parse_vector(obj["p"], "p", n, "pos", seen)
-    q = _parse_vector(obj["q"], "q", n, "neg", seen)
-    if typ == "pseudolinear":
-        return PseudolinearProblem(U, V, b, d, p, q)
-    C = _parse_matrix(obj["C"], "C", seen, rows=n, cols=n)
-    return PseudoquadraticProblem(U, V, b, d, p, q, C)
+    ints, words, flat = set(), {}, []
 
+    def take(toks, name, forbid="+inf"):
+        _decode_field(toks, name, forbid, ints, words)
+        flat.extend(toks)
 
-def _enc_matrix(M: TropMatrix):
-    return [[scalar_to_json(e) for e in row] for row in M.data]
+    take(_matrix_tokens(obj["U"], "U"), "U")
+    m, n = len(obj["U"]), len(obj["U"][0])
+    take(_matrix_tokens(obj["V"], "V", m, n), "V")
+    for name, length in (("b", m), ("d", m), ("p", n), ("q", n)):
+        vec = obj[name]
+        if not isinstance(vec, list):
+            raise MalformedJson(f"{name} must be a list")
+        if len(vec) != length:
+            raise DimensionMismatch(f"{name} has length {len(vec)}, expected {length}")
+        take(vec, name, "-inf" if name == "q" else "+inf")
+    if quad:
+        take(_matrix_tokens(obj["C"], "C", n, n), "C")
+    L = lcm(*(den for _, _, den in words.values()))
+    nums = {t: t * L for t in ints}
+    nums.update((w, num * (L // den)) for w, (_, num, den) in words.items())
+    infinite = np.array(list(map(_INFINITIES.__contains__, flat)))
+    rec = _Compiled(list(map(nums.__getitem__, flat)), ~infinite, L, m, n, quad)
+    return (PseudoquadraticProblem if quad else PseudolinearProblem)._of(rec)
 
 
 def dump_problem(prob) -> str:
-    """Canonical problem document (sorted keys, no whitespace)."""
-    doc = {
-        "U": _enc_matrix(prob.U),
-        "V": _enc_matrix(prob.V),
-        "b": [scalar_to_json(e) for e in prob.b],
-        "d": [scalar_to_json(e) for e in prob.d],
-        "p": [scalar_to_json(e) for e in prob.p],
-        "q": [scalar_to_json(e) for e in prob.q],
-    }
-    if isinstance(prob, PseudoquadraticProblem):
-        doc["type"] = "pseudoquadratic"
-        doc["C"] = _enc_matrix(prob.C)
-    else:
-        doc["type"] = "pseudolinear"
+    """Canonical problem document (sorted keys, no whitespace), written
+    from the compiled record."""
+    rec = _compiled(prob)
+    L, table = rec.L, {rec.WL + 1: "-inf", rec.WL + 2: "+inf"}
+
+    def token(v):
+        g = gcd(v, L)
+        return v // g if g == L else f"{v // g}/{L // g}"
+
+    doc = {name: rec.entries(name, table, token) for name in rec.data}
+    doc["type"] = "pseudoquadratic" if rec.quad else "pseudolinear"
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 

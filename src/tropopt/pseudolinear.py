@@ -38,7 +38,6 @@ from .matrix import (
     _max_cycle_mean,
     _scaled,
     _star,
-    abs_max,
 )
 from .games import (
     Arena,
@@ -84,8 +83,8 @@ class SolveOutcome:
 
 
 def _vec(entries, name, forbid_pos=False, forbid_neg=False):
-    """The entries as a tuple of scalars, so that a problem's vectors
-    cannot be edited in place behind its compiled record (_compiled)."""
+    """The entries as a tuple of scalars, checked for the infinity the
+    field does not admit."""
     out = []
     for e in entries:
         s = scal(e)
@@ -97,70 +96,99 @@ def _vec(entries, name, forbid_pos=False, forbid_neg=False):
     return tuple(out)
 
 
-class _ProblemData:
-    """Validation and the whole-data scans shared by the two problem
-    dataclasses; a pseudoquadratic problem adds its coupling matrix C."""
+_FIELDS = ("U", "V", "b", "d", "p", "q", "C")
 
-    def __post_init__(self):
-        C = getattr(self, "C", None)
-        if any(M.typing != "max" for M in self._matrices()):
-            what = "constraint" if C is None else "problem"
+
+class _Field:
+    """A problem field: its ExtScalars are built from the compiled record
+    on first read and cached; setting it validates and recompiles."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, prob, owner=None):
+        if prob is None:
+            return self
+        val = prob.__dict__.get(self.name)
+        if val is None:
+            val = prob.__dict__[self.name] = prob._rec.field(self.name)
+        return val
+
+    def __set__(self, prob, value):
+        prob._load({**{f: getattr(prob, f) for f in prob._fields}, self.name: value})
+
+
+class _ProblemData:
+    """The storage of the two problem classes: the compiled record, with
+    U, V, b, d, p, q (and C) as _Fields over it.  A problem given as
+    scalars is validated and compiled once (_load); a parsed or generated
+    one starts from its record (_of)."""
+
+    _fields = _FIELDS[:6]
+    U, V, b, d, p, q = (_Field() for _ in _fields)
+
+    @classmethod
+    def _of(cls, rec):
+        prob = object.__new__(cls)
+        prob.__dict__["_rec"] = rec
+        return prob
+
+    def _load(self, vals):
+        """Validate and compile the fields given as scalars, in one scan of
+        the entries; the problem is left unchanged when a check fails."""
+        quad = "C" in vals
+        U, V, C = vals["U"], vals["V"], vals.get("C")
+        if any(not isinstance(M, TropMatrix) or M.typing != "max" for M in (U, V, C)[: 2 + quad]):
+            what = "problem" if quad else "constraint"
             raise TypingError(f"{what} matrices must be max-plus typed")
-        if self.U.shape != self.V.shape:
+        if U.shape != V.shape:
             raise TypingError("U and V must have equal shapes")
-        m, n = self.U.shape
+        m, n = U.shape
         if n < 1:
             raise TypingError("at least one variable is required")
-        if C is not None and C.shape != (n, n):
+        if quad and C.shape != (n, n):
             raise TypingError("C must be n x n")
-        self.b = _vec(self.b, "b", forbid_pos=True)
-        self.d = _vec(self.d, "d", forbid_pos=True)
-        self.p = _vec(self.p, "p", forbid_pos=True)
-        self.q = _vec(self.q, "q", forbid_neg=True)
-        for nm, v, ln in (("b", self.b, m), ("d", self.d, m), ("p", self.p, n), ("q", self.q, n)):
-            if len(v) != ln:
-                raise TypingError(f"{nm} has length {len(v)}, expected {ln}")
+        for nm in "bdpq":
+            vals[nm] = _vec(vals[nm], nm, forbid_pos=nm != "q", forbid_neg=nm == "q")
+        for nm, ln in (("b", m), ("d", m), ("p", n), ("q", n)):
+            if len(vals[nm]) != ln:
+                raise TypingError(f"{nm} has length {len(vals[nm])}, expected {ln}")
+        ents = list(chain(*U.data, *V.data, *map(vals.get, "bdpq"), *(C.data if quad else ())))
+        ratios = [e.value.as_integer_ratio() for e in ents]  # infinities carry value 0
+        L = lcm(*{d for _, d in ratios})
+        nums = [n * (L // d) for n, d in ratios]
+        rec = _Compiled(nums, [e.kind == 0 for e in ents], L, m, n, quad)
+        self.__dict__.update(vals, _rec=rec)
 
-    def __setattr__(self, name, value):
-        # a field set anew makes the compiled record stale
-        self.__dict__.pop("_compiled", None)
-        object.__setattr__(self, name, value)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
 
-    def _matrices(self):
-        C = getattr(self, "C", None)
-        return (self.U, self.V) if C is None else (self.U, self.V, C)
-
-    def _scalars(self):
-        """Every data entry: the matrices row by row, then b, d, p, q."""
-        rows = (row for M in self._matrices() for row in M.data)
-        return chain(*rows, self.b, self.d, self.p, self.q)
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
 
     @property
     def shape(self):
-        return self.U.shape
+        return self._rec.m, self._rec.n
 
     def weight_bound(self) -> Fraction:
-        return abs_max(self._scalars())
+        return Fraction(self._rec.WL, self._rec.L)
 
     def data_denominator_lcm(self) -> int:
-        # infinities carry value 0
-        return lcm(*(e.value.denominator for e in self._scalars()))
+        return self._rec.L
 
     def _lam_floor(self) -> Fraction:
-        return _compiled(self).lam_floor(hasattr(self, "C"))
+        return self._rec.lam_floor(self._rec.quad)
 
 
-@dataclass
 class PseudolinearProblem(_ProblemData):
     """Data (U, V, b, d, p, q): constraints U x + b <= V x + d, objective
     from the lower anchors p (no +inf) and upper anchors q (no -inf)."""
 
-    U: TropMatrix
-    V: TropMatrix
-    b: list
-    d: list
-    p: list
-    q: list
+    def __init__(self, U, V, b, d, p, q):
+        self._load(dict(U=U, V=V, b=b, d=d, p=p, q=q))
 
     def _objective(self, x):
         return objective(self, x)
@@ -177,7 +205,8 @@ def parametric_game(prob: PseudolinearProblem, lam) -> TwoSidedSystem:
 def objective(prob, x) -> ExtScalar:
     """f(x) = max_j max(p_j - x_j, x_j - q_j); x must be finite.  Exact
     on the compiled record's integers."""
-    return _compiled(prob).objective(_checked_point(x, len(prob.p)), coupling=False)
+    rec = _compiled(prob)
+    return rec.objective(_checked_point(x, rec.n), coupling=False)
 
 
 def _checked_point(x, n):
@@ -230,49 +259,67 @@ class _FareyGrid:
 
 class _Compiled:
     """A problem's data in the integer form that its solvers, bounds,
-    witness and certificates read, derived once on first use (_compiled)
-    and kept on the problem, which is treated as immutable.
+    witness and certificates read, and the problem's primary storage.
 
-    L is the data's denominator lcm and WL its largest |entry| times L.
-    data maps each field name to its (weights, finite mask), scaled by L:
-    weights 0 off the mask, int64 below the guard and Python ints beyond
-    it (_fit).  core is the literal parametric pair at level 0 without
-    its stabilizing rows, in the layout of _param_pair.  The rest is
-    derived from these when first asked for."""
+    It is built from the flat form: nums, the entries of the fields in
+    _FIELDS order (matrices row by row) times L, the data's denominator
+    lcm, 0 off the finite entries, and their finite flags.  WL is the
+    largest |num|.  data maps each field name to its (weights, finite
+    mask), int64 below the guard and Python ints beyond; a field's
+    infinity is the one it admits, +inf in q and -inf elsewhere.  core is
+    the literal parametric pair at level 0 without its stabilizing rows,
+    in the layout of _param_pair.  The rest is derived when asked for."""
 
-    def __init__(self, prob):
-        m, n = prob.shape
-        ents = list(prob._scalars())
-        vals = [e.value for e in ents]  # infinities carry value 0
-        L = lcm(*{v.denominator for v in vals})
-        nums = [v.numerator * (L // v.denominator) for v in vals]
-        self.m, self.n, self.L, self.WL = m, n, L, max(map(abs, nums))
-        self.quad = hasattr(prob, "C")
+    def __init__(self, nums, finite, L, m, n, quad):
+        self.m, self.n, self.L, self.quad = m, n, L, quad
+        self.WL = max(max(nums), -min(nums))
         # the level grid every solver searches: the optimum is a multiple
         # of 1/(2L) for linear data, and has denominator at most n + 1
         # after scaling by L for pseudoquadratic data
-        self.grid = _FareyGrid(n + 1, L) if self.quad else _FareyGrid(1, 2 * L)
-        w, f = _fit(np.array(nums, dtype=object), self.WL), np.array([e.kind == 0 for e in ents])
-        shapes = dict(U=(m, n), V=(m, n), C=(n, n), b=m, d=m, p=n, q=n)
-        if not self.quad:
-            del shapes["C"]
+        self.grid = _FareyGrid(n + 1, L) if quad else _FareyGrid(1, 2 * L)
+        w = np.array(nums, dtype=np.int64 if self.WL < _GUARD else object)
+        f = np.array(finite, dtype=bool)
         self.data, at = {}, 0
-        for name, shape in shapes.items():
+        for name, shape in zip(_FIELDS[: 7 if quad else 6], [(m, n), (m, n), m, m, n, n, (n, n)]):
             size = int(np.prod(shape))
             self.data[name] = (w[at : at + size].reshape(shape), f[at : at + size].reshape(shape))
             at += size
-        self.k = k = 2 * n if self.quad else n  # lam rows before the q row
+        self._scalars = {self.WL + 1: NEG_INF, self.WL + 2: POS_INF}  # for field()
+        self.k = k = 2 * n if quad else n  # lam rows before the q row
         Aw, Bw = (np.zeros((m + k + 1, n + 1), dtype=w.dtype) for _ in "AB")
         Af, Bf = (np.zeros((m + k + 1, n + 1), dtype=bool) for _ in "AB")
         (Aw[:m, :n], Af[:m, :n]), (Bw[:m, :n], Bf[:m, :n]) = self.data["U"], self.data["V"]
         (Aw[:m, n], Af[:m, n]), (Bw[:m, n], Bf[:m, n]) = self.data["b"], self.data["d"]
-        if self.quad:
+        if quad:
             Aw[m : m + n, :n], Af[m : m + n, :n] = self.data["C"]
         Aw[m + k - n : m + k, n], Af[m + k - n : m + k, n] = self.data["p"]
         Aw[-1, :n], Af[-1, :n] = -self.data["q"][0], self.data["q"][1]
         Bf[np.arange(m, m + k), np.arange(k) % n] = True
         Bf[-1, n] = True
         self.core = (Aw, Af, Bw, Bf)
+
+    def entries(self, name, table, of):
+        """The field's entries mapped through table (scaled value -> entry)
+        as a list, or a list of rows; a finite value missing from table is
+        added as of(value) first.  The infinities are keyed WL + 1 (-inf)
+        and WL + 2 (+inf), which no finite value reaches."""
+        w, f = self.data[name]
+        for v in set(w[f].tolist()).difference(table):
+            table[v] = of(v)
+        keys = np.where(f, w, self.WL + (2 if name == "q" else 1)).tolist()
+        get = table.__getitem__
+        return list(map(get, keys)) if w.ndim == 1 else [list(map(get, r)) for r in keys]
+
+    def field(self, name):
+        """The field as ExtScalars: a tuple, or a TropMatrix for U, V and
+        C.  Each distinct value is built once per record."""
+        L = self.L
+
+        def scalar(v):
+            return ExtScalar(0, Fraction(v, L) if L > 1 else Fraction(v))
+
+        rows = self.entries(name, self._scalars, scalar)
+        return tuple(rows) if name in "bdpq" else TropMatrix(rows, "max")
 
     def lam_floor(self, quad: bool) -> Fraction:
         """A level below every achievable finite optimum, for the
@@ -378,13 +425,8 @@ class _Compiled:
 
 
 def _compiled(prob) -> _Compiled:
-    """The problem's compiled record, built on first use.  It lives in a
-    private attribute, not a dataclass field, so ==, repr and dump_problem
-    do not see it."""
-    rec = prob.__dict__.get("_compiled")
-    if rec is None:
-        rec = prob.__dict__["_compiled"] = _Compiled(prob)
-    return rec
+    """The problem's compiled record."""
+    return prob._rec
 
 
 def _tmat(w, f, L):
@@ -417,21 +459,6 @@ class _ParamStruct:
         self._b_w0 = np.asarray(Bw[Bf], dtype=np.int64)
         self._b_lam = (b_src >= self.lam_rows.start) & (b_src < self.lam_rows.stop)
         self._absmax0 = max(1, _abs_max(self._a_w0), _abs_max(self._b_w0))
-
-    @property
-    def A(self) -> TropMatrix:
-        Aw, Af, _, _, L, _ = self.pair
-        return _tmat(Aw, Af, L)
-
-    @property
-    def b_entries(self):
-        """Per row, the (target, weight, is_lam) of its finite right
-        entries, with weight None on the lam entries."""
-        _, _, Bw, Bf, L, lam = self.pair
-        return [
-            [(int(c), None if r in lam else fin(Fraction(int(Bw[r, c]), L)), r in lam) for c in js]
-            for r, js in enumerate(map(np.flatnonzero, Bf))
-        ]
 
     def arena(self, lam: Fraction) -> Arena:
         num, den = lam.numerator, lam.denominator
@@ -467,10 +494,6 @@ class _ParamStruct:
 
     def last_sig_idx(self):
         return None if self._warm is None else self._warm.copy()
-
-    def system(self, lam: Fraction) -> TwoSidedSystem:
-        Aw, Af, Bw, Bf, L, _ = _at_level(self.pair, lam)
-        return TwoSidedSystem(_tmat(Aw, Af, L), _tmat(Bw, Bf, L))
 
     def witness(self, lam: Fraction):
         """Finite point at a feasible level: solve the system at lam on

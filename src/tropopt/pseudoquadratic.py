@@ -12,15 +12,14 @@ data is handled by clearing its common denominator first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import TropMatrix
 from .games import TwoSidedSystem
 from .semiring import ExtScalar, POS_INF, fin, tmax
 from .pseudolinear import (
     SolveOutcome,
     _FareyGrid,
+    _Field,
     _affine_witness,
     _bisect,
     _checked_point,
@@ -41,19 +40,16 @@ __all__ = [
 ]
 
 
-@dataclass
 class PseudoquadraticProblem(_ProblemData):
     """Data (U, V, b, d, p, q, C): constraints U x + b <= V x + d, the
     (p, q) anchors, and the n x n coupling matrix C of the extra
     objective term (C x - x)."""
 
-    U: TropMatrix
-    V: TropMatrix
-    b: list
-    d: list
-    p: list
-    q: list
-    C: TropMatrix
+    _fields = _ProblemData._fields + ("C",)
+    C = _Field()
+
+    def __init__(self, U, V, b, d, p, q, C):
+        self._load(dict(U=U, V=V, b=b, d=d, p=p, q=q, C=C))
 
     def _objective(self, x):
         return objective_quad(self, x)

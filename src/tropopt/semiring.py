@@ -31,8 +31,8 @@ class ExtScalar:
     __slots__ = ("kind", "value")
 
     def __init__(self, kind: int, value: Fraction):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
+        _set_kind(self, kind)
+        _set_value(self, value)
 
     def __setattr__(self, name, val):
         raise AttributeError("ExtScalar is immutable")
@@ -115,6 +115,9 @@ class ExtScalar:
         return str(self.value)
 
 
+# the slots' own setters: the immutable __setattr__ is bypassed only here
+_set_kind, _set_value = ExtScalar.kind.__set__, ExtScalar.value.__set__
+
 NEG_INF = ExtScalar(-1, Fraction(0))
 POS_INF = ExtScalar(1, Fraction(0))
 ZERO = ExtScalar(0, Fraction(0))
@@ -122,7 +125,8 @@ ZERO = ExtScalar(0, Fraction(0))
 
 def fin(x) -> ExtScalar:
     """Finite scalar from an int, Fraction, or 'num/den' string."""
-    return ExtScalar(0, Fraction(x))
+    # a Fraction is immutable, so it is kept rather than copied
+    return ExtScalar(0, x if type(x) is Fraction else Fraction(x))
 
 
 def scal(x) -> ExtScalar:

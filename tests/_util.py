@@ -5,6 +5,8 @@ enumeration, grid search) so that library results are checked against
 something that cannot share a bug with the solver machinery.
 """
 
+import json
+import re
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -13,6 +15,10 @@ import numpy as np
 
 from tropopt import (
     NEG_INF,
+    BadRational,
+    DimensionMismatch,
+    IllegalInfinity,
+    MalformedJson,
     POS_INF,
     ZERO,
     AlcovedProblem,
@@ -35,8 +41,18 @@ from tropopt import (
     tmax,
     tmin,
 )
-from tropopt.games import _CUT64, _INF64, Arena, EngineError, GameValues, solve_arena
-from tropopt.matrix import _den_lcm
+from tropopt.games import (
+    _CUT64,
+    _INF64,
+    Arena,
+    EngineError,
+    GameValues,
+    _descend_scaled,
+    _solves,
+    solve_arena,
+)
+from tropopt.matrix import _den_lcm, _scaled
+from tropopt.pseudolinear import _at_level, _tmat
 
 
 def E(v):
@@ -1078,3 +1094,140 @@ def oracle_objective(prob, x):
             if not Cx.is_neg_inf:
                 terms.append(Cx + (-xs[j]))
     return tmax(*terms)
+
+
+# ---------------------------------------------------------------------------
+# entry-level forms of the integer kernels, used only by tests
+
+
+def _descend(A, B, W, L, sweeps):
+    """Greatest-solution descent for A (x) <= B (x) on data scaled by L,
+    from the seed (2W+2)*ones; see games._descend_scaled.  W and the data
+    must have denominators dividing L."""
+    return _descend_scaled(*_scaled(A, L), *_scaled(B, L), int((2 * W + 2) * L), sweeps)
+
+
+def system_weight_bound(sys):
+    return max(sys.A.finite_abs_max(), sys.B.finite_abs_max())
+
+
+def _check_witness(A, B, x, L):
+    """Raise EngineError unless the finite point x solves A (x) <= B (x).
+
+    Exact: the data and x are scaled by L and compared by games._solves.
+    x * L must be integral."""
+    xs = [v * L for v in x]
+    if any(v.denominator != 1 for v in xs):
+        raise EngineError("finite witness is not on the 1/L grid of the data")
+    if not _solves(*_scaled(A, L), *_scaled(B, L), [int(v) for v in xs]):
+        raise EngineError("finite witness violates the system")
+
+
+def struct_matrix(struct):
+    """The left matrix of a prepared structure (pseudolinear._ParamStruct)."""
+    Aw, Af, _, _, L, _ = struct.pair
+    return _tmat(Aw, Af, L)
+
+
+def struct_system(struct, lam):
+    """A prepared structure's pair at level lam as a two-sided system."""
+    Aw, Af, Bw, Bf, L, _ = _at_level(struct.pair, lam)
+    return TwoSidedSystem(_tmat(Aw, Af, L), _tmat(Bw, Bf, L))
+
+
+def b_entries(struct):
+    """Per row of a prepared structure, the (target, weight, is_lam) of
+    its finite right entries, with weight None on the lam entries."""
+    _, _, Bw, Bf, L, lam = struct.pair
+    return [
+        [(int(c), None if r in lam else fin(Fraction(int(Bw[r, c]), L)), r in lam) for c in js]
+        for r, js in enumerate(map(np.flatnonzero, Bf))
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the entry-by-entry parse: one scalar per entry, then the constructors
+
+_ORACLE_RAT = re.compile(r"^-?[0-9]+/[1-9][0-9]*$")
+
+
+def _oracle_reject_float(tok):
+    raise BadRational(f"float literal {tok} (use \"num/den\")")
+
+
+def oracle_scalar(tok):
+    if isinstance(tok, bool) or not isinstance(tok, (int, str)):
+        raise BadRational(f"bad scalar {tok!r}")
+    if isinstance(tok, int):
+        return fin(tok)
+    if tok in ("-inf", "+inf"):
+        return NEG_INF if tok == "-inf" else POS_INF
+    if not _ORACLE_RAT.match(tok):
+        raise BadRational(f"bad scalar {tok!r}")
+    num, den = tok.split("/")
+    return fin(Fraction(int(num), int(den)))
+
+
+def _oracle_matrix(obj, name, rows=None, cols=None):
+    if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
+        raise MalformedJson(f"{name} must be a list of rows")
+    m = len(obj)
+    if rows is not None and m != rows:
+        raise DimensionMismatch(f"{name} has {m} rows, expected {rows}")
+    if m == 0 or len(obj[0]) == 0:
+        raise DimensionMismatch(f"{name} must be nonempty")
+    n = len(obj[0])
+    if any(len(r) != n for r in obj):
+        raise DimensionMismatch(f"{name} has ragged rows")
+    if cols is not None and n != cols:
+        raise DimensionMismatch(f"{name} has {n} columns, expected {cols}")
+    return TropMatrix([_oracle_entries(r, name, 1) for r in obj], "max")
+
+
+def _oracle_entries(entries, name, forbid):
+    """The entries' scalars; the first bad token or infinity of kind
+    forbid raises."""
+    out = []
+    for e in entries:
+        s = oracle_scalar(e)
+        if s.kind == forbid:
+            raise IllegalInfinity(f"{'+' if forbid > 0 else '-'}inf entry in {name}")
+        out.append(s)
+    return out
+
+
+def _oracle_vector(obj, name, length, forbid):
+    if not isinstance(obj, list):
+        raise MalformedJson(f"{name} must be a list")
+    if len(obj) != length:
+        raise DimensionMismatch(f"{name} has length {len(obj)}, expected {length}")
+    return _oracle_entries(obj, name, forbid)
+
+
+def oracle_parse_problem(text):
+    """The problem document parsed entry by entry, one ExtScalar per
+    entry, into the problem constructors; the same checks and error
+    messages as io.parse_problem, each entry checked in document order."""
+    try:
+        obj = json.loads(text, parse_float=_oracle_reject_float)
+    except BadRational:
+        raise
+    except ValueError as e:
+        raise MalformedJson(str(e)) from None
+    if not isinstance(obj, dict):
+        raise MalformedJson("top level must be an object")
+    typ = obj.get("type")
+    if typ not in ("pseudolinear", "pseudoquadratic"):
+        raise MalformedJson("type must be pseudolinear or pseudoquadratic")
+    keys = {"type", "U", "V", "b", "d", "p", "q"} | ({"C"} if typ == "pseudoquadratic" else set())
+    if set(obj) != keys:
+        extra, missing = sorted(set(obj) - keys), sorted(keys - set(obj))
+        raise MalformedJson(f"bad keys: extra {extra}, missing {missing}")
+    U = _oracle_matrix(obj["U"], "U")
+    m, n = U.shape
+    V = _oracle_matrix(obj["V"], "V", m, n)
+    vecs = [_oracle_vector(obj[k], k, m, 1) for k in "bd"]
+    vecs += [_oracle_vector(obj["p"], "p", n, 1), _oracle_vector(obj["q"], "q", n, -1)]
+    if typ == "pseudolinear":
+        return PseudolinearProblem(U, V, *vecs)
+    return PseudoquadraticProblem(U, V, *vecs, _oracle_matrix(obj["C"], "C", n, n))

@@ -46,7 +46,7 @@ from tropopt import (
 from tropopt.pseudolinear import _augmented_parametric, _prepare
 from tropopt.semiring import ZERO
 
-from _util import golden_game, golden_linear, swap_cycle_instance
+from _util import golden_game, golden_linear, struct_system, swap_cycle_instance
 
 F = Fraction
 
@@ -382,7 +382,7 @@ def test_criterion_07_minimax_collapse():
         if prep.kind != "ok":
             continue
         lam = levels[t % 3]
-        sys = prep.struct.system(lam)
+        sys = struct_system(prep.struct, lam)
         A, B = sys.A, sys.B
         M_, n1 = A.shape
         tau_choices = [

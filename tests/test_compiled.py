@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropopt import (
+    NEG_INF,
+    POS_INF,
     PseudolinearProblem,
     PseudoquadraticProblem,
     TypingError,
@@ -276,3 +278,40 @@ def test_problem_data_cannot_be_edited_in_place():
     base = gen_random(6, 6, 20, 100, 1)
     fresh = PseudolinearProblem(base.U, base.V, base.b, base.d, zeros, zeros)
     assert bisection_solve(fresh).lam == fin(7)
+
+
+def test_reassigned_fields_are_validated_and_recompiled():
+    """Setting a field runs the constructor's conversion and checks:
+    the new value is stored as a tuple, a wrong length or an infinity the
+    field does not admit raises TypingError and leaves the problem as it
+    was, and the record is rebuilt from the new data."""
+    prob = gen_random(6, 6, 20, 100, 1)
+    zeros = [fin(0)] * 6
+    prob.p = zeros
+    prob.q = zeros
+    zeros[0] = fin(5)  # the caller's list is not the field
+    assert prob.p == (fin(0),) * 6
+    assert bisection_solve(prob).lam == fin(7)
+    with pytest.raises(TypeError):
+        prob.p[0] = fin(5)
+    fives = [fin(5)] * 6
+    prob.p, prob.q = fives, fives
+    base = gen_random(6, 6, 20, 100, 1)
+    fresh = PseudolinearProblem(base.U, base.V, base.b, base.d, fives, fives)
+    assert bisection_solve(prob).lam == bisection_solve(fresh).lam == fin(Fraction(15, 2))
+    rec = _compiled(prob)
+    with pytest.raises(TypingError, match=r"p entries must not be \+inf"):
+        prob.p = [POS_INF] * 6
+    with pytest.raises(TypingError, match="q entries must not be -inf"):
+        prob.q = [NEG_INF] * 6
+    with pytest.raises(TypingError, match="p has length 5, expected 6"):
+        prob.p = fives[:5]
+    with pytest.raises(TypingError, match="max-plus typed"):
+        prob.U = prob.U.retyped("min")
+    with pytest.raises(TypingError, match="max-plus typed"):
+        prob.V = [list(row) for row in prob.V.data]
+    assert _compiled(prob) is rec and prob == fresh
+    assert bisection_solve(prob).lam == fin(Fraction(15, 2))
+    quad = gen_random(4, 4, 20, 100, 2, quadratic=True)
+    with pytest.raises(TypingError, match="C must be n x n"):
+        quad.C = gen_random(3, 3, 20, 100, 0).U

@@ -28,10 +28,18 @@ from tropopt import (
     solve_values,
     tmax,
 )
-from tropopt.games import EngineError, _check_witness, _den_lcm, _descend, system_weight_bound
+from tropopt.games import EngineError, _den_lcm
 from tropopt.pseudolinear import _prepare
 
-from _util import M, descent_oracle
+from _util import (
+    M,
+    _check_witness,
+    _descend,
+    b_entries,
+    descent_oracle,
+    struct_matrix,
+    system_weight_bound,
+)
 
 _rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
 _entries = st.one_of(st.none(), _rationals, _rationals)
@@ -129,7 +137,7 @@ def _rational(prob, rng):
 
 def _reference_arcs(struct):
     """The per-entry build of the integer arc arrays, column by column."""
-    A, L = struct.A, struct.L0
+    A, L = struct_matrix(struct), struct.L0
     a_off, a_src, a_tgt, a_w = [0], [], [], []
     for j in range(struct.n_min):
         for r in range(A.rows):
@@ -141,7 +149,7 @@ def _reference_arcs(struct):
         a_off.append(len(a_src))
     b_w = [
         0 if islam else int(wv.value * L)
-        for ents in struct.b_entries
+        for ents in b_entries(struct)
         for (_, wv, islam) in ents
     ]
     return [np.asarray(v, dtype=np.int64) for v in (a_off, a_src, a_tgt, a_w, b_w)]

@@ -27,7 +27,6 @@ from tropopt import (
     restrict_strategies,
     solve_values,
 )
-from tropopt.games import system_weight_bound
 
 from _util import (
     E,
@@ -37,6 +36,7 @@ from _util import (
     enum_min_strategies,
     golden_game,
     one_player_value,
+    system_weight_bound,
 )
 
 
