@@ -12,9 +12,10 @@ strategy is a one-player minimum-cycle problem handled exactly on whole
 int64 arrays after clearing denominators: reachability and SCCs by boolean
 matrix squaring, one Karp table for all SCCs, and the least reachable cycle
 mean per node.  Every solve is finished by a verification gate: Min's tight
-best response is extracted and its one-player problem solved independently;
-values are only accepted when the two bounds coincide, which certifies a
-saddle point no matter what path policy iteration took.
+best response tau is extracted, and a potential on Max's one-player game
+against tau proves that Max can get no more than the evaluated values
+there (_gate); values are only accepted then, which certifies a saddle
+point no matter what path policy iteration took.
 
 A solve given no warm strategy starts from Max's greedy strategy after a
 few rounds of value iteration (_seed_sigma), not from each node's first
@@ -43,6 +44,7 @@ from .matrix import (
     _karp_values,
     _scaled,
     _sccs,
+    _segments,
 )
 from .semiring import NEG_INF
 
@@ -207,38 +209,10 @@ _RATIO_CAP = 10000  # Dinkelbach steps of one _least_level
 
 
 class Arena:
-    def __init__(self, min_arcs, max_arcs, scale: int):
-        # min_arcs: per j, [(i, int w)]; max_arcs: per i, [(j, int w)]
-        for j, arcs in enumerate(min_arcs):
-            if not arcs:
-                raise IsolatedNode(f"column {j} has no finite entry")
-        for i, arcs in enumerate(max_arcs):
-            if not arcs:
-                raise IsolatedNode(f"row {i} has no finite entry")
-        a_src = np.array([j for j, arcs in enumerate(min_arcs) for _ in arcs], dtype=np.int64)
-        b_src = np.array([i for i, arcs in enumerate(max_arcs) for _ in arcs], dtype=np.int64)
-        self._fill(
-            len(min_arcs),
-            len(max_arcs),
-            _offsets(a_src, len(min_arcs)),
-            a_src,
-            [i for arcs in min_arcs for (i, _) in arcs],
-            [w for arcs in min_arcs for (_, w) in arcs],
-            _offsets(b_src, len(max_arcs)),
-            [j for arcs in max_arcs for (j, _) in arcs],
-            [w for arcs in max_arcs for (_, w) in arcs],
-            scale,
-        )
+    """The arc arrays above, weights integer-scaled by `scale`; weights
+    given as Python ints are stored as int64 once the guard admits them."""
 
-    @classmethod
-    def raw(cls, n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale):
-        """Wrap prebuilt arc arrays (already grouped; weights integer-scaled,
-        int64 or Python ints)."""
-        self = object.__new__(cls)
-        self._fill(n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale)
-        return self
-
-    def _fill(self, n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale):
+    def __init__(self, n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale):
         maxw = max(1, _abs_max(a_w), _abs_max(b_w))
         v = max(n_min, n_max) + 2
         if maxw * v * v * v >= (1 << 62):
@@ -299,31 +273,31 @@ def _pair_arena(Aw, Af, Bw, Bf, scale):
     a_off, a_src, a_tgt, a_w = _min_arcs(Aw, Af)
     b_src, b_tgt = np.nonzero(Bf)
     m, n = Af.shape
-    arena = Arena.raw(n, m, a_off, a_src, a_tgt, a_w, _offsets(b_src, m), b_tgt, Bw[Bf], scale)
+    arena = Arena(n, m, a_off, a_src, a_tgt, a_w, _offsets(b_src, m), b_tgt, Bw[Bf], scale)
     return arena, rows
 
 
 def _relax(n, src, dst, w, x, parent=None):
     """Bellman-Ford rounds x_u <- min(x_u, w + x_v) over the arcs u -> v,
-    until nothing changes or n + 1 rounds have run.  When given, parent[u]
-    is set to the arc that last lowered x_u."""
+    until nothing changes or n + 1 rounds have run.  The arcs must come
+    grouped by source, as arenas and their turn graphs keep them (src
+    nondecreasing).  When given, parent[u] is set to the arc that last
+    lowered x_u."""
     if not len(src):
         return x
-    order = np.argsort(src, kind="stable")
-    ps, pd, pw = src[order], dst[order], w[order]
-    heads, starts = np.unique(ps, return_index=True)
+    heads, starts = _segments(src)
     x = x.copy()
     for _ in range(n + 1):
-        cand = pw + x[pd]
+        cand = w + x[dst]
         best = np.minimum.reduceat(cand, starts)
         xh = x[heads]
         lower = best < xh
         if not lower.any():
             break
         if parent is not None:
-            seg = np.append(starts, len(ps))
+            seg = np.append(starts, len(src))
             arc = _first(cand == np.repeat(best, np.diff(seg)), seg)
-            parent[heads[lower]] = order[arc[lower]]
+            parent[heads[lower]] = arc[lower]
         x[heads] = np.minimum(xh, best)
     return x
 
@@ -332,7 +306,8 @@ def _negative_cycle(n, src, dst, w):
     """The arcs of a negative cycle, or None.  Bellman-Ford from 0 at every
     node with parent arcs: every cycle of the parent graph is negative, and
     a negative cycle keeps the rounds from settling, which leaves one there
-    after n + 1 rounds; pointer doubling finds a node on it."""
+    after n + 1 rounds; pointer doubling finds a node on it.  The arcs come
+    grouped by source (see _relax)."""
     parent = np.full(n, -1, dtype=np.int64)
     _relax(n, src, dst, w, np.zeros(n, dtype=w.dtype), parent)
     nxt = np.append(np.append(dst, n)[parent], n)
@@ -353,8 +328,9 @@ def _least_level(n, src, dst, w0, k, L: int, lam: Fraction):
     """Least level from lam on at which no cycle is negative, an arc
     weighing (w0 + k * level * L) / L with k >= 0; None when none is at lam.
     Dinkelbach's iteration: while some cycle C is negative, move up to the
-    level at which C weighs 0, its ratio -W0(C) / (K(C) L).  On int64 while
-    the walk weights fit, on Python ints beyond."""
+    level at which C weighs 0, its ratio -W0(C) / (K(C) L).  The arcs come
+    grouped by source; on int64 while the walk weights fit, on Python ints
+    beyond."""
     top = _abs_max(w0)
     for it in range(_RATIO_CAP):
         num, den = lam.numerator, lam.denominator
@@ -443,13 +419,6 @@ def _one_player_min(ns, src, dst, w, need_bias):
     return g_num, g_den, vhat
 
 
-def _one_player_max(ns, src, dst, w):
-    """Per-node maximum reachable cycle mean, via the min routine on
-    negated weights."""
-    g_num, g_den, _ = _one_player_min(ns, src, dst, -w, need_bias=False)
-    return -g_num, g_den
-
-
 class _Evaluation:
     __slots__ = ("g_num", "g_den", "vhat", "t_dst", "t_w")
 
@@ -518,27 +487,45 @@ def _tight_tau(arena: Arena, ev: _Evaluation):
 
 
 def _gate(arena: Arena, ev: _Evaluation, tau):
-    """Certify by solving Max's one-player game against tau.
+    """Certify the pair (tau, sigma) by potentials.
 
-    True when Max's best-response values match the sigma evaluation on
-    every Min node, i.e. the pair is a saddle point."""
+    Max's one-player game against tau, contracted onto the Min nodes, has
+    an arc j -> l of weight a_w + b_w for each Max arc tau[j] -> l.  Max's
+    best response to tau is at least the gains g of the sigma evaluation,
+    and at most g, so the pair is a saddle point, exactly when no arc
+    raises g (g_l <= g_j) and no cycle beats its gain level: some
+    potential pi has pi_j <= r + pi_l on every arc within a level, r the
+    reduced weight g_num - w * g_den.  The negated bias of the evaluation
+    is one whenever no switch improves sigma and tau is tight, so it is
+    tried first; otherwise Bellman-Ford from zeros on r decides, as it
+    leaves such a potential exactly when it settles within n_min + 1
+    rounds."""
     tau_arr = np.asarray(tau, dtype=np.int64)
     e = _first(arena.a_tgt == tau_arr[arena.a_src], arena.a_off)
     if np.any(e < 0):
         raise EngineError("tau selects a missing arc")
-    tau_w = arena.a_w[e]
-    src = np.repeat(np.arange(arena.n_max, dtype=np.int64), np.diff(arena.b_off))
-    dst = tau_arr[arena.b_tgt]
-    w = arena.b_w + tau_w[arena.b_tgt]
-    G_num, G_den = _one_player_max(arena.n_max, src, dst, w)
-    return bool(np.all(ev.g_num * G_den[tau_arr] == G_num[tau_arr] * ev.g_den))
+    lo = arena.b_off[tau_arr]
+    deg = arena.b_off[tau_arr + 1] - lo
+    src = np.repeat(np.arange(arena.n_min), deg)
+    arc = np.arange(len(src)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
+    dst = arena.b_tgt[arc]
+    gn, gd = ev.g_num, ev.g_den
+    if np.any(gn[dst] * gd[src] > gn[src] * gd[dst]):
+        return False
+    level = (gn[dst] == gn[src]) & (gd[dst] == gd[src])
+    src, dst = src[level], dst[level]
+    w = gn[src] - (arena.a_w[e][src] + arena.b_w[arc[level]]) * gd[src]
+    pi = -ev.vhat
+    if np.any(pi[src] > w + pi[dst]):
+        pi = _relax(arena.n_min, src, dst, w, np.zeros(arena.n_min, dtype=np.int64))
+    return not np.any(pi[src] > w + pi[dst])
 
 
 def _seed_sigma(arena: Arena):
     """Cold start of policy iteration: Max's greedy strategy after n_min
     rounds of value iteration from x = 0 (Zwick and Paterson), ties to
     the lowest index as in _improve.  After each renormalization
-    |x| <= 4 * maxw * rounds, which Arena._fill's guard
+    |x| <= 4 * maxw * rounds, which the Arena's guard
     maxw * v**3 < 2**62 keeps in int64, since rounds <= v."""
     a_start, b_start = arena.a_off[:-1], arena.b_off[:-1]
     x = np.zeros(arena.n_min, dtype=np.int64)
@@ -552,10 +539,12 @@ def _seed_sigma(arena: Arena):
 
 
 def solve_arena(arena: Arena, warm_sigma=None):
-    """Certified exact game values of an arena.
+    """Certified exact game values of an arena, by policy iteration from
+    the Max strategy warm_sigma (a sig_idx) when given, else from
+    _seed_sigma.
 
-    Returns (chi, tau, sigma, sig_idx) with chi as Fractions in original
-    (unscaled) units."""
+    Returns (g_num, g_den, tau, sigma, sig_idx): the value of Min node j
+    is g_num[j] / g_den[j] in scaled units (see _least and _values)."""
     if warm_sigma is not None and len(warm_sigma) == arena.n_max:
         sig_idx = np.asarray(warm_sigma, dtype=np.int64).copy()
     else:
@@ -569,12 +558,8 @@ def solve_arena(arena: Arena, warm_sigma=None):
         if _improve(arena, sig_idx, ev, reverse=reverse) == 0:
             tau = _tight_tau(arena, ev)
             if _gate(arena, ev, tau):
-                chi = [
-                    Fraction(int(ev.g_num[j]), int(ev.g_den[j])) / arena.scale
-                    for j in range(arena.n_min)
-                ]
                 sig_tgt, _ = arena.sigma_arrays(sig_idx)
-                return chi, tau, [int(t) for t in sig_tgt], sig_idx
+                return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), sig_idx
             perturbs += 1
             reverse = not reverse
             if perturbs > 3:
@@ -609,9 +594,7 @@ def _solve_by_enumeration(arena: Arena):
     sig_idx = np.zeros(arena.n_max, dtype=np.int64)
     while True:
         ev = _evaluate(arena, sig_idx)
-        vals = [
-            Fraction(int(ev.g_num[j]), int(ev.g_den[j])) for j in range(arena.n_min)
-        ]
+        vals = _values(ev.g_num, ev.g_den, 1)
         if best is None or all(v >= b for v, b in zip(vals, best)):
             best = vals
             best_idx = sig_idx.copy()
@@ -628,12 +611,23 @@ def _solve_by_enumeration(arena: Arena):
     tau = _tight_tau(arena, ev)
     if not _gate(arena, ev, tau):
         raise EngineError("enumeration failed to certify a saddle point")
-    chi = [
-        Fraction(int(ev.g_num[j]), int(ev.g_den[j])) / arena.scale
-        for j in range(arena.n_min)
-    ]
     sig_tgt, _ = arena.sigma_arrays(best_idx)
-    return chi, tau, [int(t) for t in sig_tgt], best_idx
+    return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), best_idx
+
+
+def _values(g_num, g_den, scale: int):
+    """The game values g_num / (g_den * scale) as Fractions."""
+    return [Fraction(n, d) / scale for n, d in zip(g_num.tolist(), g_den.tolist())]
+
+
+def _least(g_num, g_den, scale: int) -> Fraction:
+    """min(_values(g_num, g_den, scale)), from one Fraction: a float pick
+    re-checked by int64 cross-multiplication (the gains of an arena fit),
+    with the exact scan where the check fails."""
+    k = int(np.argmin(g_num / g_den))
+    if np.all(g_num[k] * g_den <= g_num * g_den[k]):
+        return Fraction(int(g_num[k]), int(g_den[k]) * scale)
+    return min(_values(g_num, g_den, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +639,11 @@ def _solve_pair(Aw, Af, Bw, Bf, scale) -> GameValues:
     their finite masks, as _scaled returns them.  Rows with no finite
     entry take no part: tau never picks them and sigma is None there."""
     arena, rows = _pair_arena(Aw, Af, Bw, Bf, scale)
-    chi, tau, sig, _ = solve_arena(arena)
+    g_num, g_den, tau, sig, _ = solve_arena(arena)
     sigma = [None] * len(Af)
     for r, c in zip(rows, sig):
         sigma[r] = c
-    return GameValues(chi, [int(rows[t]) for t in tau], sigma)
+    return GameValues(_values(g_num, g_den, scale), [int(rows[t]) for t in tau], sigma)
 
 
 def solve_values(sys: TwoSidedSystem) -> GameValues:
@@ -734,8 +728,8 @@ def _finite_point(Aw, Af, Bw, Bf, L: int, sweeps: int):
         x, finite, _, _ = fix
         return x if finite.all() else None  # greatest solution below the seed
     arena, _ = _pair_arena(Aw, Af, Bw, Bf, L)
-    chi, tau, sigma, sig_idx = solve_arena(arena)
-    if min(chi) < 0:
+    g_num, _, _, _, sig_idx = solve_arena(arena)
+    if np.any(g_num < 0):
         return None
     return _bf_witness(arena, sig_idx)
 

@@ -12,7 +12,6 @@ ExtScalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -81,25 +80,6 @@ class TropMatrix:
 
     def col(self, j):
         return [self.data[i][j] for i in range(self.rows)]
-
-    def finite_abs_max(self) -> Fraction:
-        """Largest |entry| over finite entries, 0 if none."""
-        return abs_max(chain.from_iterable(self.data))
-
-
-def abs_max(entries) -> Fraction:
-    """Largest |value| over the finite scalars among entries, 0 if none.
-
-    Compares the integer pairs (|numerator|, denominator) by cross
-    multiplication rather than building a Fraction per entry."""
-    bn, bd, best = 0, 1, Fraction(0)
-    for x in entries:
-        if x.kind == 0:
-            v = x.value
-            n, d = abs(v.numerator), v.denominator
-            if n * bd > bn * d:
-                bn, bd, best = n, d, v
-    return abs(best)
 
 
 def identity(n: int) -> TropMatrix:
@@ -328,12 +308,24 @@ def _closure(adj):
     repeated squaring.  The float32 product only counts 0/1 paths (sums of
     at most n ones), so it is exact."""
     r = adj | np.eye(len(adj), dtype=bool)
+    count = np.count_nonzero(r)
     while True:
         f = r.astype(np.float32)
-        nr = (f @ f) > 0
-        if np.array_equal(nr, r):
+        r = (f @ f) > 0
+        # a reflexive r lies inside its square: equal counts, equal sets
+        new = np.count_nonzero(r)
+        if new == count:
             return r
-        r = nr
+        count = new
+
+
+def _segments(keys):
+    """(heads, starts) of a nonempty array grouped by value (each value's
+    entries contiguous): the values in order of their groups and the index
+    where each group starts, as np.unique(keys, return_index=True) gives
+    them on sorted keys, without a sort."""
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], starts
 
 
 def _sccs(ns, src, dst):
@@ -361,7 +353,7 @@ def _karp_table(ns, src, dst, w, root):
     if len(idst):
         order = np.argsort(idst, kind="stable")
         isrc, idst, iw = isrc[order], idst[order], iw[order]
-        heads, starts = np.unique(idst, return_index=True)
+        heads, starts = _segments(idst)
         for k in range(1, N + 1):
             D[k, heads] = np.minimum.reduceat(D[k - 1][isrc] + iw, starts)
     return D, N, inf // 2

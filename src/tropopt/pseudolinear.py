@@ -19,7 +19,6 @@ on the grid of multiples of 1/(2L), which makes both schemes exact.
 from __future__ import annotations
 
 from collections import namedtuple
-from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partialmethod
@@ -37,6 +36,7 @@ from .matrix import (
     _fit,
     _max_cycle_mean,
     _scaled,
+    _segments,
     _star,
 )
 from .games import (
@@ -46,6 +46,7 @@ from .games import (
     TwoSidedSystem,
     _descend_scaled,
     _finite_point,
+    _least,
     _least_level,
     _mean_signs,
     _min_arcs,
@@ -172,12 +173,6 @@ class _ProblemData:
     @property
     def shape(self):
         return self._rec.m, self._rec.n
-
-    def weight_bound(self) -> Fraction:
-        return Fraction(self._rec.WL, self._rec.L)
-
-    def data_denominator_lcm(self) -> int:
-        return self._rec.L
 
     def _lam_floor(self) -> Fraction:
         return self._rec.lam_floor(self._rec.quad)
@@ -375,7 +370,7 @@ class _Compiled:
 
     @cached_property
     def struct(self):
-        """The template of the prepared structure (see _prepare)."""
+        """The prepared structure (see _prepare)."""
         return self._struct(coupling=True)
 
     @cached_property
@@ -440,8 +435,8 @@ class _ParamStruct:
     finite left entry and the stabilizing rows they need, as a pair tuple
     (see _param_pair) scaled by the denominator lcm L0 of its own entries,
     and its integer arc arrays.  rows[r] is the core row of row r (the aug
-    rows come after them).  The record keeps unsolved templates; each
-    solve warm-starts its own copy (_prepare), which shares the arrays."""
+    rows come after them).  It keeps no state of any solve: a probe's warm
+    start is an argument (solve)."""
 
     def __init__(self, pair, rows, m):
         self.pair = pair
@@ -451,7 +446,6 @@ class _ParamStruct:
         self.n = Af.shape[1] - 1
         self.n_min = self.n + 1
         self.n_max = len(Af)
-        self._warm = None
         self._a_off, self._a_src, self._a_tgt, a_w0 = _min_arcs(Aw, Af)
         self._a_w0 = np.asarray(a_w0, dtype=np.int64)
         b_src, self._b_tgt = np.nonzero(Bf)
@@ -472,16 +466,19 @@ class _ParamStruct:
         bw = self._b_w0 * fa
         bw[self._b_lam] = num * fl
         a_arcs = (self._a_off, self._a_src, self._a_tgt, self._a_w0 * fa)
-        return Arena.raw(self.n_min, self.n_max, *a_arcs, self._b_off, self._b_tgt, bw, S)
+        return Arena(self.n_min, self.n_max, *a_arcs, self._b_off, self._b_tgt, bw, S)
 
-    def solve(self, lam: Fraction):
-        chi, tau, sigma, sig_idx = solve_arena(self.arena(lam), self._warm)
-        self._warm = sig_idx
-        return chi, tau, sigma
+    def solve(self, lam: Fraction, warm=None):
+        """The certified game at level lam: (phi, sigma, sig_idx), phi its
+        least value and sig_idx the row strategy.  Policy iteration starts
+        from warm, the sig_idx of another probe, when given, and from the
+        value-iteration seed otherwise."""
+        arena = self.arena(lam)
+        g_num, g_den, _, sigma, sig_idx = solve_arena(arena, warm)
+        return _least(g_num, g_den, arena.scale), sigma, sig_idx
 
     def phi(self, lam: Fraction) -> Fraction:
-        chi, _, _ = self.solve(lam)
-        return min(chi)
+        return self.solve(lam)[0]
 
     def drop(self, sig_idx, lam_floor: Fraction):
         """Least level at which the one-player game left after fixing the
@@ -491,9 +488,6 @@ class _ParamStruct:
         w0 = self._a_w0 + self._b_w0[pos]
         tgt, k = self._b_tgt[pos], self._b_lam[pos]
         return _least_level(self.n_min, self._a_src, tgt, w0, k, self.L0, lam_floor)
-
-    def last_sig_idx(self):
-        return None if self._warm is None else self._warm.copy()
 
     def witness(self, lam: Fraction):
         """Finite point at a feasible level: solve the system at lam on
@@ -524,7 +518,7 @@ def _prepare(prob, ignore_objective=False) -> _Prep:
         return _Prep("row_infeasible")
     if rec.free_objective and not ignore_objective:
         return _Prep("free_objective")
-    return _Prep("ok", copy(rec.struct))
+    return _Prep("ok", rec.struct)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +554,7 @@ def _descent_witness(rec):
         if finite.all() and not np.any(Af[:m, n] & ~(y_fin & (Aw[:m, n] <= y))):
             return [Fraction(int(v), L) for v in x[:n]]
     try:
-        if copy(rec.witness_struct).phi(-rec.lam_floor(False)) < 0:
+        if rec.witness_struct.phi(-rec.lam_floor(False)) < 0:
             return None
     except EngineError:
         pass
@@ -659,16 +653,18 @@ def _bisect(prob, mode, tol, bounds) -> SolveOutcome:
         return start
     struct, lb, up, _ = start
     grid, tr = _compiled(prob).grid, []
+    # each probe after the first starts from the previous one's strategy,
+    # which is near-optimal at the nearby level
     if lb.is_neg_inf:
         lf = grid.down(prob._lam_floor())
-        ph = struct.phi(lf)
+        ph, _, warm = struct.solve(lf)
         tr.append((lf, ph))
         if ph >= 0:
             return SolveOutcome("unbounded", NEG_INF, None, 0, tr)
         lo = grid.strict_up(lf)
     else:
         lo = grid.up(lb.value)
-        ph = struct.phi(lo)
+        ph, _, warm = struct.solve(lo)
         tr.append((lo, ph))
         if ph >= 0:
             return SolveOutcome("optimal", fin(lo), _optimal_witness(prob, struct, lo), 0, tr)
@@ -678,7 +674,7 @@ def _bisect(prob, mode, tol, bounds) -> SolveOutcome:
         if iters > _BISECT_CAP:
             raise EngineError("bisection failed to converge")
         mid = (lo + hi) / 2
-        ph = struct.phi(mid)
+        ph, _, warm = struct.solve(mid, warm)
         iters += 1
         tr.append((mid, ph))
         if ph >= 0:
@@ -779,7 +775,7 @@ def _reduce(U, V, b, d, sigma, big):
         # b_i - V_is to l_s; rows sorted by s reduce by segment
         order = np.argsort(tgts, kind="stable")
         rows, tgts = np.asarray(rows)[order], np.asarray(tgts)[order]
-        heads, starts = np.unique(tgts, return_index=True)
+        heads, starts = _segments(tgts)
         vis = V[rows, tgts]
         Ur, br = U[rows], b[rows]
         R[heads] = np.maximum.reduceat(np.where(Ur > -big, Ur - vis[:, None], -big), starts)
@@ -891,14 +887,14 @@ def _newton(prob, mode, tol, bounds) -> SolveOutcome:
     if rec.quad:
         x, lam_floor = None, grid.down(prob._lam_floor())
 
-        def drop(sigma):
-            lam = struct.drop(struct.last_sig_idx(), lam_floor)
+        def drop(sigma, sig_idx):
+            lam = struct.drop(sig_idx, lam_floor)
             return None if lam is None else grid.up(lam), None
 
     else:
         U, V, b, d, p, q, S, big = rec.drop
 
-        def drop(sigma):
+        def drop(sigma, sig_idx):
             R, l, u = _reduce(U, V, b, d, struct.sigma_struct(sigma), big)
             theta, x = _alcoved(R, l, u, p, q, big)
             if theta is None:
@@ -910,14 +906,15 @@ def _newton(prob, mode, tol, bounds) -> SolveOutcome:
     iters = 0
     tr = []
     for _ in range(_NEWTON_CAP):
-        chi, _, sigma = struct.solve(grid.strict_down(lam_k))
+        # cold, from the value-iteration seed: the levels jump, so the
+        # previous probe's strategy is a worse start than the seed
+        ph, sigma, sig_idx = struct.solve(grid.strict_down(lam_k))
         iters += 1
-        ph = min(chi)
         tr.append((lam_k, ph))
         if ph < 0:
             break
         try:
-            lam, x_lam = drop(sigma)
+            lam, x_lam = drop(sigma, sig_idx)
         except InfeasibleReduction:
             break  # cannot happen for a certified strategy; drop target +inf
         if lam is None:

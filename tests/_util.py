@@ -9,7 +9,7 @@ import json
 import re
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -48,7 +48,9 @@ from tropopt.games import (
     EngineError,
     GameValues,
     _descend_scaled,
+    _offsets,
     _solves,
+    _values,
     solve_arena,
 )
 from tropopt.matrix import _den_lcm, _scaled
@@ -654,14 +656,39 @@ def oracle_pair(prob, lam):
     return TropMatrix(arows, "max"), TropMatrix(brows, "max"), lam_rows
 
 
+def arena_of(min_arcs, max_arcs, scale):
+    """The Arena of per-node arc lists, min_arcs per Min node j [(i, int w)]
+    and max_arcs per Max node i [(j, int w)], as build_game orders them."""
+    for j, arcs in enumerate(min_arcs):
+        if not arcs:
+            raise IsolatedNode(f"column {j} has no finite entry")
+    for i, arcs in enumerate(max_arcs):
+        if not arcs:
+            raise IsolatedNode(f"row {i} has no finite entry")
+    a_src = np.array([j for j, arcs in enumerate(min_arcs) for _ in arcs], dtype=np.int64)
+    b_src = np.array([i for i, arcs in enumerate(max_arcs) for _ in arcs], dtype=np.int64)
+    return Arena(
+        len(min_arcs),
+        len(max_arcs),
+        _offsets(a_src, len(min_arcs)),
+        a_src,
+        [i for arcs in min_arcs for (i, _) in arcs],
+        [w for arcs in min_arcs for (_, w) in arcs],
+        _offsets(b_src, len(max_arcs)),
+        [j for arcs in max_arcs for (j, _) in arcs],
+        [w for arcs in max_arcs for (_, w) in arcs],
+        scale,
+    )
+
+
 def oracle_solve_values(sys):
     """solve_values through build_game and per-entry Fraction scaling."""
     game = build_game(sys)
     L = _den_lcm(sys.A, sys.B)
     min_arcs = [[(i, int(w * L)) for (i, w) in arcs] for arcs in game.min_arcs]
     max_arcs = [[(j, int(w * L)) for (j, w) in arcs] for arcs in game.max_arcs]
-    chi, tau, sigma, _ = solve_arena(Arena(min_arcs, max_arcs, L))
-    return GameValues(chi, tau, sigma)
+    g_num, g_den, tau, sigma, _ = solve_arena(arena_of(min_arcs, max_arcs, L))
+    return GameValues(_values(g_num, g_den, L), tau, sigma)
 
 
 def _vacuous(A, B, r):
@@ -695,7 +722,7 @@ def _oracle_feasible(A, B):
     solution: the Fraction descent when it converges, else the game."""
     A, B, _ = _live(A, B)
     sys = TwoSidedSystem(A, B)
-    W = max(A.finite_abs_max(), B.finite_abs_max())
+    W = max(finite_abs_max(A), finite_abs_max(B))
     x, converged = descent_oracle(A, B, W, 3 * (A.rows + A.cols) + 6)
     if converged:
         return all(v.is_finite for v in x)
@@ -1107,8 +1134,30 @@ def _descend(A, B, W, L, sweeps):
     return _descend_scaled(*_scaled(A, L), *_scaled(B, L), int((2 * W + 2) * L), sweeps)
 
 
+def finite_abs_max(M) -> Fraction:
+    """Largest |entry| over the finite entries of a TropMatrix, 0 if none."""
+    return max((abs(e.value) for row in M.data for e in row if e.is_finite), default=Fraction(0))
+
+
 def system_weight_bound(sys):
-    return max(sys.A.finite_abs_max(), sys.B.finite_abs_max())
+    return max(finite_abs_max(sys.A), finite_abs_max(sys.B))
+
+
+def _problem_entries(prob):
+    """Every entry of a problem's fields, as ExtScalars."""
+    fields = [getattr(prob, f) for f in prob._fields]
+    rows = [r for f in fields for r in (f.data if isinstance(f, TropMatrix) else [f])]
+    return [e for r in rows for e in r]
+
+
+def data_denominator_lcm(prob) -> int:
+    """The denominator lcm of a problem's data, read off its fields."""
+    return lcm(*(e.value.denominator for e in _problem_entries(prob)))
+
+
+def weight_bound(prob) -> Fraction:
+    """The largest |finite entry| of a problem's data, read off its fields."""
+    return max((abs(e.value) for e in _problem_entries(prob) if e.is_finite), default=Fraction(0))
 
 
 def _check_witness(A, B, x, L):

@@ -5,9 +5,9 @@ The record's prepared structure and literal pair must equal the entry-by-
 entry builds kept in _util as oracles, on sparse problems with vacuous
 rows, -inf anchors, all +inf q, free objectives and row-infeasible data,
 a third of them on denominators past the int64 range.  A solve or
-certify request scans the data for its lcm and weight bound at most
-once, the integer objectives equal the extended-scalar ones, and a
-non-positive tol is rejected before any work.
+certify request compiles its data exactly once, the integer objectives
+equal the extended-scalar ones, and a non-positive tol is rejected before
+any work.
 """
 
 from fractions import Fraction
@@ -37,9 +37,17 @@ from tropopt import (
     unboundedness_certificate,
 )
 from tropopt.io import BadRational, IllegalInfinity, dump_problem, format_outcome, parse_problem
-from tropopt.pseudolinear import _compiled, _param_pair, _prepare
+from tropopt.pseudolinear import _compiled, _Compiled, _param_pair, _prepare
 
-from _util import linprob, oracle_objective, oracle_param_pair, oracle_struct, quadprob
+from _util import (
+    data_denominator_lcm,
+    linprob,
+    oracle_objective,
+    oracle_param_pair,
+    oracle_struct,
+    quadprob,
+    weight_bound,
+)
 
 _SMALL = [1, 1, 2, 3]
 _HUGE = [5**30, 7**25]
@@ -117,8 +125,8 @@ def test_record_matches_entrywise_build(prob):
         assert g.shape == w.shape and g.tolist() == w.tolist()
     assert got[4:] == want[4:]
     rec = _compiled(prob)
-    assert rec.L == prob.data_denominator_lcm()
-    assert Fraction(rec.WL, rec.L) == prob.weight_bound()
+    assert rec.L == data_denominator_lcm(prob)
+    assert Fraction(rec.WL, rec.L) == weight_bound(prob)
     assert not quad or rec.quad
 
 
@@ -158,27 +166,18 @@ def test_record_is_private_and_built_once():
     assert bisection_solve(prob).lam == fin(7) and _compiled(prob) is not rec
 
 
-def _count_scans(request):
-    """(data_denominator_lcm calls, weight_bound calls) during request()."""
-    counts = {"data_denominator_lcm": 0, "weight_bound": 0}
-    patches = []
-    for cls in (PseudolinearProblem, PseudoquadraticProblem):
-        for name in counts:
-            orig = getattr(cls, name)
+def _compiles(request):
+    """The number of compiled records (_Compiled) built during request()."""
+    calls = [0]
+    init = _Compiled.__init__
 
-            def counted(self, _orig=orig, _name=name):
-                counts[_name] += 1
-                return _orig(self)
+    def counted(self, *args):
+        calls[0] += 1
+        init(self, *args)
 
-            patches.append(patch.object(cls, name, counted))
-    for p in patches:
-        p.start()
-    try:
+    with patch.object(_Compiled, "__init__", counted):
         request()
-    finally:
-        for p in patches:
-            p.stop()
-    return counts["data_denominator_lcm"], counts["weight_bound"]
+    return calls[0]
 
 
 @pytest.mark.parametrize("quad", [False, True])
@@ -194,8 +193,7 @@ def test_one_scan_of_the_data_per_request(quad):
             format_outcome(out, include_trace=True)
             outs.append(out)
 
-        lcm_calls, wb_calls = _count_scans(request)
-        assert lcm_calls <= 1 and wb_calls <= 1
+        assert _compiles(request) == 1
     assert outs[0].status == "optimal"
     lam = outs[0].lam.value
 
@@ -206,8 +204,7 @@ def test_one_scan_of_the_data_per_request(quad):
         sig = unboundedness_certificate(p)
         assert sig is None or not certify_unbounded(p, sig)
 
-    lcm_calls, wb_calls = _count_scans(certify)
-    assert lcm_calls <= 1 and wb_calls <= 1
+    assert _compiles(certify) == 1
 
 
 def _row_infeasible(quad):

@@ -37,6 +37,7 @@ from _util import (
     _descend,
     b_entries,
     descent_oracle,
+    finite_abs_max,
     struct_matrix,
     system_weight_bound,
 )
@@ -71,7 +72,7 @@ def _verify(sys, x):
 @given(_pair(), st.integers(0, 12))
 def test_homogeneous_descent_matches_oracle(pair, sweeps):
     A, B = pair
-    W = max(A.finite_abs_max(), B.finite_abs_max())
+    W = max(finite_abs_max(A), finite_abs_max(B))
     L = _den_lcm(A, B)
     want, converged = descent_oracle(A, B, W, sweeps)
     got = _descend(A, B, W, L, sweeps)
@@ -91,7 +92,7 @@ def test_affine_descent_matches_oracle(pair, extra, sweeps):
     n = U.cols
     V = TropMatrix([row[:n] for row in Vd.data], "max")
     d = [row[n] for row in Vd.data]
-    W = max(U.finite_abs_max(), Vd.finite_abs_max(), abs(extra))
+    W = max(finite_abs_max(U), finite_abs_max(Vd), abs(extra))
     L = _den_lcm(U, Vd, M([[extra]]))
     want, converged = descent_oracle(U, V, W, sweeps, d=d)
     got = _descend(U, Vd, W, L, sweeps)

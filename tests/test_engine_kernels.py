@@ -6,10 +6,16 @@ a time with Tarjan SCCs, one Karp table per SCC and exact fractions.  The
 outputs must be identical: gains, biases, switch counts and strategies,
 tight responses and gate verdicts, on random small graphs and arenas with
 self-loops, several SCCs, acyclic tails, ties and weights just under the
-engine's overflow guard.  The value-iteration cold start (`_seed_sigma`)
-must leave every game value as an enumeration of Max's strategies finds
-it, and must keep cutting the evaluations of a cold solve.
+engine's overflow guard.  The gate's potential check must give the
+verdict of the Karp oracle on any pair of strategies, not only on the
+tight ones.  The value-iteration cold start (`_seed_sigma`) must leave
+every game value as an enumeration of Max's strategies finds it, and must
+keep cutting the evaluations of a cold solve; Newton's probes all start
+from it.  Every caller of the Bellman-Ford kernel passes its arcs grouped
+by source.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -17,8 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from tropopt import games, pseudolinear
 from tropopt.games import (
-    Arena,
     EngineError,
+    feasible_finite,
     _evaluate,
     _Evaluation,
     _gate,
@@ -26,11 +32,15 @@ from tropopt.games import (
     _one_player_min,
     _seed_sigma,
     _tight_tau,
+    _values,
     solve_arena,
 )
+from tropopt.pseudolinear import _at_level, _param_pair
+from tropopt.pseudoquadratic import newton_solve_quad
 from tropopt.random_instances import gen_random
 
 from _util import (
+    arena_of,
     oracle_arena_values,
     oracle_gate,
     oracle_improve,
@@ -106,7 +116,7 @@ def _arena(draw):
             out.append([(t, draw(wt)) for t in sorted(tgts)])
         return out
 
-    arena = Arena(arcs(n_min, n_max), arcs(n_max, n_min), 1)
+    arena = arena_of(arcs(n_min, n_max), arcs(n_max, n_min), 1)
     degs = np.diff(arena.b_off)
     sig = np.array([draw(st.integers(0, int(d) - 1)) for d in degs], dtype=np.int64)
     return arena, sig
@@ -130,6 +140,85 @@ def test_improve_tight_tau_and_gate_match_oracles(arena_sig):
     assert _gate(arena, ev, tau) is oracle_gate(arena, ev, tau)
 
 
+@st.composite
+def _arena_pair(draw):
+    """An arena, any valid sigma and any valid tau, not only a tight one."""
+    arena, sig = draw(_arena())
+    tau = [
+        draw(st.sampled_from(arena.a_tgt[arena.a_off[j] : arena.a_off[j + 1]].tolist()))
+        for j in range(arena.n_min)
+    ]
+    return arena, sig, tau
+
+
+def _gate_case(arena, sig, tau):
+    """(verdict, number of gain levels); the gate must agree with the
+    oracle."""
+    ev = _evaluate(arena, sig)
+    verdict = _gate(arena, ev, tau)
+    assert verdict is oracle_gate(arena, ev, tau)
+    return verdict, len({(int(n), int(d)) for n, d in zip(ev.g_num, ev.g_den)})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arena_pair())
+def test_gate_matches_the_karp_oracle_on_any_pair(pair):
+    _gate_case(*pair)
+
+
+def _seeded_gate_sweep():
+    """The (verdict, several levels) kinds of _gate_case met on 300 seeded
+    arenas of 2 to 6 nodes a side, with a random sigma and tau."""
+    rng = np.random.default_rng(12)
+    seen = set()
+    for _ in range(300):
+        n_min, n_max = (int(v) for v in rng.integers(2, 7, size=2))
+
+        def arcs(n_from, n_to):
+            out = []
+            for _ in range(n_from):
+                tgts = sorted(rng.choice(n_to, size=int(rng.integers(1, n_to + 1)), replace=False))
+                out.append([(int(t), int(rng.integers(-6, 7))) for t in tgts])
+            return out
+
+        min_arcs, max_arcs = arcs(n_min, n_max), arcs(n_max, n_min)
+        arena = arena_of(min_arcs, max_arcs, 1)
+        sig = np.array([rng.integers(len(a)) for a in max_arcs], dtype=np.int64)
+        tau = [a[rng.integers(len(a))][0] for a in min_arcs]
+        verdict, levels = _gate_case(arena, sig, tau)
+        seen.add((verdict, levels > 1))
+    return seen
+
+
+def test_gate_verdicts_on_seeded_pairs():
+    """The gate agrees with the oracle, and passing and failing pairs both
+    occur on arenas with several gain levels."""
+    assert _seeded_gate_sweep() == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
+    """_relax reduces by segments of equal source with no sort: each of
+    its callers (the bias of an evaluation, the gate, the quad drop's
+    negative cycles and the game witness) passes src nondecreasing."""
+    relax, callers = games._relax, set()
+
+    def checked(n, src, dst, w, x, parent=None):
+        callers.add(sys._getframe(1).f_code.co_name)
+        assert np.all(np.diff(src) >= 0)
+        return relax(n, src, dst, w, x, parent)
+
+    monkeypatch.setattr(games, "_relax", checked)
+    for s in (1, 5, 6):
+        prob = gen_random(6, 6, 20, 100, s)
+        lam = pseudolinear.bisection_solve(prob).lam.value
+        pseudolinear.newton_solve(prob)
+        newton_solve_quad(gen_random(5, 5, 20, 100, s, quadratic=True))
+        # one sweep settles nothing, so the game finds the point
+        assert feasible_finite(_at_level(_param_pair(prob), lam)[:5], max_sweeps=1) is not None
+    _seeded_gate_sweep()  # pairs whose bias is no potential
+    assert callers == {"_one_player_min", "_gate", "_negative_cycle", "_bf_witness"}
+
+
 @settings(max_examples=100, deadline=None)
 @given(_arena())
 def test_seeded_cold_start_keeps_the_values(arena_sig):
@@ -142,15 +231,14 @@ def test_seeded_cold_start_keeps_the_values(arena_sig):
     assert seed.dtype == np.int64
     assert np.all((seed >= 0) & (seed < np.diff(arena.b_off)))
     assert seed.tolist() == oracle_seed_sigma(arena)
-    chi = solve_arena(arena)[0]
-    assert solve_arena(arena, sig)[0] == chi
+    chi = _values(*solve_arena(arena)[:2], arena.scale)
+    assert _values(*solve_arena(arena, sig)[:2], arena.scale) == chi
     assert chi == oracle_arena_values(arena)
 
 
-def test_seed_cuts_the_evaluations_of_a_cold_solve(monkeypatch):
-    """The first level probe of bisection_solve starts cold.  From the
-    seed it takes about 2 one-player evaluations on these instances, from
-    sigma = 0 about 7.5."""
+def _evaluations_per_probe(monkeypatch):
+    """A list that collects the one-player evaluations of each level
+    probe (_ParamStruct.solve) run from here on."""
     calls, per_solve = [0], []
     evaluate, solve = games._evaluate, pseudolinear._ParamStruct.solve
 
@@ -158,20 +246,39 @@ def test_seed_cuts_the_evaluations_of_a_cold_solve(monkeypatch):
         calls[0] += 1
         return evaluate(*args)
 
-    def counting_solve(struct, lam):
+    def counting_solve(struct, lam, warm=None):
         before = calls[0]
-        out = solve(struct, lam)
+        out = solve(struct, lam, warm)
         per_solve.append(calls[0] - before)
         return out
 
     monkeypatch.setattr(games, "_evaluate", counting_evaluate)
     monkeypatch.setattr(pseudolinear._ParamStruct, "solve", counting_solve)
+    return per_solve
+
+
+def test_seed_cuts_the_evaluations_of_a_cold_solve(monkeypatch):
+    """The first level probe of bisection_solve starts cold.  From the
+    seed it takes about 2 one-player evaluations on these instances, from
+    sigma = 0 about 7.5."""
+    per_solve = _evaluations_per_probe(monkeypatch)
     first = []
     for s in range(10):
         per_solve.clear()
         pseudolinear.bisection_solve(gen_random(25, 25, 500, 100, s))
         first.append(per_solve[0])
     assert sum(first) <= 3 * len(first)
+
+
+def test_newton_probes_start_from_the_seed(monkeypatch):
+    """Newton's levels jump, so each of its probes starts from the seed:
+    21 evaluations over the 13 probes of these instances, where a start
+    from the previous probe's strategy took 27."""
+    per_solve = _evaluations_per_probe(monkeypatch)
+    for s in range(10):
+        pseudolinear.newton_solve(gen_random(25, 25, 500, 100, s))
+    assert len(per_solve) == 13
+    assert sum(per_solve) < 27
 
 
 def test_float_ties_take_the_exact_fallback():
@@ -190,7 +297,7 @@ def test_float_ties_take_the_exact_fallback():
             _same(a, b)
     assert int(got[0][0]) == 2**55
     big = 2**54
-    arena = Arena(
+    arena = arena_of(
         [[(0, 0)], [(1, 0)], [(2, 0)]],
         [[(1, 0), (2, 0)], [(1, big)], [(2, big + 1)]],
         1,
@@ -210,7 +317,7 @@ def test_no_reachable_cycle_raises():
 
 
 def test_no_tight_move_and_missing_tau_arc_raise():
-    arena = Arena([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
+    arena = arena_of([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
     ev = _evaluate(arena, np.zeros(2, dtype=np.int64))
     broken = _Evaluation(ev.g_num, ev.g_den, ev.vhat + np.array([1, 0]), ev.t_dst, ev.t_w)
     for fn in (_tight_tau, oracle_tight_tau):

@@ -32,7 +32,7 @@ from tropopt import games, pseudolinear
 from tropopt.games import EngineError, _least_level
 from tropopt.pseudolinear import _FareyGrid, _ParamStruct, _drop_data
 
-from _util import linprob, oracle_quad_drop, quadprob, simple_cycles
+from _util import data_denominator_lcm, linprob, oracle_quad_drop, quadprob, simple_cycles
 
 _DENS = [1, 1, 2, 3]
 
@@ -70,9 +70,10 @@ def _newton_drops(prob):
     probes, drops = [], []
     solve, drop, alcoved = _ParamStruct.solve, _ParamStruct.drop, pseudolinear._alcoved
 
-    def solve_rec(self, lam):
-        probes.append((self, lam))
-        return solve(self, lam)
+    def solve_rec(self, lam, warm=None):
+        out = solve(self, lam, warm)
+        probes.append((self, lam, out[2]))
+        return out
 
     def drop_rec(self, sig_idx, lam_floor):
         got = drop(self, sig_idx, lam_floor)
@@ -82,8 +83,8 @@ def _newton_drops(prob):
     def alcoved_rec(*args):
         theta, x = alcoved(*args)
         S = _drop_data(prob)[6]
-        struct = probes[-1][0]
-        drops.append((struct, struct.last_sig_idx(), None if theta is None else Fraction(theta, S)))
+        struct, _, sig_idx = probes[-1]
+        drops.append((struct, sig_idx.copy(), None if theta is None else Fraction(theta, S)))
         return theta, x
 
     with patch.object(_ParamStruct, "solve", solve_rec), patch.object(
@@ -95,7 +96,7 @@ def _newton_drops(prob):
 
 
 def _check_quad(prob):
-    grid = _FareyGrid(prob.shape[1] + 1, prob.data_denominator_lcm())
+    grid = _FareyGrid(prob.shape[1] + 1, data_denominator_lcm(prob))
     drops = _newton_drops(prob)
     for struct, sig_idx, lam_floor, lam_minus, got in drops:
         want = oracle_quad_drop(struct, sig_idx, lam_floor, lam_minus, grid)
@@ -167,7 +168,7 @@ def test_real_bisection_is_exact(prob):
         bisect, newton = bisection_solve, newton_solve
     got, want = bisect(prob, mode="real"), newton(prob, mode="real")
     assert (got.status, got.lam) == (want.status, want.lam)
-    L = prob.data_denominator_lcm()
+    L = data_denominator_lcm(prob)
     ref = bisect(_times(prob, L))
     lam = fin(ref.lam.value / L) if ref.status == "optimal" else ref.lam
     assert (got.status, got.lam) == (ref.status, lam)
@@ -175,8 +176,9 @@ def test_real_bisection_is_exact(prob):
 
 @st.composite
 def _arcs(draw):
-    """(n, src, dst, w0, k, L, lam): a digraph with weights scaled by L;
-    a third of them past the int64 range."""
+    """(n, src, dst, w0, k, L, lam): a digraph with weights scaled by L,
+    its arcs grouped by source as _least_level requires; a third of them
+    past the int64 range."""
     huge = draw(st.integers(0, 2)) == 0
     L = 5**30 if huge else draw(st.sampled_from([1, 2, 6]))
     n = draw(st.integers(1, 5))
@@ -189,7 +191,7 @@ def _arcs(draw):
         )
     )
     lam = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 3, 7**25] if huge else [1, 2, 3])))
-    src, dst, w0, k = (np.array(c) for c in zip(*arcs))
+    src, dst, w0, k = (np.array(c) for c in zip(*sorted(arcs, key=lambda a: a[0])))
     w0 = w0.astype(object if huge else np.int64)
     return n, src.astype(np.int64), dst.astype(np.int64), w0, k.astype(bool), L, lam
 

@@ -1,0 +1,140 @@
+"""Count the game engine's work per request kind on a seeded workload pool.
+
+    python3 tools/engine_counts.py [--workload lin-int-d25] [--seed 5] [--instances N] [--src DIR]
+
+Each instance of the workload's pool (benchmarks/workloads.py, the same
+instances as `benchmarks/run.py --seed`) gets a bisection and a Newton
+solve request and, when optimal, a certify request at its optimum, as the
+benchmark sends them.  Every certified game solve (games.solve_arena) is
+put under a kind: "witness" inside the start point's search and the
+optimal point's game, whatever the request, and otherwise the request's
+own kind (bisect, newton, certify).  Within a kind it is "warm" when it
+starts from a given row strategy and "cold" when it starts from the
+value-iteration seed.  Per kind and start the tool counts solves,
+one-player evaluations, gate calls and value-iteration rounds (n_min per
+seed).  --src names a checkout's src/ directory (default: this
+checkout's).  Prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+from workloads import WORKLOADS, certify_request, solve_request  # noqa: E402
+
+COUNTS = ("solves", "evaluations", "gates", "vi_rounds")
+
+
+def load(src):
+    """The tropopt modules of one import from src."""
+    for name in [m for m in sys.modules if m == "tropopt" or m.startswith("tropopt.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        names = ("io", "pseudolinear", "pseudoquadratic", "games", "matrix", "random_instances", "semiring")
+        mods = {m: importlib.import_module(f"tropopt.{m}") for m in names}
+    finally:
+        sys.path.remove(str(src))
+    return SimpleNamespace(
+        modules=mods, io=mods["io"], pl=mods["pseudolinear"], pq=mods["pseudoquadratic"],
+        games=mods["games"], _fin=mods["semiring"].fin,
+    )
+
+
+class Counter:
+    """Rebinds the engine's entry points in prog's modules to count into
+    table[kind][start]; `kind` is the request kind in force."""
+
+    def __init__(self, prog):
+        self.prog = prog
+        self.kind = None
+        self.solve = None  # the counts of the solve running now
+        self.table = {}
+
+    def _within(self, kind, fn):
+        def wrapped(*args, **kw):
+            outer, self.kind = self.kind, kind
+            try:
+                return fn(*args, **kw)
+            finally:
+                self.kind = outer
+        return wrapped
+
+    def _counting(self, name, fn, amount=lambda *args: 1):
+        def wrapped(*args, **kw):
+            if self.solve is not None:
+                self.solve[name] += amount(*args)
+            return fn(*args, **kw)
+        return wrapped
+
+    def install(self):
+        g, pl = self.prog.games, self.prog.pl
+        solve_arena = g.solve_arena
+
+        def counted_solve(arena, warm_sigma=None):
+            start = "cold" if warm_sigma is None else "warm"
+            row = self.table.setdefault(self.kind, {}).setdefault(start, dict.fromkeys(COUNTS, 0))
+            outer, self.solve = self.solve, row
+            row["solves"] += 1
+            try:
+                return solve_arena(arena, warm_sigma)
+            finally:
+                self.solve = outer
+
+        g.solve_arena = pl.solve_arena = counted_solve
+        g._evaluate = self._counting("evaluations", g._evaluate)
+        g._gate = self._counting("gates", g._gate)
+        g._seed_sigma = self._counting("vi_rounds", g._seed_sigma, lambda arena: arena.n_min)
+        pl._descent_witness = self._within("witness", pl._descent_witness)
+        pl._optimal_witness = self._within("witness", pl._optimal_witness)
+
+    def run(self, kind, fn, *args):
+        return self._within(kind, fn)(*args)
+
+
+def count(prog, workload, seed, instances):
+    wl = WORKLOADS[workload]
+    n = wl.pool if instances is None else instances
+    texts = [prog.io.dump_problem(wl.make(prog, seed * 1000003 + i)) for i in range(n)]
+    counter = Counter(prog)
+    counter.install()
+    requests = dict.fromkeys(("bisect", "newton", "certify"), 0)
+    for text in texts:
+        _, out = counter.run("bisect", solve_request, prog, text, "bisect", wl.mode)
+        counter.run("newton", solve_request, prog, text, "newton", wl.mode)
+        requests["bisect"] += 1
+        requests["newton"] += 1
+        if out.status == "optimal":
+            counter.run("certify", certify_request, prog, text, out.lam.value)
+            requests["certify"] += 1
+    kinds = {}
+    for kind, starts in sorted(counter.table.items()):
+        kinds[kind] = {}
+        for start, row in sorted(starts.items()):
+            per = round(row["evaluations"] / row["solves"], 3) if row["solves"] else None
+            kinds[kind][start] = {**row, "evaluations_per_solve": per}
+    return {"workload": workload, "seed": seed, "instances": n, "requests": requests, "kinds": kinds}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", default="lin-int-d25", choices=sorted(WORKLOADS))
+    ap.add_argument("--seed", type=int, default=5)
+    ap.add_argument("--instances", type=int, default=None, help="default: the whole pool")
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    args = ap.parse_args(argv)
+    out = count(load(args.src), args.workload, args.seed, args.instances)
+    print(json.dumps({"src": args.src, **out}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
