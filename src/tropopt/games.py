@@ -9,19 +9,23 @@ solution with x_j finite.
 
 The solver is policy iteration for the Max player.  Evaluating a fixed Max
 strategy is a one-player minimum-cycle problem handled exactly on whole
-int64 arrays after clearing denominators: reachability and SCCs by boolean
-matrix squaring, one Karp table for all SCCs, and the least reachable cycle
-mean per node.  Every solve is finished by a verification gate: Min's tight
-best response tau is extracted, and a potential on Max's one-player game
-against tau proves that Max can get no more than the evaluated values
-there (_gate); values are only accepted then, which certifies a saddle
-point no matter what path policy iteration took.
+int64 arrays after clearing denominators.  It starts from a candidate
+cycle, that of Min's tight arcs of the previous evaluation, and moves to
+lower cycles (Dinkelbach) until a Bellman-Ford from zeros settles, which
+proves the least cycle mean; when every node reaches a cycle of that mean
+it is every node's value.  Only an evaluation with several values falls
+back to reachability and SCCs by boolean matrix squaring and one Karp
+table for all SCCs.  Every solve is finished by a verification gate:
+Min's tight best response tau is extracted, and a potential on Max's
+one-player game against tau proves that Max can get no more than the
+evaluated values there (_gate); values are only accepted then, which
+certifies a saddle point no matter what path policy iteration took.
 
-A solve given no warm strategy starts from Max's greedy strategy after a
+A solve given no warm strategies starts from Max's greedy strategy after a
 few rounds of value iteration (_seed_sigma), not from each node's first
-arc: that start is near-optimal, so a cold solve needs a quarter to a
-third of the evaluations, and the gate keeps the values independent of
-the start.
+arc, and from Min's greedy arcs against it: that start is near-optimal,
+so a cold solve needs a quarter to a third of the evaluations, and the
+gate keeps the values independent of the start.
 """
 
 from __future__ import annotations
@@ -378,14 +382,68 @@ def _mean_signs(ns, src, dst, w):
     return reach, cyc, top
 
 
-def _one_player_min(ns, src, dst, w, need_bias):
-    """Exact one-player evaluation of a Min-controlled weighted graph.
+def _cycle_mean(nxt, c):
+    """Least cycle mean of the functional graph u -> nxt[u] (arc weights
+    c), as a reduced (num, den) of Python ints.  Each walk stops at the
+    first node it or an earlier walk visited; a walk that stops on
+    itself has closed a new cycle."""
+    nxt, c = nxt.tolist(), c.tolist()
+    walk = [-1] * len(nxt)
+    best = None
+    for s in range(len(nxt)):
+        u = s
+        while walk[u] < 0:
+            walk[u] = s
+            u = nxt[u]
+        if walk[u] == s:
+            tot, length, v = c[u], 1, nxt[u]
+            while v != u:
+                tot, length, v = tot + c[v], length + 1, nxt[v]
+            if best is None or tot * best[1] < best[0] * length:
+                best = (tot, length)
+    f = Fraction(*best)
+    return f.numerator, f.denominator
 
-    Every node must have an outgoing arc.  Returns (g_num, g_den, vhat):
-    per-node gain (minimum reachable cycle mean) as a reduced fraction,
-    and, when need_bias, a per-node integer bias in units of 1/g_den of
-    its own gain level.
-    """
+
+def _first_best(val, off, best):
+    """Per segment [off[k], off[k+1]) (none empty), the first index where
+    val attains its best (np.minimum or np.maximum) over the segment."""
+    top = best.reduceat(val, off[:-1])
+    return _first(val == np.repeat(top, np.diff(off)), off)
+
+
+_CHECK_ROUNDS = 8  # Bellman-Ford rounds between two looks for a lower cycle
+
+
+def _dinkelbach_step(ns, src, dst, w, num, den, off):
+    """One step of Dinkelbach's iteration from a cycle of mean num / den:
+    Bellman-Ford from zeros on wp = w * den - num (arcs grouped by source
+    at the offsets off).  Returns (wp, pi, lower): pi the potentials it
+    leaves, and lower None when it settles (no cycle lies below num / den),
+    else the mean of a cycle negative in wp.  That cycle is the greedy one
+    of the unsettled potentials, tried every _CHECK_ROUNDS rounds, when it
+    is lower, and after ns + 1 rounds the exact negative cycle."""
+    wp = w * den - num
+    pi = np.zeros(ns, dtype=np.int64)
+    done = 0
+    while done <= ns:
+        rounds = min(_CHECK_ROUNDS, ns + 1 - done)
+        pi = _relax(rounds - 1, src, dst, wp, pi)
+        done += rounds
+        if not np.any(pi[src] > wp + pi[dst]):
+            return wp, pi, None
+        greedy = _first_best(wp + pi[dst], off, np.minimum)
+        lower = _cycle_mean(dst[greedy], w[greedy])
+        if lower[0] * den < num * lower[1]:
+            return wp, pi, lower
+    cyc = _negative_cycle(ns, src, dst, wp)
+    f = Fraction(int(w[cyc].sum()), len(cyc))
+    return wp, pi, (f.numerator, f.denominator)
+
+
+def _karp_gains(ns, src, dst, w):
+    """(g_num, g_den): every node's least reachable cycle mean, reduced,
+    from one closure and one Karp table for all SCCs."""
     reach, root = _sccs(ns, src, dst)
     cyc, vn, vd = _karp_values(ns, src, dst, w, root)
     cand = reach & cyc  # u reaches the cyc node v
@@ -399,21 +457,50 @@ def _one_player_min(ns, src, dst, w, need_bias):
     for u in np.flatnonzero(~exact):
         f = min(Fraction(int(vn[v]), int(vd[v])) for v in np.flatnonzero(cand[u]))
         g_num[u], g_den[u] = f.numerator, f.denominator
-    if not need_bias:
-        return g_num, g_den, None
+    return g_num, g_den
 
-    # Bias, per gain level (admissible arcs join equal gains only), in
-    # scaled integers.  Steps: potentials pi (<= 0, feasible for the
-    # gain-adjusted weights), tight subgraph, critical nodes = nodes of
-    # tight cycles, then distance-to-critical with boundary pi.
-    adm = (g_num[src] == g_num[dst]) & (g_den[src] == g_den[dst])
-    asrc, adst, aw = src[adm], dst[adm], w[adm]
-    wprime = aw * g_den[asrc] - g_num[asrc]
-    pi = _relax(ns, asrc, adst, wprime, np.zeros(ns, dtype=np.int64))
-    tight = pi[asrc] == wprime + pi[adst]
-    tadj = _adjacency(ns, asrc[tight], adst[tight])
+
+def _bias(ns, src, dst, wp, pi):
+    """Bias within one gain level, from a potential pi (<= 0) of its
+    reduced weights wp: pi at the critical nodes (the nodes of tight
+    cycles, which have mean exactly the gain), and elsewhere the least
+    wp-distance to a critical node plus its pi; at least _CUT64 at a node
+    that reaches none."""
+    tight = pi[src] == wp + pi[dst]
+    tadj = _adjacency(ns, src[tight], dst[tight])
     critical = np.any(tadj & _closure(tadj).T, axis=1)  # tight u -> v, v reaches u
-    vhat = _relax(ns, asrc, adst, wprime, np.where(critical, pi, _INF64))
+    return _relax(ns, src, dst, wp, np.where(critical, pi, _INF64))
+
+
+def _one_player_min(ns, src, dst, w, cand=None):
+    """Exact one-player evaluation of a Min-controlled weighted graph.
+
+    Every node must have an outgoing arc.  Returns (g_num, g_den, vhat):
+    per-node gain (minimum reachable cycle mean) as a reduced fraction,
+    and a per-node integer bias in units of 1/g_den of its own gain level.
+
+    cand, when given, is a candidate Min strategy, one arc per node.  The
+    least mean g of its cycles bounds the graph's from above, and
+    Dinkelbach steps lower g until Bellman-Ford proves no cycle lies
+    below it.  When the bias then reaches a critical node (on a cycle of
+    mean g) from every node, g is every node's gain, as Karp's table
+    would give it.  Otherwise (several gain levels, or no candidate) the
+    gains come from Karp's table, and the bias per level from the arcs
+    that join equal gains."""
+    if cand is not None:
+        lower, off = _cycle_mean(dst[cand], w[cand]), _offsets(src, ns)
+        while lower is not None:
+            num, den = lower
+            wp, pi, lower = _dinkelbach_step(ns, src, dst, w, num, den, off)
+        vhat = _bias(ns, src, dst, wp, pi)
+        if not np.any(vhat >= _CUT64):
+            return np.full(ns, num, dtype=np.int64), np.full(ns, den, dtype=np.int64), vhat
+    g_num, g_den = _karp_gains(ns, src, dst, w)
+    adm = (g_num[src] == g_num[dst]) & (g_den[src] == g_den[dst])
+    asrc, adst = src[adm], dst[adm]
+    wp = w[adm] * g_den[asrc] - g_num[asrc]
+    pi = _relax(ns, asrc, adst, wp, np.zeros(ns, dtype=np.int64))
+    vhat = _bias(ns, asrc, adst, wp, pi)
     if bool(np.any(vhat >= _CUT64)):
         raise EngineError("bias propagation failed to reach a critical node")
     return g_num, g_den, vhat
@@ -430,13 +517,13 @@ class _Evaluation:
         self.t_w = t_w
 
 
-def _evaluate(arena: Arena, sig_idx) -> _Evaluation:
+def _evaluate(arena: Arena, sig_idx, cand=None) -> _Evaluation:
+    """The one-player evaluation of sig_idx, from the candidate Min arcs
+    cand when given (see _one_player_min)."""
     sig_tgt, sig_w = arena.sigma_arrays(sig_idx)
     t_dst = sig_tgt[arena.a_tgt]
     t_w = arena.a_w + sig_w[arena.a_tgt]
-    g_num, g_den, vhat = _one_player_min(
-        arena.n_min, arena.a_src, t_dst, t_w, need_bias=True
-    )
+    g_num, g_den, vhat = _one_player_min(arena.n_min, arena.a_src, t_dst, t_w, cand)
     return _Evaluation(g_num, g_den, vhat, t_dst, t_w)
 
 
@@ -474,8 +561,9 @@ def _improve(arena: Arena, sig_idx, ev: _Evaluation, reverse=False):
 
 
 def _tight_tau(arena: Arena, ev: _Evaluation):
-    """Min's best response to the evaluated sigma: per Min node, the lowest
-    Max row whose turn arc is gain-admissible and bias-tight."""
+    """Min's best response to the evaluated sigma, as Min arcs (indices
+    into the arena's a-arrays): per Min node, the arc to the lowest Max
+    row whose turn arc is gain-admissible and bias-tight."""
     gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
     j, l = arena.a_src, ev.t_dst
     tight = (gn[l] == gn[j]) & (gd[l] == gd[j])
@@ -483,7 +571,7 @@ def _tight_tau(arena: Arena, ev: _Evaluation):
     e = _first(tight, arena.a_off)
     if np.any(e < 0):
         raise EngineError(f"no tight move at Min node {int(np.argmax(e < 0))}")
-    return arena.a_tgt[e].tolist()
+    return e
 
 
 def _gate(arena: Arena, ev: _Evaluation, tau):
@@ -522,10 +610,11 @@ def _gate(arena: Arena, ev: _Evaluation, tau):
 
 
 def _seed_sigma(arena: Arena):
-    """Cold start of policy iteration: Max's greedy strategy after n_min
-    rounds of value iteration from x = 0 (Zwick and Paterson), ties to
-    the lowest index as in _improve.  After each renormalization
-    |x| <= 4 * maxw * rounds, which the Arena's guard
+    """Cold start of policy iteration: (sig_idx, tau arcs), Max's greedy
+    strategy after n_min rounds of value iteration from x = 0 (Zwick and
+    Paterson), and Min's greedy arcs against the Max values of that
+    strategy, ties to the lowest index as in _improve.  After each
+    renormalization |x| <= 4 * maxw * rounds, which the Arena's guard
     maxw * v**3 < 2**62 keeps in int64, since rounds <= v."""
     a_start, b_start = arena.a_off[:-1], arena.b_off[:-1]
     x = np.zeros(arena.n_min, dtype=np.int64)
@@ -534,32 +623,38 @@ def _seed_sigma(arena: Arena):
         x = np.minimum.reduceat(arena.a_w + y[arena.a_tgt], a_start)
         x -= x.max()
     val = arena.b_w + x[arena.b_tgt]
-    top = np.repeat(np.maximum.reduceat(val, b_start), np.diff(arena.b_off))
-    return _first(val == top, arena.b_off) - b_start
+    sig_idx = _first_best(val, arena.b_off, np.maximum) - b_start
+    y = val[b_start + sig_idx]
+    return sig_idx, _first_best(arena.a_w + y[arena.a_tgt], arena.a_off, np.minimum)
 
 
-def solve_arena(arena: Arena, warm_sigma=None):
+def solve_arena(arena: Arena, warm=None):
     """Certified exact game values of an arena, by policy iteration from
-    the Max strategy warm_sigma (a sig_idx) when given, else from
-    _seed_sigma.
+    warm = (sig_idx, tau arcs) when given, the strategies another solve
+    on the same arcs returned, else from _seed_sigma.  Each evaluation
+    takes Min's arcs of the previous one (or of the start) as its
+    candidate, and its tight arcs are the next one's candidate and the
+    gate's tau.
 
-    Returns (g_num, g_den, tau, sigma, sig_idx): the value of Min node j
-    is g_num[j] / g_den[j] in scaled units (see _least and _values)."""
-    if warm_sigma is not None and len(warm_sigma) == arena.n_max:
-        sig_idx = np.asarray(warm_sigma, dtype=np.int64).copy()
+    Returns (g_num, g_den, tau, sigma, warm): the value of Min node j
+    is g_num[j] / g_den[j] in scaled units (see _least and _values), and
+    warm = (sig_idx, tau arcs) can start another solve."""
+    if warm is not None and len(warm[0]) == arena.n_max:
+        sig_idx, cand = np.asarray(warm[0], dtype=np.int64).copy(), warm[1]
     else:
-        sig_idx = _seed_sigma(arena)
+        sig_idx, cand = _seed_sigma(arena)
     budget = 200 + 5 * (arena.n_min + arena.n_max)
     seen = set()
     reverse = False
     perturbs = 0
     for _ in range(budget):
-        ev = _evaluate(arena, sig_idx)
+        ev = _evaluate(arena, sig_idx, cand)
+        cand = _tight_tau(arena, ev)
         if _improve(arena, sig_idx, ev, reverse=reverse) == 0:
-            tau = _tight_tau(arena, ev)
+            tau = arena.a_tgt[cand].tolist()
             if _gate(arena, ev, tau):
                 sig_tgt, _ = arena.sigma_arrays(sig_idx)
-                return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), sig_idx
+                return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), (sig_idx, cand)
             perturbs += 1
             reverse = not reverse
             if perturbs > 3:
@@ -608,11 +703,12 @@ def _solve_by_enumeration(arena: Arena):
         if k < 0:
             break
     ev = _evaluate(arena, best_idx)
-    tau = _tight_tau(arena, ev)
+    arcs = _tight_tau(arena, ev)
+    tau = arena.a_tgt[arcs].tolist()
     if not _gate(arena, ev, tau):
         raise EngineError("enumeration failed to certify a saddle point")
     sig_tgt, _ = arena.sigma_arrays(best_idx)
-    return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), best_idx
+    return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), (best_idx, arcs)
 
 
 def _values(g_num, g_den, scale: int):
@@ -728,7 +824,7 @@ def _finite_point(Aw, Af, Bw, Bf, L: int, sweeps: int):
         x, finite, _, _ = fix
         return x if finite.all() else None  # greatest solution below the seed
     arena, _ = _pair_arena(Aw, Af, Bw, Bf, L)
-    g_num, _, _, _, sig_idx = solve_arena(arena)
+    g_num, _, _, _, (sig_idx, _) = solve_arena(arena)
     if np.any(g_num < 0):
         return None
     return _bf_witness(arena, sig_idx)

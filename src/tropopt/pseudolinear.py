@@ -204,6 +204,13 @@ def objective(prob, x) -> ExtScalar:
     return rec.objective(_checked_point(x, rec.n), coupling=False)
 
 
+def _require(prob, kind):
+    """TypingError unless prob is a kind instance: each solver takes the
+    bounds and the level structure of its own problem kind."""
+    if not isinstance(prob, kind):
+        raise TypingError(f"this solver takes a {kind.__name__}, not a {type(prob).__name__}")
+
+
 def _checked_point(x, n):
     """x as ExtScalars, checked to be a finite point of dimension n."""
     xs = [scal(v) for v in x]
@@ -469,13 +476,14 @@ class _ParamStruct:
         return Arena(self.n_min, self.n_max, *a_arcs, self._b_off, self._b_tgt, bw, S)
 
     def solve(self, lam: Fraction, warm=None):
-        """The certified game at level lam: (phi, sigma, sig_idx), phi its
-        least value and sig_idx the row strategy.  Policy iteration starts
-        from warm, the sig_idx of another probe, when given, and from the
-        value-iteration seed otherwise."""
+        """The certified game at level lam: (phi, sigma, sig_idx, tau),
+        phi its least value, sig_idx the row strategy and tau Min's tight
+        arcs.  Policy iteration starts from warm, the (sig_idx, tau) of
+        another probe, when given, and from the value-iteration seed
+        otherwise."""
         arena = self.arena(lam)
-        g_num, g_den, _, sigma, sig_idx = solve_arena(arena, warm)
-        return _least(g_num, g_den, arena.scale), sigma, sig_idx
+        g_num, g_den, _, sigma, warm = solve_arena(arena, warm)
+        return _least(g_num, g_den, arena.scale), sigma, *warm
 
     def phi(self, lam: Fraction) -> Fraction:
         return self.solve(lam)[0]
@@ -643,6 +651,7 @@ def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> Solv
     Both modes bisect the grid of multiples of 1/(2L), L the data's
     denominator lcm, on which the optimum lies, and return the exact
     optimum; real mode only validates tol (the answer is within any)."""
+    _require(prob, PseudolinearProblem)
     return _bisect(prob, mode, tol, initial_bounds)
 
 
@@ -653,18 +662,18 @@ def _bisect(prob, mode, tol, bounds) -> SolveOutcome:
         return start
     struct, lb, up, _ = start
     grid, tr = _compiled(prob).grid, []
-    # each probe after the first starts from the previous one's strategy,
-    # which is near-optimal at the nearby level
+    # each probe after the first starts from the previous one's
+    # strategies, which are near-optimal at the nearby level
     if lb.is_neg_inf:
         lf = grid.down(prob._lam_floor())
-        ph, _, warm = struct.solve(lf)
+        ph, _, *warm = struct.solve(lf)
         tr.append((lf, ph))
         if ph >= 0:
             return SolveOutcome("unbounded", NEG_INF, None, 0, tr)
         lo = grid.strict_up(lf)
     else:
         lo = grid.up(lb.value)
-        ph, _, warm = struct.solve(lo)
+        ph, _, *warm = struct.solve(lo)
         tr.append((lo, ph))
         if ph >= 0:
             return SolveOutcome("optimal", fin(lo), _optimal_witness(prob, struct, lo), 0, tr)
@@ -674,7 +683,7 @@ def _bisect(prob, mode, tol, bounds) -> SolveOutcome:
         if iters > _BISECT_CAP:
             raise EngineError("bisection failed to converge")
         mid = (lo + hi) / 2
-        ph, _, warm = struct.solve(mid, warm)
+        ph, _, *warm = struct.solve(mid, warm)
         iters += 1
         tr.append((mid, ph))
         if ph >= 0:
@@ -868,6 +877,7 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
     there, and drop to the exact minimum level of the strategy-reduced
     alcoved problem.  Exact in both modes on the grid of multiples of
     1/(2L); real mode only validates tol."""
+    _require(prob, PseudolinearProblem)
     return _newton(prob, mode, tol, initial_bounds)
 
 
@@ -908,7 +918,7 @@ def _newton(prob, mode, tol, bounds) -> SolveOutcome:
     for _ in range(_NEWTON_CAP):
         # cold, from the value-iteration seed: the levels jump, so the
         # previous probe's strategy is a worse start than the seed
-        ph, sigma, sig_idx = struct.solve(grid.strict_down(lam_k))
+        ph, sigma, sig_idx, _ = struct.solve(grid.strict_down(lam_k))
         iters += 1
         tr.append((lam_k, ph))
         if ph < 0:

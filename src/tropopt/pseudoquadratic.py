@@ -27,6 +27,7 @@ from .pseudolinear import (
     _literal_pair,
     _newton,
     _ProblemData,
+    _require,
 )
 
 __all__ = [
@@ -109,6 +110,7 @@ def bisection_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None)
     Both modes search the levels whose multiple by L, the data's
     denominator lcm, has denominator at most n + 1, and return the exact
     optimum; real mode only validates tol (the answer is within any)."""
+    _require(prob, PseudoquadraticProblem)
     return _bisect(prob, mode, tol, bounds_quad)
 
 
@@ -122,4 +124,5 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
     W0 + K * lam, found exactly by Dinkelbach's iteration on the integer
     arcs (games._least_level).  iterations counts strategy evaluations;
     real mode only validates tol."""
+    _require(prob, PseudoquadraticProblem)
     return _newton(prob, mode, tol, bounds_quad)

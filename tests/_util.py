@@ -583,7 +583,9 @@ def oracle_gate(arena, ev, tau):
 def oracle_seed_sigma(arena):
     """tropopt.games._seed_sigma node by node on Python ints: n_min rounds
     of value iteration from 0, renormalized to a largest value of 0, then
-    per Max node the first arc of the largest value."""
+    per Max node the first arc of the largest value, and per Min node the
+    first arc (its index in the arena's a-arrays) of the least value
+    against those Max values."""
     a_off, a_tgt, a_w = arena.a_off.tolist(), arena.a_tgt.tolist(), arena.a_w.tolist()
     b_off, b_tgt, b_w = arena.b_off.tolist(), arena.b_tgt.tolist(), arena.b_w.tolist()
 
@@ -599,7 +601,13 @@ def oracle_seed_sigma(arena):
         ]
         top = max(x)
         x = [v - top for v in x]
-    return [v.index(max(v)) for v in (arc_values(i, x) for i in range(arena.n_max))]
+    y = [max(arc_values(i, x)) for i in range(arena.n_max)]
+    sigma = [v.index(y[i]) for i, v in enumerate(arc_values(i, x) for i in range(arena.n_max))]
+    tau = []
+    for j in range(arena.n_min):
+        vals = [a_w[e] + y[a_tgt[e]] for e in range(a_off[j], a_off[j + 1])]
+        tau.append(a_off[j] + vals.index(min(vals)))
+    return sigma, tau
 
 
 def oracle_arena_values(arena):

@@ -1,6 +1,8 @@
 """tools/engine_counts.py on a few instances of each workload, in its own
 process: the counts add up, and the starts are the ones the solvers
-choose (bisection warm after its first probe, Newton always cold)."""
+choose (bisection warm after its first probe, Newton always cold).
+Within the evaluations, the exact negative-cycle searches are a part of
+the Dinkelbach steps, and warm bisection probes take some steps."""
 
 import json
 import subprocess
@@ -22,6 +24,7 @@ def test_engine_counts_smoke(workload):
     assert out["workload"] == workload and out["instances"] == 4
     assert out["requests"]["bisect"] == out["requests"]["newton"] == 4
     kinds = out["kinds"]
+    assert kinds["bisect"]["warm"]["dinkelbach_steps"] > 0
     assert set(kinds) <= {"bisect", "newton", "certify", "witness"}
     assert "newton" in kinds and set(kinds["newton"]) == {"cold"}
     assert "warm" in kinds["bisect"]
@@ -32,3 +35,5 @@ def test_engine_counts_smoke(workload):
             assert row["evaluations"] >= row["gates"]
             assert row["evaluations_per_solve"] == round(row["evaluations"] / row["solves"], 3)
             assert (row["vi_rounds"] > 0) == (start == "cold")
+            assert 0 <= row["negative_cycles"] <= row["dinkelbach_steps"]
+            assert 0 <= row["karp_fallbacks"] <= row["evaluations"]

@@ -6,7 +6,10 @@ a time with Tarjan SCCs, one Karp table per SCC and exact fractions.  The
 outputs must be identical: gains, biases, switch counts and strategies,
 tight responses and gate verdicts, on random small graphs and arenas with
 self-loops, several SCCs, acyclic tails, ties and weights just under the
-engine's overflow guard.  The gate's potential check must give the
+engine's overflow guard.  `_one_player_min` must give the oracle's arrays
+from any candidate Min strategy, whether its Dinkelbach steps stall (the
+exact negative cycle) or the graph has several gain levels (Karp's
+table).  The gate's potential check must give the
 verdict of the Karp oracle on any pair of strategies, not only on the
 tight ones.  The value-iteration cold start (`_seed_sigma`) must leave
 every game value as an enumeration of Max's strategies finds it, and must
@@ -29,6 +32,9 @@ from tropopt.games import (
     _Evaluation,
     _gate,
     _improve,
+    _dinkelbach_step,
+    _karp_gains,
+    _negative_cycle,
     _one_player_min,
     _seed_sigma,
     _tight_tau,
@@ -87,19 +93,75 @@ def _same(a, b):
         assert np.array_equal(a, b)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_graph(), st.booleans())
-def test_one_player_min_matches_oracle(graph, need_bias):
-    ns, src, dst, w = graph
+def _matches_oracle(ns, src, dst, w, cand=None):
     try:
-        want = oracle_one_player_min(ns, src, dst, w, need_bias)
+        want = oracle_one_player_min(ns, src, dst, w, True)
     except EngineError as e:
         with pytest.raises(EngineError, match=str(e)):
-            _one_player_min(ns, src, dst, w, need_bias)
+            _one_player_min(ns, src, dst, w, cand)
         return
-    got = _one_player_min(ns, src, dst, w, need_bias)
+    got = _one_player_min(ns, src, dst, w, cand)
     for a, b in zip(want, got):
         _same(a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph())
+def test_one_player_min_matches_oracle(graph):
+    _matches_oracle(*graph)
+
+
+@st.composite
+def _graph_cand(draw):
+    """A graph as _graph draws it and a candidate: one arc per node, drawn
+    at random (a stale strategy), or each node's heaviest arc (a bad one)."""
+    ns, src, dst, w = draw(_graph())
+    groups = [np.flatnonzero(src == u) for u in range(ns)]
+    if draw(st.booleans()):
+        cand = [int(g[np.argmax(w[g])]) for g in groups]
+    else:
+        cand = [draw(st.sampled_from(g.tolist())) for g in groups]
+    return ns, src, dst, w, np.array(cand, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_graph_cand())
+def test_one_player_min_from_any_candidate_matches_oracle(graph_cand):
+    _matches_oracle(*graph_cand)
+
+
+def test_candidate_paths_all_run(monkeypatch):
+    """On 400 seeded graphs with a random candidate, the arrays equal the
+    oracle's, and every path runs: Dinkelbach steps by a greedy cycle and
+    by the exact negative cycle (a greedy one that is no lower), and the
+    Karp fallback (several gain levels)."""
+    runs = dict.fromkeys(("lower", "negative_cycles", "karp"), 0)
+
+    def step(*args):
+        out = _dinkelbach_step(*args)
+        runs["lower"] += out[2] is not None
+        return out
+
+    def counting(name, fn):
+        def wrapped(*args):
+            runs[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(games, "_dinkelbach_step", step)
+    monkeypatch.setattr(games, "_negative_cycle", counting("negative_cycles", _negative_cycle))
+    monkeypatch.setattr(games, "_karp_gains", counting("karp", _karp_gains))
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        ns = int(rng.integers(2, 9))
+        deg = rng.integers(1, 4, size=ns)
+        src = np.repeat(np.arange(ns), deg)
+        dst = rng.integers(0, ns, size=len(src))
+        w = rng.integers(-6, 7, size=len(src))
+        off = np.concatenate(([0], np.cumsum(deg)))
+        cand = off[:-1] + rng.integers(0, deg)
+        _matches_oracle(ns, src, dst, w, cand)
+    assert runs["lower"] > runs["negative_cycles"] > 0 and runs["karp"] > 0, runs
 
 
 @st.composite
@@ -130,12 +192,15 @@ def test_improve_tight_tau_and_gate_match_oracles(arena_sig):
     want = oracle_one_player_min(arena.n_min, arena.a_src, ev.t_dst, ev.t_w, True)
     for a, b in zip(want, (ev.g_num, ev.g_den, ev.vhat)):
         _same(a, b)
+    seeded = _evaluate(arena, sig, _seed_sigma(arena)[1])
+    for a, b in zip(want, (seeded.g_num, seeded.g_den, seeded.vhat)):
+        _same(a, b)
     for reverse in (False, True):
         s_got, s_want = sig.copy(), sig.copy()
         n_got = _improve(arena, s_got, ev, reverse=reverse)
         assert n_got == oracle_improve(arena, s_want, ev, reverse=reverse)
         assert np.array_equal(s_got, s_want)
-    tau = _tight_tau(arena, ev)
+    tau = arena.a_tgt[_tight_tau(arena, ev)].tolist()
     assert tau == oracle_tight_tau(arena, ev)
     assert _gate(arena, ev, tau) is oracle_gate(arena, ev, tau)
 
@@ -216,23 +281,31 @@ def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
         # one sweep settles nothing, so the game finds the point
         assert feasible_finite(_at_level(_param_pair(prob), lam)[:5], max_sweeps=1) is not None
     _seeded_gate_sweep()  # pairs whose bias is no potential
-    assert callers == {"_one_player_min", "_gate", "_negative_cycle", "_bf_witness"}
+    assert callers == {
+        "_one_player_min", "_dinkelbach_step", "_bias", "_gate", "_negative_cycle", "_bf_witness"
+    }
 
 
 @settings(max_examples=100, deadline=None)
-@given(_arena())
-def test_seeded_cold_start_keeps_the_values(arena_sig):
+@given(_arena_pair())
+def test_seeded_cold_start_keeps_the_values(pair):
     """A cold solve starts from _seed_sigma, a warm one from the drawn
-    sigma; both give the values of the enumeration oracle.  The seed is a
-    valid index in every Max node's arc group, and equals the value
-    iteration on Python ints: int64 does not overflow up to the guard."""
-    arena, sig = arena_sig
-    seed = _seed_sigma(arena)
-    assert seed.dtype == np.int64
+    sigma and tau; both give the values of the enumeration oracle.  The
+    seed is a valid index in every Max node's arc group and a Min arc of
+    every Min node, and equals the value iteration on Python ints: int64
+    does not overflow up to the guard."""
+    arena, sig, tau = pair
+    seed, arcs = _seed_sigma(arena)
+    assert seed.dtype == arcs.dtype == np.int64
     assert np.all((seed >= 0) & (seed < np.diff(arena.b_off)))
-    assert seed.tolist() == oracle_seed_sigma(arena)
+    assert np.array_equal(arena.a_src[arcs], np.arange(arena.n_min))
+    assert (seed.tolist(), arcs.tolist()) == oracle_seed_sigma(arena)
     chi = _values(*solve_arena(arena)[:2], arena.scale)
-    assert _values(*solve_arena(arena, sig)[:2], arena.scale) == chi
+    tau_arcs = [
+        int(arena.a_off[j]) + arena.a_tgt[arena.a_off[j] : arena.a_off[j + 1]].tolist().index(t)
+        for j, t in enumerate(tau)
+    ]
+    assert _values(*solve_arena(arena, (sig, tau_arcs))[:2], arena.scale) == chi
     assert chi == oracle_arena_values(arena)
 
 
@@ -284,17 +357,19 @@ def test_newton_probes_start_from_the_seed(monkeypatch):
 def test_float_ties_take_the_exact_fallback():
     """Weights near 2^55 where distinct fractions round to one float64:
     in the Karp values (first graph), in the least reachable cycle mean
-    (second graph, self-loops 2^55 + 1 and 2^55), and in _improve's best
-    target gain (the arena)."""
+    and the least candidate cycle mean (second graph, self-loops 2^55 + 1
+    and 2^55), and in _improve's best target gain (the arena)."""
     base = _guard_max(5)
     karp = ([0, 0, 1, 2, 2], [2, 1, 2, 0, 2], [base, base - 4, base - 1, base - 2, base - 4])
     loops = ([0, 0, 1, 2], [1, 2, 1, 2], [0, 0, 2**55 + 1, 2**55])
     for src, dst, w in (karp, loops):
         src, dst, w = (np.array(c, dtype=np.int64) for c in (src, dst, w))
         want = oracle_one_player_min(3, src, dst, w, True)
-        got = _one_player_min(3, src, dst, w, True)
-        for a, b in zip(want, got):
-            _same(a, b)
+        # no candidate, and each node's first arc (the loops tie as floats)
+        for cand in (None, np.searchsorted(src, np.arange(3))):
+            got = _one_player_min(3, src, dst, w, cand)
+            for a, b in zip(want, got):
+                _same(a, b)
     assert int(got[0][0]) == 2**55
     big = 2**54
     arena = arena_of(
@@ -311,9 +386,10 @@ def test_float_ties_take_the_exact_fallback():
 
 def test_no_reachable_cycle_raises():
     src, dst, w = (np.array(c, dtype=np.int64) for c in ([0], [1], [3]))
-    for fn in (_one_player_min, oracle_one_player_min):
-        with pytest.raises(EngineError, match="no reachable cycle"):
-            fn(2, src, dst, w, False)
+    with pytest.raises(EngineError, match="no reachable cycle"):
+        _one_player_min(2, src, dst, w)
+    with pytest.raises(EngineError, match="no reachable cycle"):
+        oracle_one_player_min(2, src, dst, w, False)
 
 
 def test_no_tight_move_and_missing_tau_arc_raise():

@@ -276,3 +276,25 @@ def test_quad_real_mode_scaled_exact():
         assert out.status == "optimal" and out.lam.value == star * s
         with pytest.raises(ValueError):
             bisection_solve_quad(prob)  # integer mode on rational data
+
+
+def test_solvers_refuse_the_other_problem_kind():
+    """Each solver takes its own kind only.  A linear solver on
+    pseudoquadratic data would bound by the linear objective but probe
+    the coupled structure (it raised EngineError: no finite point at the
+    feasible level 14 on this instance), and a quad solver on linear data
+    found no coupling matrix (KeyError 'C')."""
+    quad = gen_random(5, 5, 20, 100, 4, True)
+    linear = gen_random(5, 5, 20, 100, 4)
+    assert bisection_solve_quad(quad).status == "optimal"
+    assert bisection_solve(linear).status == "optimal"
+    lin_only = "takes a PseudolinearProblem, not a PseudoquadraticProblem"
+    quad_only = "takes a PseudoquadraticProblem, not a PseudolinearProblem"
+    for fn, prob, msg in (
+        (bisection_solve, quad, lin_only),
+        (newton_solve, quad, lin_only),
+        (bisection_solve_quad, linear, quad_only),
+        (newton_solve_quad, linear, quad_only),
+    ):
+        with pytest.raises(TypingError, match=msg):
+            fn(prob)

@@ -9,11 +9,16 @@ benchmark sends them.  Every certified game solve (games.solve_arena) is
 put under a kind: "witness" inside the start point's search and the
 optimal point's game, whatever the request, and otherwise the request's
 own kind (bisect, newton, certify).  Within a kind it is "warm" when it
-starts from a given row strategy and "cold" when it starts from the
-value-iteration seed.  Per kind and start the tool counts solves,
-one-player evaluations, gate calls and value-iteration rounds (n_min per
-seed).  --src names a checkout's src/ directory (default: this
-checkout's).  Prints one JSON object.
+starts from given strategies (another solve's row strategy and Min's
+tight arcs) and "cold" when it starts from the value-iteration seed.  Per
+kind and start the tool counts solves, one-player evaluations, gate
+calls, value-iteration rounds (n_min per seed), and within the
+evaluations the Dinkelbach steps from a candidate cycle to a lower one,
+the exact negative-cycle searches among them (a greedy step that found
+no lower cycle) and the Karp fallbacks (an evaluation with several gain
+levels).  --src names a checkout's src/ directory (default: this
+checkout's); a counter whose function that checkout lacks reads null.
+Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -30,7 +35,22 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 from workloads import WORKLOADS, certify_request, solve_request  # noqa: E402
 
-COUNTS = ("solves", "evaluations", "gates", "vi_rounds")
+
+def _one(out, *args):
+    return 1
+
+
+# counter -> (the games function it counts, the amount a call adds from
+# its result and arguments)
+COUNTED = {
+    "evaluations": ("_evaluate", _one),
+    "gates": ("_gate", _one),
+    "vi_rounds": ("_seed_sigma", lambda out, arena: arena.n_min),
+    "dinkelbach_steps": ("_dinkelbach_step", lambda out, *args: out[2] is not None),
+    "negative_cycles": ("_negative_cycle", _one),
+    "karp_fallbacks": ("_karp_gains", _one),
+}
+COUNTS = ("solves", *COUNTED)
 
 
 def load(src):
@@ -58,6 +78,7 @@ class Counter:
         self.kind = None
         self.solve = None  # the counts of the solve running now
         self.table = {}
+        self.missing = set()
 
     def _within(self, kind, fn):
         def wrapped(*args, **kw):
@@ -68,31 +89,34 @@ class Counter:
                 self.kind = outer
         return wrapped
 
-    def _counting(self, name, fn, amount=lambda *args: 1):
-        def wrapped(*args, **kw):
+    def _counting(self, name, fn, amount):
+        def wrapped(*args):
+            out = fn(*args)
             if self.solve is not None:
-                self.solve[name] += amount(*args)
-            return fn(*args, **kw)
+                self.solve[name] += int(amount(out, *args))
+            return out
         return wrapped
 
     def install(self):
         g, pl = self.prog.games, self.prog.pl
         solve_arena = g.solve_arena
 
-        def counted_solve(arena, warm_sigma=None):
-            start = "cold" if warm_sigma is None else "warm"
+        def counted_solve(arena, warm=None):
+            start = "cold" if warm is None else "warm"
             row = self.table.setdefault(self.kind, {}).setdefault(start, dict.fromkeys(COUNTS, 0))
             outer, self.solve = self.solve, row
             row["solves"] += 1
             try:
-                return solve_arena(arena, warm_sigma)
+                return solve_arena(arena, warm)
             finally:
                 self.solve = outer
 
         g.solve_arena = pl.solve_arena = counted_solve
-        g._evaluate = self._counting("evaluations", g._evaluate)
-        g._gate = self._counting("gates", g._gate)
-        g._seed_sigma = self._counting("vi_rounds", g._seed_sigma, lambda arena: arena.n_min)
+        for name, (fn, amount) in COUNTED.items():
+            if hasattr(g, fn):
+                setattr(g, fn, self._counting(name, getattr(g, fn), amount))
+            else:
+                self.missing.add(name)
         pl._descent_witness = self._within("witness", pl._descent_witness)
         pl._optimal_witness = self._within("witness", pl._optimal_witness)
 
@@ -120,6 +144,7 @@ def count(prog, workload, seed, instances):
         kinds[kind] = {}
         for start, row in sorted(starts.items()):
             per = round(row["evaluations"] / row["solves"], 3) if row["solves"] else None
+            row.update(dict.fromkeys(counter.missing))
             kinds[kind][start] = {**row, "evaluations_per_solve": per}
     return {"workload": workload, "seed": seed, "instances": n, "requests": requests, "kinds": kinds}
 
