@@ -15,11 +15,16 @@ lower cycles (Dinkelbach) until a Bellman-Ford from zeros settles, which
 proves the least cycle mean; when every node reaches a cycle of that mean
 it is every node's value.  Only an evaluation with several values falls
 back to reachability and SCCs by boolean matrix squaring and one Karp
-table for all SCCs.  Every solve is finished by a verification gate:
-Min's tight best response tau is extracted, and a potential on Max's
-one-player game against tau proves that Max can get no more than the
-evaluated values there (_gate); values are only accepted then, which
-certifies a saddle point no matter what path policy iteration took.
+table for all SCCs.  Each evaluation carries the previous one's bias on
+its critical classes (the multichain rule of Cochet-Terrasson and
+Gaubert, C. R. Acad. Sci. Paris 343, 2006), so every switch raises
+(gain, bias) strictly and no strategy repeats; there is no fallback, and
+a solve that still runs out of its budget raises EngineError.  Every
+solve is finished by a verification gate: Min's tight best response tau
+is extracted, and a potential on Max's one-player game against tau
+proves that Max can get no more than the evaluated values there (_gate);
+values are only accepted then, which certifies a saddle point no matter
+what path policy iteration took.
 
 A solve given no warm strategies starts from Max's greedy strategy after a
 few rounds of value iteration (_seed_sigma), not from each node's first
@@ -62,7 +67,8 @@ class InvalidStrategy(ValueError):
 
 
 class EngineError(RuntimeError):
-    """Policy iteration exhausted its budget without a certified solution."""
+    """The integer engine gives no certified answer: data beyond its int64
+    guards, a failed check, or an iteration that ran out of its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +364,6 @@ def _first(cond, off):
     return np.where(first == len(cond), -1, first)
 
 
-def _last(cond, off):
-    """Per segment, the last index where cond holds, or -1."""
-    return np.maximum.reduceat(np.where(cond, np.arange(len(cond)), -1), off[:-1])
-
-
 def _mean_signs(ns, src, dst, w):
     """Signs of the minimum cycle means of a digraph, with no division.
 
@@ -460,24 +461,39 @@ def _karp_gains(ns, src, dst, w):
     return g_num, g_den
 
 
-def _bias(ns, src, dst, wp, pi):
-    """Bias within one gain level, from a potential pi (<= 0) of its
-    reduced weights wp: pi at the critical nodes (the nodes of tight
-    cycles, which have mean exactly the gain), and elsewhere the least
-    wp-distance to a critical node plus its pi; at least _CUT64 at a node
-    that reaches none."""
+def _bias(ns, src, dst, wp, pi, prev=None, gain=None):
+    """(vhat, critical): the bias within the gain levels gain = (g_num,
+    g_den), from a potential pi (<= 0) of their reduced weights wp.  The
+    critical nodes lie on tight cycles (of mean exactly the gain).  Each
+    class of them (an SCC of the tight arcs) is shifted to prev's bias at
+    its lowest node critical in prev, the previous evaluation, with the
+    same gain, and must stay above -_CUT64 (else EngineError).  Elsewhere
+    the bias is the least wp-distance to a critical node plus its bias;
+    at least _CUT64 at a node that reaches none."""
     tight = pi[src] == wp + pi[dst]
     tadj = _adjacency(ns, src[tight], dst[tight])
-    critical = np.any(tadj & _closure(tadj).T, axis=1)  # tight u -> v, v reaches u
-    return _relax(ns, src, dst, wp, np.where(critical, pi, _INF64))
+    reach = _closure(tadj)
+    critical = np.any(tadj & reach.T, axis=1)  # tight u -> v, v reaches u
+    if prev is not None:
+        keep = np.flatnonzero(prev.critical & (prev.g_num == gain[0]) & (prev.g_den == gain[1]))
+        if len(keep):
+            # cls[u, c]: keep[c] is in u's class; pi off the critical nodes goes unused
+            cls = reach[:, keep] & reach[keep].T
+            k = keep[np.argmax(cls, axis=1)]
+            pi = np.where(cls.any(axis=1), pi + (prev.vhat - pi)[k], pi)
+    vhat = _relax(ns, src, dst, wp, np.where(critical, pi, _INF64))
+    if prev is not None and np.any(vhat <= -_CUT64):
+        raise EngineError("carried bias beyond the int64 guard")
+    return vhat, critical
 
 
-def _one_player_min(ns, src, dst, w, cand=None):
+def _one_player_min(ns, src, dst, w, cand=None, prev=None):
     """Exact one-player evaluation of a Min-controlled weighted graph.
 
-    Every node must have an outgoing arc.  Returns (g_num, g_den, vhat):
-    per-node gain (minimum reachable cycle mean) as a reduced fraction,
-    and a per-node integer bias in units of 1/g_den of its own gain level.
+    Every node must have an outgoing arc.  Returns (g_num, g_den, vhat,
+    critical): per-node gain (minimum reachable cycle mean) as a reduced
+    fraction, a per-node integer bias in units of 1/g_den of its own gain
+    level, and the mask of the critical nodes (see _bias).
 
     cand, when given, is a candidate Min strategy, one arc per node.  The
     least mean g of its cycles bounds the graph's from above, and
@@ -486,54 +502,57 @@ def _one_player_min(ns, src, dst, w, cand=None):
     mean g) from every node, g is every node's gain, as Karp's table
     would give it.  Otherwise (several gain levels, or no candidate) the
     gains come from Karp's table, and the bias per level from the arcs
-    that join equal gains."""
+    that join equal gains.  Either path carries the bias of prev, the
+    previous evaluation, when given (see _bias)."""
     if cand is not None:
         lower, off = _cycle_mean(dst[cand], w[cand]), _offsets(src, ns)
         while lower is not None:
             num, den = lower
             wp, pi, lower = _dinkelbach_step(ns, src, dst, w, num, den, off)
-        vhat = _bias(ns, src, dst, wp, pi)
+        vhat, critical = _bias(ns, src, dst, wp, pi, prev, (num, den))
         if not np.any(vhat >= _CUT64):
-            return np.full(ns, num, dtype=np.int64), np.full(ns, den, dtype=np.int64), vhat
+            g_num, g_den = np.full(ns, num, dtype=np.int64), np.full(ns, den, dtype=np.int64)
+            return g_num, g_den, vhat, critical
     g_num, g_den = _karp_gains(ns, src, dst, w)
     adm = (g_num[src] == g_num[dst]) & (g_den[src] == g_den[dst])
     asrc, adst = src[adm], dst[adm]
     wp = w[adm] * g_den[asrc] - g_num[asrc]
     pi = _relax(ns, asrc, adst, wp, np.zeros(ns, dtype=np.int64))
-    vhat = _bias(ns, asrc, adst, wp, pi)
+    vhat, critical = _bias(ns, asrc, adst, wp, pi, prev, (g_num, g_den))
     if bool(np.any(vhat >= _CUT64)):
         raise EngineError("bias propagation failed to reach a critical node")
-    return g_num, g_den, vhat
+    return g_num, g_den, vhat, critical
 
 
 class _Evaluation:
-    __slots__ = ("g_num", "g_den", "vhat", "t_dst", "t_w")
+    __slots__ = ("g_num", "g_den", "vhat", "critical", "t_dst", "t_w")
 
-    def __init__(self, g_num, g_den, vhat, t_dst, t_w):
+    def __init__(self, g_num, g_den, vhat, critical, t_dst, t_w):
         self.g_num = g_num
         self.g_den = g_den
         self.vhat = vhat
+        self.critical = critical
         self.t_dst = t_dst
         self.t_w = t_w
 
 
-def _evaluate(arena: Arena, sig_idx, cand=None) -> _Evaluation:
+def _evaluate(arena: Arena, sig_idx, cand=None, prev=None) -> _Evaluation:
     """The one-player evaluation of sig_idx, from the candidate Min arcs
-    cand when given (see _one_player_min)."""
+    cand and carrying the bias of the previous evaluation prev, when
+    given (see _one_player_min)."""
     sig_tgt, sig_w = arena.sigma_arrays(sig_idx)
     t_dst = sig_tgt[arena.a_tgt]
     t_w = arena.a_w + sig_w[arena.a_tgt]
-    g_num, g_den, vhat = _one_player_min(arena.n_min, arena.a_src, t_dst, t_w, cand)
-    return _Evaluation(g_num, g_den, vhat, t_dst, t_w)
+    out = _one_player_min(arena.n_min, arena.a_src, t_dst, t_w, cand, prev)
+    return _Evaluation(*out, t_dst, t_w)
 
 
-def _improve(arena: Arena, sig_idx, ev: _Evaluation, reverse=False):
+def _improve(arena: Arena, sig_idx, ev: _Evaluation):
     """One all-switch improvement pass; returns the number of switches.
 
     Rule per Max node: lexicographically maximize (gain of target, then
     scaled bias appraisal within that gain level); switch only on strict
-    improvement; ties go to the lowest target index (highest under
-    reverse, used by the anti-cycling perturbation)."""
+    improvement; ties go to the lowest target index."""
     gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
     off, tgt, ws = arena.b_off, arena.b_tgt, arena.b_w
     grp = np.repeat(np.arange(arena.n_max), np.diff(off))
@@ -551,7 +570,7 @@ def _improve(arena: Arena, sig_idx, ev: _Evaluation, reverse=False):
     appr = ws * bd[grp] + vhat[tgt]
     top = np.maximum.reduceat(np.where(level, appr, np.iinfo(np.int64).min), off[:-1])
     hit = level & (appr == top[grp])
-    pick = (_last if reverse else _first)(hit, off) - off[:-1]
+    pick = _first(hit, off) - off[:-1]
     cur = off[:-1] + sig_idx
     ct = tgt[cur]
     # a lower current gain, or an equal one with a lower appraisal
@@ -633,8 +652,9 @@ def solve_arena(arena: Arena, warm=None):
     warm = (sig_idx, tau arcs) when given, the strategies another solve
     on the same arcs returned, else from _seed_sigma.  Each evaluation
     takes Min's arcs of the previous one (or of the start) as its
-    candidate, and its tight arcs are the next one's candidate and the
-    gate's tau.
+    candidate and carries its bias (see _bias), and its tight arcs are
+    the next one's candidate and the gate's tau.  EngineError when the
+    budget runs out or the gate fails.
 
     Returns (g_num, g_den, tau, sigma, warm): the value of Min node j
     is g_num[j] / g_den[j] in scaled units (see _least and _values), and
@@ -643,72 +663,17 @@ def solve_arena(arena: Arena, warm=None):
         sig_idx, cand = np.asarray(warm[0], dtype=np.int64).copy(), warm[1]
     else:
         sig_idx, cand = _seed_sigma(arena)
-    budget = 200 + 5 * (arena.n_min + arena.n_max)
-    seen = set()
-    reverse = False
-    perturbs = 0
-    for _ in range(budget):
-        ev = _evaluate(arena, sig_idx, cand)
+    ev = None
+    for _ in range(200 + 5 * (arena.n_min + arena.n_max)):
+        ev = _evaluate(arena, sig_idx, cand, ev)
         cand = _tight_tau(arena, ev)
-        if _improve(arena, sig_idx, ev, reverse=reverse) == 0:
+        if _improve(arena, sig_idx, ev) == 0:
             tau = arena.a_tgt[cand].tolist()
-            if _gate(arena, ev, tau):
-                sig_tgt, _ = arena.sigma_arrays(sig_idx)
-                return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), (sig_idx, cand)
-            perturbs += 1
-            reverse = not reverse
-            if perturbs > 3:
-                break
-            continue
-        key = sig_idx.tobytes()
-        if key in seen:
-            reverse = not reverse
-            seen.clear()
-            perturbs += 1
-            if perturbs > 6:
-                break
-        seen.add(key)
-    return _solve_by_enumeration(arena)
-
-
-def _solve_by_enumeration(arena: Arena):
-    """Last-resort exact solve by enumerating Max strategies.
-
-    The optimal positional sigma dominates every other componentwise, so
-    tracking the running componentwise-max holder finds it."""
-    degs = [int(d) for d in np.diff(arena.b_off)]
-    total = 1
-    for d in degs:
-        total *= d
-        if total > 200000:
-            raise EngineError(
-                "policy iteration failed and the strategy space is too large"
-            )
-    best = None
-    best_idx = None
-    sig_idx = np.zeros(arena.n_max, dtype=np.int64)
-    while True:
-        ev = _evaluate(arena, sig_idx)
-        vals = _values(ev.g_num, ev.g_den, 1)
-        if best is None or all(v >= b for v, b in zip(vals, best)):
-            best = vals
-            best_idx = sig_idx.copy()
-        k = arena.n_max - 1
-        while k >= 0:
-            sig_idx[k] += 1
-            if sig_idx[k] < degs[k]:
-                break
-            sig_idx[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    ev = _evaluate(arena, best_idx)
-    arcs = _tight_tau(arena, ev)
-    tau = arena.a_tgt[arcs].tolist()
-    if not _gate(arena, ev, tau):
-        raise EngineError("enumeration failed to certify a saddle point")
-    sig_tgt, _ = arena.sigma_arrays(best_idx)
-    return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), (best_idx, arcs)
+            if not _gate(arena, ev, tau):
+                raise EngineError("the gate rejected a strategy pair with no switch")
+            sig_tgt, _ = arena.sigma_arrays(sig_idx)
+            return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), (sig_idx, cand)
+    raise EngineError("policy iteration exhausted its budget")
 
 
 def _values(g_num, g_den, scale: int):

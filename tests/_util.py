@@ -515,7 +515,7 @@ def oracle_one_player_min(ns, src, dst, w, need_bias):
     return g_num, g_den, np.array(vhat, dtype=np.int64)
 
 
-def oracle_improve(arena, sig_idx, ev, reverse=False):
+def oracle_improve(arena, sig_idx, ev):
     """tropopt.games._improve, one Max node at a time."""
     gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
     switches = 0
@@ -531,8 +531,7 @@ def oracle_improve(arena, sig_idx, ev, reverse=False):
             if gains[k] == best
         ]
         top = max(a for _, a in apprs)
-        picks = [k for k, a in apprs if a == top]
-        pick = picks[-1] if reverse else picks[0]
+        pick = next(k for k, a in apprs if a == top)
         cur = int(sig_idx[i])
         cur_appr = int(arena.b_w[lo + cur]) * bd + int(vhat[tgts[cur]])
         if gains[cur] < best or top > cur_appr:

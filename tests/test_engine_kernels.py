@@ -16,9 +16,18 @@ every game value as an enumeration of Max's strategies finds it, and must
 keep cutting the evaluations of a cold solve; Newton's probes all start
 from it.  Every caller of the Bellman-Ford kernel passes its arcs grouped
 by source.
+
+An evaluation that carries the previous one's bias must still give the
+oracle's gains and a bias that solves each level's optimality equation,
+equal to the previous bias at the node each critical class is anchored
+at, and inside the int64 guard; policy iteration then never evaluates a
+Max strategy twice.  The four instances on which the earlier
+anti-cycling heuristics failed (a period-2 cycle of strict switches) are
+answered, one of them checked against value iteration.
 """
 
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +50,8 @@ from tropopt.games import (
     _values,
     solve_arena,
 )
-from tropopt.pseudolinear import _at_level, _param_pair
-from tropopt.pseudoquadratic import newton_solve_quad
+from tropopt.pseudolinear import _at_level, _compiled, _param_pair, bisection_solve, newton_solve
+from tropopt.pseudoquadratic import bisection_solve_quad, newton_solve_quad
 from tropopt.random_instances import gen_random
 
 from _util import (
@@ -53,6 +62,7 @@ from _util import (
     oracle_one_player_min,
     oracle_seed_sigma,
     oracle_tight_tau,
+    tarjan_sccs,
 )
 
 
@@ -195,11 +205,9 @@ def test_improve_tight_tau_and_gate_match_oracles(arena_sig):
     seeded = _evaluate(arena, sig, _seed_sigma(arena)[1])
     for a, b in zip(want, (seeded.g_num, seeded.g_den, seeded.vhat)):
         _same(a, b)
-    for reverse in (False, True):
-        s_got, s_want = sig.copy(), sig.copy()
-        n_got = _improve(arena, s_got, ev, reverse=reverse)
-        assert n_got == oracle_improve(arena, s_want, ev, reverse=reverse)
-        assert np.array_equal(s_got, s_want)
+    s_got, s_want = sig.copy(), sig.copy()
+    assert _improve(arena, s_got, ev) == oracle_improve(arena, s_want, ev)
+    assert np.array_equal(s_got, s_want)
     tau = arena.a_tgt[_tight_tau(arena, ev)].tolist()
     assert tau == oracle_tight_tau(arena, ev)
     assert _gate(arena, ev, tau) is oracle_gate(arena, ev, tau)
@@ -290,23 +298,34 @@ def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
 @given(_arena_pair())
 def test_seeded_cold_start_keeps_the_values(pair):
     """A cold solve starts from _seed_sigma, a warm one from the drawn
-    sigma and tau; both give the values of the enumeration oracle.  The
-    seed is a valid index in every Max node's arc group and a Min arc of
-    every Min node, and equals the value iteration on Python ints: int64
-    does not overflow up to the guard."""
+    sigma and tau; both give the values of the enumeration oracle, and
+    neither evaluates a Max strategy twice.  The seed is a valid index in
+    every Max node's arc group and a Min arc of every Min node, and equals
+    the value iteration on Python ints: int64 does not overflow up to the
+    guard."""
     arena, sig, tau = pair
     seed, arcs = _seed_sigma(arena)
     assert seed.dtype == arcs.dtype == np.int64
     assert np.all((seed >= 0) & (seed < np.diff(arena.b_off)))
     assert np.array_equal(arena.a_src[arcs], np.arange(arena.n_min))
     assert (seed.tolist(), arcs.tolist()) == oracle_seed_sigma(arena)
-    chi = _values(*solve_arena(arena)[:2], arena.scale)
     tau_arcs = [
         int(arena.a_off[j]) + arena.a_tgt[arena.a_off[j] : arena.a_off[j + 1]].tolist().index(t)
         for j, t in enumerate(tau)
     ]
-    assert _values(*solve_arena(arena, (sig, tau_arcs))[:2], arena.scale) == chi
-    assert chi == oracle_arena_values(arena)
+    evaluate, seen = games._evaluate, []
+
+    def recording(arena, sig_idx, *args):
+        seen.append(sig_idx.tobytes())
+        return evaluate(arena, sig_idx, *args)
+
+    chi = oracle_arena_values(arena)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(games, "_evaluate", recording)
+        for warm in (None, (sig, tau_arcs)):
+            seen.clear()
+            assert _values(*solve_arena(arena, warm)[:2], arena.scale) == chi
+            assert len(set(seen)) == len(seen)
 
 
 def _evaluations_per_probe(monkeypatch):
@@ -395,10 +414,103 @@ def test_no_reachable_cycle_raises():
 def test_no_tight_move_and_missing_tau_arc_raise():
     arena = arena_of([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
     ev = _evaluate(arena, np.zeros(2, dtype=np.int64))
-    broken = _Evaluation(ev.g_num, ev.g_den, ev.vhat + np.array([1, 0]), ev.t_dst, ev.t_w)
+    broken = _Evaluation(
+        ev.g_num, ev.g_den, ev.vhat + np.array([1, 0]), ev.critical, ev.t_dst, ev.t_w
+    )
     for fn in (_tight_tau, oracle_tight_tau):
         with pytest.raises(EngineError, match="no tight move at Min node 0"):
             fn(arena, broken)
     for fn in (_gate, oracle_gate):
         with pytest.raises(EngineError, match="tau selects a missing arc"):
             fn(arena, ev, [0, 0])
+
+
+def test_carried_bias_beyond_the_guard_raises():
+    """A previous bias near -2^61 carried onto a critical class would
+    leave int64's safe range in the appraisals: typed EngineError."""
+    arena = arena_of([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
+    sig = np.zeros(2, dtype=np.int64)
+    ev = _evaluate(arena, sig)
+    low = _Evaluation(ev.g_num, ev.g_den, ev.vhat - (1 << 61), ev.critical, ev.t_dst, ev.t_w)
+    assert np.array_equal(_evaluate(arena, sig, None, ev).vhat, ev.vhat)
+    with pytest.raises(EngineError, match="carried bias beyond the int64 guard"):
+        _evaluate(arena, sig, None, low)
+
+
+def _check_carried(arena, ev, prev):
+    """The bias of ev solves each gain level's optimality equation, its
+    critical mask is that of the tight arcs' cycles, and each critical
+    class keeps prev's bias at its lowest node critical in prev with the
+    same gain."""
+    gn, gd, v = ev.g_num.tolist(), ev.g_den.tolist(), ev.vhat.tolist()
+    best = [None] * arena.n_min
+    succ = [[] for _ in range(arena.n_min)]
+    for u, x, w in zip(arena.a_src.tolist(), ev.t_dst.tolist(), ev.t_w.tolist()):
+        if (gn[u], gd[u]) == (gn[x], gd[x]):
+            r = w * gd[u] - gn[u] + v[x]
+            best[u] = r if best[u] is None else min(best[u], r)
+            if r == v[u]:
+                succ[u].append(x)
+    assert best == v
+    critical = [False] * arena.n_min
+    for comp in tarjan_sccs(arena.n_min, succ):
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
+            for u in comp:
+                critical[u] = True
+            kept = [
+                u for u in sorted(comp)
+                if prev.critical[u] and (prev.g_num[u], prev.g_den[u]) == (gn[u], gd[u])
+            ]
+            if kept:
+                assert v[kept[0]] == prev.vhat[kept[0]]
+    assert ev.critical.tolist() == critical
+
+
+@settings(max_examples=300, deadline=None)
+@given(_arena())
+def test_carried_bias_solves_the_levels_and_keeps_the_anchors(arena_sig):
+    """One policy-iteration step: the evaluation of the improved sigma
+    that carries the bias of the previous one, from Min's tight arcs and
+    on the Karp path, has the oracle's gains and a carried bias."""
+    arena, sig = arena_sig
+    prev = _evaluate(arena, sig)
+    _improve(arena, sig, prev)
+    for cand in (_tight_tau(arena, prev), None):
+        ev = _evaluate(arena, sig, cand, prev)
+        g_num, g_den, _ = oracle_one_player_min(arena.n_min, arena.a_src, ev.t_dst, ev.t_w, False)
+        _same(ev.g_num, g_num)
+        _same(ev.g_den, g_den)
+        _check_carried(arena, ev, prev)
+
+
+@pytest.mark.parametrize("solve", [bisection_solve, newton_solve])
+@pytest.mark.parametrize(
+    "seed, lam",
+    [(108000359, Fraction(785, 2)), (1200003609, Fraction(705, 2)), (1408004279, Fraction(492))],
+)
+def test_period_two_cycles_are_answered(solve, seed, lam):
+    """Policy iteration cycled between two strategies in a game of these
+    instances (the last two are instance 9 of seed 1200's and instance 55
+    of seed 1408's lin-int-d25 pool): each strategy's appraisal looked
+    better under the other's bias, recomputed from zero potentials."""
+    out = solve(gen_random(25, 25, 500, 100, seed))
+    assert out.status == "optimal" and out.lam.value == lam
+
+
+def test_quad_cycle_is_infeasible_by_value_iteration():
+    """Both quad solvers cycled on this instance in the game of its start
+    point's search; it is infeasible.  The homogenized constraint game
+    has value -35 at every node, and 20,000 rounds of value iteration on
+    its arena, with no policy iteration, agree to within 0.01."""
+    prob = gen_random(10, 10, 500, 100, 107000472, True)
+    for solve in (bisection_solve_quad, newton_solve_quad):
+        assert solve(prob).status == "infeasible"
+    rec = _compiled(prob)
+    kept = np.flatnonzero(rec.core[1][: rec.m].any(axis=1))
+    arena, _ = games._pair_arena(*rec._with_aug(kept, True)[:5])
+    assert _values(*solve_arena(arena)[:2], arena.scale) == [-35] * arena.n_min
+    x, rounds = np.zeros(arena.n_min, dtype=np.int64), 20000
+    for _ in range(rounds):
+        y = np.maximum.reduceat(arena.b_w + x[arena.b_tgt], arena.b_off[:-1])
+        x = np.minimum.reduceat(arena.a_w + y[arena.a_tgt], arena.a_off[:-1])
+    assert np.all(np.abs(x / (rounds * arena.scale) + 35) < 0.01)
