@@ -26,7 +26,7 @@ import time
 from .games import EngineError
 from .pseudolinear import (
     PseudolinearProblem,
-    _lower_bound_linear,
+    _compiled,
     _prepare,
     bisection_solve,
     initial_bounds,
@@ -58,7 +58,7 @@ def _bounds(prob):
 
 def _lower_bound(prob):
     if isinstance(prob, PseudolinearProblem):
-        return _lower_bound_linear(prob)
+        return _compiled(prob).anchor
     return _lower_bound_quad(prob)
 
 

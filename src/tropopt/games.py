@@ -12,10 +12,11 @@ strategy is a one-player minimum-cycle problem handled exactly on whole
 int64 arrays after clearing denominators.  It starts from a candidate
 cycle, that of Min's tight arcs of the previous evaluation, and moves to
 lower cycles (Dinkelbach) until a Bellman-Ford from zeros settles, which
-proves the least cycle mean; when every node reaches a cycle of that mean
-it is every node's value.  Only an evaluation with several values falls
-back to reachability and SCCs by boolean matrix squaring and one Karp
-table for all SCCs.  Each evaluation carries the previous one's bias on
+proves the least cycle mean (matrix._min_ratio, the one cycle-ratio
+kernel, which the pseudoquadratic Newton drop runs too); when every node
+reaches a cycle of that mean it is every node's value.  An evaluation
+with several values solves the nodes that reach none again, on their
+own, level after level.  Each evaluation carries the previous one's bias on
 its critical classes (the multichain rule of Cochet-Terrasson and
 Gaubert, C. R. Acad. Sci. Paris 343, 2006), so every switch raises
 (gain, bias) strictly and no strategy repeats; there is no fallback, and
@@ -42,18 +43,22 @@ import numpy as np
 
 from .matrix import (
     _INF64,
+    EngineError,
     TropMatrix,
     TypingError,
     _abs_max,
     _adjacency,
     _closure,
+    _cycle_ratio,
     _den_lcm,
+    _first,
+    _first_best,
     _fit,
     _karp_table,
-    _karp_values,
+    _min_ratio,
+    _relax,
     _scaled,
     _sccs,
-    _segments,
 )
 from .semiring import NEG_INF
 
@@ -64,11 +69,6 @@ class IsolatedNode(ValueError):
 
 class InvalidStrategy(ValueError):
     """A strategy selecting a -inf entry or an out-of-range index."""
-
-
-class EngineError(RuntimeError):
-    """The integer engine gives no certified answer: data beyond its int64
-    guards, a failed check, or an iteration that ran out of its budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,6 @@ def restrict_strategies(sys: TwoSidedSystem, tau=None, sigma=None) -> TwoSidedSy
 # offsets, so a Max strategy is an index into its group.
 
 _CUT64 = np.int64(1) << 61
-_RATIO_CAP = 10000  # Dinkelbach steps of one _least_level
 
 
 class Arena:
@@ -287,81 +286,15 @@ def _pair_arena(Aw, Af, Bw, Bf, scale):
     return arena, rows
 
 
-def _relax(n, src, dst, w, x, parent=None):
-    """Bellman-Ford rounds x_u <- min(x_u, w + x_v) over the arcs u -> v,
-    until nothing changes or n + 1 rounds have run.  The arcs must come
-    grouped by source, as arenas and their turn graphs keep them (src
-    nondecreasing).  When given, parent[u] is set to the arc that last
-    lowered x_u."""
-    if not len(src):
-        return x
-    heads, starts = _segments(src)
-    x = x.copy()
-    for _ in range(n + 1):
-        cand = w + x[dst]
-        best = np.minimum.reduceat(cand, starts)
-        xh = x[heads]
-        lower = best < xh
-        if not lower.any():
-            break
-        if parent is not None:
-            seg = np.append(starts, len(src))
-            arc = _first(cand == np.repeat(best, np.diff(seg)), seg)
-            parent[heads[lower]] = arc[lower]
-        x[heads] = np.minimum(xh, best)
-    return x
-
-
-def _negative_cycle(n, src, dst, w):
-    """The arcs of a negative cycle, or None.  Bellman-Ford from 0 at every
-    node with parent arcs: every cycle of the parent graph is negative, and
-    a negative cycle keeps the rounds from settling, which leaves one there
-    after n + 1 rounds; pointer doubling finds a node on it.  The arcs come
-    grouped by source (see _relax)."""
-    parent = np.full(n, -1, dtype=np.int64)
-    _relax(n, src, dst, w, np.zeros(n, dtype=w.dtype), parent)
-    nxt = np.append(np.append(dst, n)[parent], n)
-    for _ in range(n.bit_length()):
-        nxt = nxt[nxt]
-    on = nxt[:n][nxt[:n] < n]
-    if not len(on):
-        return None
-    start = v = int(on[0])
-    arcs = []
-    while not arcs or v != start:
-        arcs.append(int(parent[v]))
-        v = int(dst[arcs[-1]])
-    return arcs
-
-
 def _least_level(n, src, dst, w0, k, L: int, lam: Fraction):
     """Least level from lam on at which no cycle is negative, an arc
     weighing (w0 + k * level * L) / L with k >= 0; None when none is at lam.
-    Dinkelbach's iteration: while some cycle C is negative, move up to the
-    level at which C weighs 0, its ratio -W0(C) / (K(C) L).  The arcs come
-    grouped by source; on int64 while the walk weights fit, on Python ints
-    beyond."""
-    top = _abs_max(w0)
-    for it in range(_RATIO_CAP):
-        num, den = lam.numerator, lam.denominator
-        big = (n + 2) * (top * den + abs(num) * L)
-        w = _fit(w0, big) * den + _fit(k, big) * (num * L)
-        cyc = _negative_cycle(n, src, dst, w)
-        if cyc is None:
-            return lam if it else None
-        K = int(k[cyc].sum())
-        if K == 0:
-            raise EngineError("negative cycle without a level arc")
-        lam = Fraction(-sum(int(v) for v in w0[cyc]), K * L)
-    raise EngineError("cycle-ratio iteration failed to converge")
-
-
-def _first(cond, off):
-    """Per segment [off[k], off[k+1]) (none empty), the first index where
-    cond holds, or -1."""
-    idx = np.where(cond, np.arange(len(cond)), len(cond))
-    first = np.minimum.reduceat(idx, off[:-1])
-    return np.where(first == len(cond), -1, first)
+    That level is -W0(C) / (K(C) L) for the cycle C of least ratio
+    W0(C) / K(C), which _min_ratio finds from the ratio -lam L: a cycle
+    lies below that ratio exactly when it is negative at lam.  The arcs
+    come grouped by source."""
+    num, den, _, _, steps = _min_ratio(n, src, dst, w0, k, -lam.numerator * L, lam.denominator)
+    return Fraction(-num, den * L) if steps else None
 
 
 def _mean_signs(ns, src, dst, w):
@@ -381,84 +314,6 @@ def _mean_signs(ns, src, dst, w):
     cyc = D[N] < cut
     top = np.where((D[:N] < cut) & cyc, D[N] - D[:N], -2 * cut).max(axis=0)
     return reach, cyc, top
-
-
-def _cycle_mean(nxt, c):
-    """Least cycle mean of the functional graph u -> nxt[u] (arc weights
-    c), as a reduced (num, den) of Python ints.  Each walk stops at the
-    first node it or an earlier walk visited; a walk that stops on
-    itself has closed a new cycle."""
-    nxt, c = nxt.tolist(), c.tolist()
-    walk = [-1] * len(nxt)
-    best = None
-    for s in range(len(nxt)):
-        u = s
-        while walk[u] < 0:
-            walk[u] = s
-            u = nxt[u]
-        if walk[u] == s:
-            tot, length, v = c[u], 1, nxt[u]
-            while v != u:
-                tot, length, v = tot + c[v], length + 1, nxt[v]
-            if best is None or tot * best[1] < best[0] * length:
-                best = (tot, length)
-    f = Fraction(*best)
-    return f.numerator, f.denominator
-
-
-def _first_best(val, off, best):
-    """Per segment [off[k], off[k+1]) (none empty), the first index where
-    val attains its best (np.minimum or np.maximum) over the segment."""
-    top = best.reduceat(val, off[:-1])
-    return _first(val == np.repeat(top, np.diff(off)), off)
-
-
-_CHECK_ROUNDS = 8  # Bellman-Ford rounds between two looks for a lower cycle
-
-
-def _dinkelbach_step(ns, src, dst, w, num, den, off):
-    """One step of Dinkelbach's iteration from a cycle of mean num / den:
-    Bellman-Ford from zeros on wp = w * den - num (arcs grouped by source
-    at the offsets off).  Returns (wp, pi, lower): pi the potentials it
-    leaves, and lower None when it settles (no cycle lies below num / den),
-    else the mean of a cycle negative in wp.  That cycle is the greedy one
-    of the unsettled potentials, tried every _CHECK_ROUNDS rounds, when it
-    is lower, and after ns + 1 rounds the exact negative cycle."""
-    wp = w * den - num
-    pi = np.zeros(ns, dtype=np.int64)
-    done = 0
-    while done <= ns:
-        rounds = min(_CHECK_ROUNDS, ns + 1 - done)
-        pi = _relax(rounds - 1, src, dst, wp, pi)
-        done += rounds
-        if not np.any(pi[src] > wp + pi[dst]):
-            return wp, pi, None
-        greedy = _first_best(wp + pi[dst], off, np.minimum)
-        lower = _cycle_mean(dst[greedy], w[greedy])
-        if lower[0] * den < num * lower[1]:
-            return wp, pi, lower
-    cyc = _negative_cycle(ns, src, dst, wp)
-    f = Fraction(int(w[cyc].sum()), len(cyc))
-    return wp, pi, (f.numerator, f.denominator)
-
-
-def _karp_gains(ns, src, dst, w):
-    """(g_num, g_den): every node's least reachable cycle mean, reduced,
-    from one closure and one Karp table for all SCCs."""
-    reach, root = _sccs(ns, src, dst)
-    cyc, vn, vd = _karp_values(ns, src, dst, w, root)
-    cand = reach & cyc  # u reaches the cyc node v
-    if not np.all(cand.any(axis=1)):
-        raise EngineError("node with no reachable cycle; graph not total")
-    best = np.argmin(np.where(cand, vn / vd, np.inf), axis=1)
-    g_num, g_den = vn[best], vd[best]
-    exact = np.all(
-        ~cand | (g_num[:, None] * vd[None, :] <= vn[None, :] * g_den[:, None]), axis=1
-    )
-    for u in np.flatnonzero(~exact):
-        f = min(Fraction(int(vn[v]), int(vd[v])) for v in np.flatnonzero(cand[u]))
-        g_num[u], g_den[u] = f.numerator, f.denominator
-    return g_num, g_den
 
 
 def _bias(ns, src, dst, wp, pi, prev=None, gain=None):
@@ -495,25 +350,36 @@ def _one_player_min(ns, src, dst, w, cand=None, prev=None):
     fraction, a per-node integer bias in units of 1/g_den of its own gain
     level, and the mask of the critical nodes (see _bias).
 
-    cand, when given, is a candidate Min strategy, one arc per node.  The
-    least mean g of its cycles bounds the graph's from above, and
-    Dinkelbach steps lower g until Bellman-Ford proves no cycle lies
-    below it.  When the bias then reaches a critical node (on a cycle of
-    mean g) from every node, g is every node's gain, as Karp's table
-    would give it.  Otherwise (several gain levels, or no candidate) the
-    gains come from Karp's table, and the bias per level from the arcs
-    that join equal gains.  Either path carries the bias of prev, the
-    previous evaluation, when given (see _bias)."""
-    if cand is not None:
-        lower, off = _cycle_mean(dst[cand], w[cand]), _offsets(src, ns)
-        while lower is not None:
-            num, den = lower
-            wp, pi, lower = _dinkelbach_step(ns, src, dst, w, num, den, off)
-        vhat, critical = _bias(ns, src, dst, wp, pi, prev, (num, den))
-        if not np.any(vhat >= _CUT64):
-            g_num, g_den = np.full(ns, num, dtype=np.int64), np.full(ns, den, dtype=np.int64)
-            return g_num, g_den, vhat, critical
-    g_num, g_den = _karp_gains(ns, src, dst, w)
+    cand is a candidate Min strategy, one arc per node (each node's first
+    arc when None).  The least mean of its cycles bounds the graph's
+    least cycle mean g from above, and _min_ratio lowers it to g.  When
+    the bias then reaches a critical node (on a cycle of mean g) from
+    every node, g is every node's gain.  Otherwise the nodes that reach
+    one have gain g, and the rest, which no arc leaves, is solved the
+    same way from cand's arcs there, level after level; the bias per
+    level then comes from the arcs that join equal gains.  Either way the
+    bias carries that of prev, the previous evaluation, when given (see
+    _bias)."""
+    if cand is None:
+        off = _offsets(src, ns)
+        if np.any(off[1:] == off[:-1]):
+            raise EngineError("node with no reachable cycle; graph not total")
+        cand = off[:-1]
+    one = np.ones(len(src), dtype=np.int64)
+    start = _cycle_ratio(dst[cand], w[cand], one[cand])
+    num, den, wp, pi, _ = _min_ratio(ns, src, dst, w, one, *start)
+    vhat, critical = _bias(ns, src, dst, wp, pi, prev, (num, den))
+    g_num, g_den = np.full(ns, num, dtype=np.int64), np.full(ns, den, dtype=np.int64)
+    rest = vhat >= _CUT64
+    if not rest.any():
+        return g_num, g_den, vhat, critical
+    while rest.any():
+        inner = rest[src]
+        s, d = src[inner], dst[inner]
+        start = _cycle_ratio(np.where(rest, dst[cand], -1), w[cand], one[cand])
+        num, den, wp, pi, _ = _min_ratio(ns, s, d, w[inner], one[inner], *start)
+        g_num[rest], g_den[rest] = num, den
+        rest &= _bias(ns, s, d, wp, pi)[0] >= _CUT64
     adm = (g_num[src] == g_num[dst]) & (g_den[src] == g_den[dst])
     asrc, adst = src[adm], dst[adm]
     wp = w[adm] * g_den[asrc] - g_num[asrc]

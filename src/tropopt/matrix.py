@@ -27,6 +27,11 @@ class DivergentStar(ArithmeticError):
     """Kleene star of a matrix with a positive-mean cycle."""
 
 
+class EngineError(RuntimeError):
+    """The integer engine gives no certified answer: data beyond its int64
+    guards, a failed check, or an iteration that ran out of its budget."""
+
+
 # the infinity kind a typing excludes, and the error naming it
 _EXCLUDED = {
     "max": (1, "+inf entry in a max-plus typed matrix"),
@@ -223,7 +228,7 @@ _GUARD = 1 << 61
 def _fit(w, big):
     """w as int64 when big, a bound on every value the caller forms from
     it, stays below 2^61, otherwise as Python ints."""
-    return w.astype(np.int64 if big < _GUARD else object)
+    return w.astype(np.int64 if big < _GUARD else object, copy=False)
 
 
 def _den_lcm(*mats: TropMatrix) -> int:
@@ -286,7 +291,8 @@ def kleene_star(A: TropMatrix) -> TropMatrix:
 
 
 # ---------------------------------------------------------------------------
-# cycle means on scaled integers: one Karp table for all SCCs
+# cycle ratios on scaled integers: Bellman-Ford, Dinkelbach's iteration,
+# and one Karp table for all SCCs
 
 _INF64 = np.int64(1) << 62
 
@@ -294,7 +300,7 @@ _INF64 = np.int64(1) << 62
 def _abs_max(w) -> int:
     """Largest |w| over an int64 array, or a list or object array of
     Python ints; 0 when empty."""
-    return int(np.max(np.abs(np.asarray(w)))) if len(w) else 0
+    return int(np.abs(np.asarray(w)).max()) if len(w) else 0
 
 
 def _adjacency(ns, src, dst):
@@ -359,56 +365,167 @@ def _karp_table(ns, src, dst, w, root):
     return D, N, inf // 2
 
 
-def _karp_values(ns, src, dst, w, root):
-    """Karp's value at every node, from one table for all SCCs.
+def _first(cond, off):
+    """Per segment [off[k], off[k+1]) (none empty), the first index where
+    cond holds, or -1."""
+    idx = np.where(cond, np.arange(len(cond)), len(cond))
+    first = np.minimum.reduceat(idx, off[:-1])
+    return np.where(first == len(cond), -1, first)
 
-    Returns (cyc, vn, vd): cyc marks the nodes v with a finite walk of N
-    arcs, and vn/vd is the reduced fraction max_k (D_N(v) - D_k(v)) /
-    (N - k) at those nodes.  Karp's theorem holds for any N at least the
-    SCC size, so the least value over the cyc nodes of an SCC is its
-    minimum cycle mean; an SCC without a cycle has no cyc node.  On
-    Python ints every node is scanned exactly, with no float ratio."""
-    D, N, cut = _karp_table(ns, src, dst, w, root)
-    cyc = D[N] < cut
-    ok = (D[:N] < cut) & cyc
-    nums = np.where(ok, D[N] - D[:N], 0)
-    dens = (N - np.arange(N, dtype=np.int64))[:, None]
-    if w.dtype == object:
-        vn, vd = np.zeros(ns, dtype=object), np.ones(ns, dtype=object)
-        exact = np.zeros(ns, dtype=bool)
-    else:
-        kk = np.argmax(np.where(ok, nums / dens, -np.inf), axis=0)
-        vn = nums[kk, np.arange(ns)]
-        vd = dens[kk, 0]
-        # float prefilter, re-checked exactly; exact scan where it missed
-        exact = np.all(~ok | (vn * dens >= nums * vd), axis=0)
-    for v in np.flatnonzero(cyc & ~exact):
-        f = max(Fraction(int(nums[k, v]), int(dens[k, 0])) for k in np.flatnonzero(ok[:, v]))
-        vn[v], vd[v] = f.numerator, f.denominator
-    g = np.gcd(vn, vd)
-    return cyc, np.where(cyc, vn // g, 0), np.where(cyc, vd // g, 1)
+
+def _first_best(val, off, best):
+    """Per segment [off[k], off[k+1]) (none empty), the first index where
+    val attains its best (np.minimum or np.maximum) over the segment."""
+    top = best.reduceat(val, off[:-1])
+    return _first(val == np.repeat(top, np.diff(off)), off)
+
+
+def _relax(n, src, dst, w, x, parent=None, segs=None):
+    """Bellman-Ford rounds x_u <- min(x_u, w + x_v) over the arcs u -> v,
+    until nothing changes or n + 1 rounds have run.  The arcs must come
+    grouped by source, as arenas and their turn graphs keep them (src
+    nondecreasing); segs is _segments(src) when the caller has it.  When
+    given, parent[u] is set to the arc that last lowered x_u."""
+    if not len(src):
+        return x
+    heads, starts = _segments(src) if segs is None else segs
+    x = x.copy()
+    for _ in range(n + 1):
+        cand = w + x[dst]
+        best = np.minimum.reduceat(cand, starts)
+        xh = x[heads]
+        lower = best < xh
+        if not lower.any():
+            break
+        if parent is not None:
+            seg = np.append(starts, len(src))
+            arc = _first(cand == np.repeat(best, np.diff(seg)), seg)
+            parent[heads[lower]] = arc[lower]
+        x[heads] = np.minimum(xh, best)
+    return x
+
+
+def _negative_cycle(n, src, dst, w):
+    """The arcs of a negative cycle, or None.  Bellman-Ford from 0 at every
+    node with parent arcs: every cycle of the parent graph is negative, and
+    a negative cycle keeps the rounds from settling, which leaves one there
+    after n + 1 rounds; pointer doubling finds a node on it.  The arcs come
+    grouped by source (see _relax)."""
+    parent = np.full(n, -1, dtype=np.int64)
+    _relax(n, src, dst, w, np.zeros(n, dtype=w.dtype), parent)
+    nxt = np.append(np.append(dst, n)[parent], n)
+    for _ in range(n.bit_length()):
+        nxt = nxt[nxt]
+    on = nxt[:n][nxt[:n] < n]
+    if not len(on):
+        return None
+    start = v = int(on[0])
+    arcs = []
+    while not arcs or v != start:
+        arcs.append(int(parent[v]))
+        v = int(dst[arcs[-1]])
+    return arcs
+
+
+def _cycle_ratio(nxt, c, t):
+    """Least ratio W/T over the cycles of the functional graph u -> nxt[u]
+    (nxt[u] < 0 where u has no arc), the arc out of u weighing c[u] and
+    t[u] >= 0, as a reduced (num, den) of Python ints; None when no cycle
+    has T > 0.  A cycle with T = 0 is skipped, and raises EngineError when
+    its W < 0 too.  Each walk stops at the first node it or an earlier walk
+    visited, or at a node with no arc; a walk that stops on itself has
+    closed a new cycle."""
+    nxt, c, t = nxt.tolist(), c.tolist(), t.tolist()
+    walk = [-1] * len(nxt)
+    best = None
+    for s in range(len(nxt)):
+        u = s
+        while u >= 0 and walk[u] < 0:
+            walk[u] = s
+            u = nxt[u]
+        if u >= 0 and walk[u] == s:
+            W, T, v = c[u], t[u], nxt[u]
+            while v != u:
+                W, T, v = W + c[v], T + t[v], nxt[v]
+            if T == 0:
+                if W < 0:
+                    raise EngineError("negative cycle without a level arc")
+            elif best is None or W * best[1] < best[0] * T:
+                best = (W, T)
+    if best is None:
+        return None
+    f = Fraction(*best)
+    return f.numerator, f.denominator
+
+
+_CHECK_ROUNDS = 8  # Bellman-Ford rounds between two looks for a lower cycle
+_RATIO_CAP = 10000  # Dinkelbach steps of one _min_ratio
+
+
+def _min_ratio(ns, src, dst, w, t, num, den):
+    """The least of num / den (den > 0) and the ratios W(C) / T(C) over
+    the cycles C of a digraph (arc weights w and t >= 0, arcs grouped by
+    source).
+
+    Dinkelbach's iteration: Bellman-Ford from zeros on wp = w * den -
+    t * num settles exactly when no cycle lies below num / den; otherwise
+    some cycle is negative in wp, and the iteration moves down to its
+    ratio.  That cycle is the greedy one of the unsettled potentials,
+    tried every _CHECK_ROUNDS rounds, when it is lower, and after ns + 1
+    rounds the exact negative cycle.  A negative cycle with T = 0 has no
+    ratio (EngineError).  Returns (num, den, wp, pi, steps): the least
+    ratio (reduced, or num / den as given when nothing lies below it), wp
+    and the settled potentials pi there, and the number of steps down.  On
+    int64 while _fit admits every value formed, on Python ints beyond."""
+    segs = _segments(src)
+    top, ttop = max(_abs_max(w), 1), max(_abs_max(t), 1)
+
+    def ratio(arcs):
+        """_cycle_ratio of the given arcs, at most one out of each node."""
+        a = np.full(ns, -1, dtype=np.int64)
+        a[src[arcs]] = arcs
+        return _cycle_ratio(np.where(a < 0, -1, dst[a]), w[a], t[a])
+
+    for steps in range(_RATIO_CAP):
+        big = (ns + 2) * (top * den + ttop * abs(num))
+        wp = _fit(w, big) * den - _fit(t, big) * num
+        pi = np.zeros(ns, dtype=wp.dtype)
+        done = 0
+        while done <= ns:
+            rounds = min(_CHECK_ROUNDS, ns + 1 - done)
+            pi = _relax(rounds - 1, src, dst, wp, pi, segs=segs)
+            done += rounds
+            val = wp + pi[dst]
+            if not np.any(pi[src] > val):
+                return num, den, wp, pi, steps
+            lower = ratio(_first_best(val, np.append(segs[1], len(src)), np.minimum))
+            if lower is not None and lower[0] * den < num * lower[1]:
+                break
+        else:
+            lower = ratio(_negative_cycle(ns, src, dst, wp))
+        num, den = lower
+    raise EngineError("cycle-ratio iteration failed to converge")
 
 
 def _max_cycle_mean(w, finite):
     """Largest cycle mean of the digraph of the finite entries of a square
     array of scaled integer weights, exact and in the same scale; None
-    when the digraph is acyclic.  Karp on the negated weights, on int64
-    whenever it fits and on Python ints beyond."""
-    ns = len(finite)
+    when the digraph is acyclic.  The least cycle mean of the negated
+    weights (_min_ratio), from a ratio above every cycle's."""
     src, dst = np.nonzero(finite)
-    neg = -w[finite]
-    _, root = _sccs(ns, src, dst)
-    cyc, vn, vd = _karp_values(ns, src, dst, _fit(neg, (ns + 2) ** 3 * _abs_max(neg)), root)
-    if not cyc.any():
+    if not len(src):
         return None
-    return -min(Fraction(int(vn[v]), int(vd[v])) for v in np.flatnonzero(cyc))
+    neg = -w[finite]
+    one = np.ones(len(src), dtype=np.int64)
+    num, den, _, _, steps = _min_ratio(len(finite), src, dst, neg, one, _abs_max(neg) + 1, 1)
+    return Fraction(-num, den) if steps else None
 
 
 def max_cycle_mean(A: TropMatrix) -> ExtScalar:
     """Largest mean weight of a cycle in the digraph of finite entries.
 
-    -inf when the digraph is acyclic.  Exact: Karp's table on the entries
-    scaled by their denominator lcm (see _max_cycle_mean)."""
+    -inf when the digraph is acyclic.  Exact: Dinkelbach's iteration on
+    the entries scaled by their denominator lcm (see _max_cycle_mean)."""
     if A.typing != "max":
         raise TypingError("max_cycle_mean is for max-plus typed matrices")
     if A.rows != A.cols:
@@ -419,7 +536,7 @@ def max_cycle_mean(A: TropMatrix) -> ExtScalar:
 
 
 def min_mean_cycle(nodes: list, arcs: list):
-    """Karp's minimum cycle mean on one strongly connected component.
+    """The minimum cycle mean on one strongly connected component.
 
     nodes: node ids; arcs: (u, v, w) with Fraction weights, all endpoints
     in nodes.  Returns the exact minimum mean as a Fraction, or None if

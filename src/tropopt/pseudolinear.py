@@ -404,7 +404,10 @@ class _Compiled:
 
     @cached_property
     def drop(self):
-        """_drop_data's tuple."""
+        """(U, V, b, d, p, q, S, big): the problem in the drop step's
+        integer form, scaled by S = 2L.  Every entry of the reduced
+        problem is then a multiple of 2, so the closed form's halving
+        stays integral."""
         parts = [(w * 2, f, -1) for w, f in map(self.data.get, "UVbdp")]
         arrays, big = _filled(parts + [(self.data["q"][0] * 2, self.data["q"][1], 1)], self.n)
         return (*arrays, 2 * self.L, big)
@@ -577,15 +580,11 @@ def initial_bounds(prob: PseudolinearProblem):
     """(lower, upper, witness): the a-priori level bounds and a finite
     feasible point realizing the upper one.  upper is f(witness); an
     infeasible problem gets upper = POS_INF and no witness."""
-    lb = _lower_bound_linear(prob)
+    lb = _compiled(prob).anchor
     wit = _affine_witness(prob)
     if wit is None:
         return lb, POS_INF, None
     return lb, objective(prob, wit), wit
-
-
-def _lower_bound_linear(prob) -> ExtScalar:
-    return _compiled(prob).anchor
 
 
 def _check_mode(prob, mode, tol):
@@ -746,13 +745,6 @@ def _ext(v, S: int, big):
     ]
 
 
-def _drop_data(prob):
-    """(U, V, b, d, p, q, S, big): the problem in the drop step's integer
-    form, scaled by S = 2L.  Every entry of the reduced problem is then a
-    multiple of 2, so the closed form's halving stays integral."""
-    return _compiled(prob).drop
-
-
 def _reduce(U, V, b, d, sigma, big):
     """reduce_by_strategy on the drop step's integer form: (R, l, u)."""
     m, n = U.shape
@@ -804,7 +796,7 @@ def reduce_by_strategy(prob, sigma) -> AlcovedProblem:
     the reduction is infeasible.  The result keeps all n variables:
     R x <= x gathers the rows pinned to a column, u the rows pinned to
     their constant.  Exact on scaled integers (see _reduce)."""
-    U, V, b, d, _, _, S, big = _drop_data(prob)
+    U, V, b, d, _, _, S, big = _compiled(prob).drop
     R, l, u = _reduce(U, V, b, d, sigma, big)
     R = TropMatrix([_ext(row, S, big) for row in R], "max")
     return AlcovedProblem(R, _ext(l, S, big), _ext(u, S, big), prob.p, prob.q)
@@ -990,9 +982,6 @@ def _literal_pair(prob, lam, aug=True):
         Bf[lam_rows.start : lam_rows.stop] = False
     keep = len(Af) if aug else lam_rows.stop
     return _tmat(Aw[:keep], Af[:keep], L), _tmat(Bw[:keep], Bf[:keep], L), frozenset(lam_rows)
-
-
-_augmented_parametric = _literal_pair
 
 
 def _finite_level(lam):

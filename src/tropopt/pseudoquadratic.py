@@ -121,8 +121,9 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
     just below the current level is fixed, and the level drops to the
     least one at which the strategy-reduced one-player game stays
     nonnegative: the largest ratio -W0 / K over its cycles, each weighing
-    W0 + K * lam, found exactly by Dinkelbach's iteration on the integer
-    arcs (games._least_level).  iterations counts strategy evaluations;
-    real mode only validates tol."""
+    W0 + K * lam, found exactly on the integer arcs by the cycle-ratio
+    kernel that also evaluates the strategies (Dinkelbach's iteration on
+    Bellman-Ford, games._least_level).  iterations counts strategy
+    evaluations; real mode only validates tol."""
     _require(prob, PseudoquadraticProblem)
     return _newton(prob, mode, tol, bounds_quad)

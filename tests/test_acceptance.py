@@ -43,7 +43,7 @@ from tropopt import (
     spectral_value,
     write_csv,
 )
-from tropopt.pseudolinear import _augmented_parametric, _prepare
+from tropopt.pseudolinear import _literal_pair, _prepare
 from tropopt.semiring import ZERO
 
 from _util import golden_game, golden_linear, struct_system, swap_cycle_instance
@@ -479,7 +479,7 @@ def test_criterion_10_certificate_soundness():
         m, n = prob.shape
         if m + n > 7:
             continue
-        A, B, _ = _augmented_parametric(prob, fin(lam + F(1, 2)))
+        A, B, _ = _literal_pair(prob, fin(lam + F(1, 2)))
         choices = [
             [r for r in range(A.rows) if A.data[r][j].is_finite]
             for j in range(A.cols)

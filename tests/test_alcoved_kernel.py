@@ -24,7 +24,7 @@ from tropopt import (
     solve_alcoved,
 )
 from tropopt.games import EngineError
-from tropopt.pseudolinear import _drop_data
+from tropopt.pseudolinear import _compiled
 
 from _util import (
     M,
@@ -159,7 +159,7 @@ def test_huge_lcm_drop_runs_on_python_ints():
         [0, Fraction(1, h2)],
         [1, "+inf"],
     )
-    assert _drop_data(prob)[0].dtype == object
+    assert _compiled(prob).drop[0].dtype == object
     solved = []
     for sigma in ([0, 1], [1, 2], [0, 2], [1, 1]):
         alc = _outcome(reduce_by_strategy, prob, sigma)

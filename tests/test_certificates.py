@@ -41,7 +41,7 @@ from tropopt import (
 )
 from tropopt.cli import main as cli_main
 from tropopt.io import BadRational, dump_problem
-from tropopt.pseudolinear import _augmented_parametric
+from tropopt.pseudolinear import _literal_pair
 from tropopt.pseudoquadratic import _lower_bound_quad
 
 from _util import (
@@ -308,7 +308,7 @@ def _oracle_system(prob, lam):
 
 
 def test_literal_pairs_match_the_entrywise_build():
-    """_augmented_parametric and parametric_game* wrap the array pair back
+    """_literal_pair and parametric_game* wrap the array pair back
     into max-plus matrices: entry for entry the literal pair, with and
     without its stabilizing rows, and the same errors at infinite levels
     and on isolated columns."""
@@ -317,7 +317,7 @@ def test_literal_pairs_match_the_entrywise_build():
         prob = gen_random(3, 4, 6, 40 + 2 * s, 970000 + s, quadratic=bool(s % 2))
         game = parametric_game if isinstance(prob, PseudolinearProblem) else parametric_game_quad
         for lam in (fin(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))), NEG_INF, POS_INF):
-            assert _data(_run(_augmented_parametric, prob, lam)) == _data(_run(oracle_pair, prob, lam))
+            assert _data(_run(_literal_pair, prob, lam)) == _data(_run(oracle_pair, prob, lam))
             assert _data(_run(game, prob, lam)) == _data(_run(_oracle_system, prob, lam))
 
 

@@ -36,4 +36,4 @@ def test_engine_counts_smoke(workload):
             assert row["evaluations_per_solve"] == round(row["evaluations"] / row["solves"], 3)
             assert (row["vi_rounds"] > 0) == (start == "cold")
             assert 0 <= row["negative_cycles"] <= row["dinkelbach_steps"]
-            assert 0 <= row["karp_fallbacks"] <= row["evaluations"]
+            assert 0 <= row["several_levels"] <= row["evaluations"]

@@ -7,15 +7,15 @@ outputs must be identical: gains, biases, switch counts and strategies,
 tight responses and gate verdicts, on random small graphs and arenas with
 self-loops, several SCCs, acyclic tails, ties and weights just under the
 engine's overflow guard.  `_one_player_min` must give the oracle's arrays
-from any candidate Min strategy, whether its Dinkelbach steps stall (the
-exact negative cycle) or the graph has several gain levels (Karp's
-table).  The gate's potential check must give the
-verdict of the Karp oracle on any pair of strategies, not only on the
-tight ones.  The value-iteration cold start (`_seed_sigma`) must leave
-every game value as an enumeration of Max's strategies finds it, and must
-keep cutting the evaluations of a cold solve; Newton's probes all start
-from it.  Every caller of the Bellman-Ford kernel passes its arcs grouped
-by source.
+from any candidate Min strategy, whether the Dinkelbach steps of the
+cycle-ratio kernel (`matrix._min_ratio`) stall (the exact negative
+cycle) or the graph has several gain levels (one kernel run per level).
+The gate's potential check must give the verdict of the Karp oracle on
+any pair of strategies, not only on the tight ones.  The value-iteration
+cold start (`_seed_sigma`) must leave every game value as an enumeration
+of Max's strategies finds it, and must keep cutting the evaluations of a
+cold solve; Newton's probes all start from it.  Every caller of the
+Bellman-Ford kernel passes its arcs grouped by source.
 
 An evaluation that carries the previous one's bias must still give the
 oracle's gains and a bias that solves each level's optimality equation,
@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropopt import games, pseudolinear
+from tropopt import games, matrix, pseudolinear
 from tropopt.games import (
     EngineError,
     feasible_finite,
@@ -41,15 +41,13 @@ from tropopt.games import (
     _Evaluation,
     _gate,
     _improve,
-    _dinkelbach_step,
-    _karp_gains,
-    _negative_cycle,
     _one_player_min,
     _seed_sigma,
     _tight_tau,
     _values,
     solve_arena,
 )
+from tropopt.matrix import _min_ratio, _negative_cycle
 from tropopt.pseudolinear import _at_level, _compiled, _param_pair, bisection_solve, newton_solve
 from tropopt.pseudoquadratic import bisection_solve_quad, newton_solve_quad
 from tropopt.random_instances import gen_random
@@ -144,23 +142,22 @@ def test_candidate_paths_all_run(monkeypatch):
     """On 400 seeded graphs with a random candidate, the arrays equal the
     oracle's, and every path runs: Dinkelbach steps by a greedy cycle and
     by the exact negative cycle (a greedy one that is no lower), and the
-    Karp fallback (several gain levels)."""
-    runs = dict.fromkeys(("lower", "negative_cycles", "karp"), 0)
+    evaluations with several gain levels (more than one _min_ratio)."""
+    runs = dict.fromkeys(("lower", "negative_cycles", "several"), 0)
+    calls = [0]
 
-    def step(*args):
-        out = _dinkelbach_step(*args)
-        runs["lower"] += out[2] is not None
+    def ratio(*args):
+        out = _min_ratio(*args)
+        runs["lower"] += out[4]
+        calls[0] += 1
         return out
 
-    def counting(name, fn):
-        def wrapped(*args):
-            runs[name] += 1
-            return fn(*args)
-        return wrapped
+    def negative_cycle(*args):
+        runs["negative_cycles"] += 1
+        return _negative_cycle(*args)
 
-    monkeypatch.setattr(games, "_dinkelbach_step", step)
-    monkeypatch.setattr(games, "_negative_cycle", counting("negative_cycles", _negative_cycle))
-    monkeypatch.setattr(games, "_karp_gains", counting("karp", _karp_gains))
+    monkeypatch.setattr(games, "_min_ratio", ratio)
+    monkeypatch.setattr(matrix, "_negative_cycle", negative_cycle)
     rng = np.random.default_rng(13)
     for _ in range(400):
         ns = int(rng.integers(2, 9))
@@ -170,8 +167,10 @@ def test_candidate_paths_all_run(monkeypatch):
         w = rng.integers(-6, 7, size=len(src))
         off = np.concatenate(([0], np.cumsum(deg)))
         cand = off[:-1] + rng.integers(0, deg)
+        calls[0] = 0
         _matches_oracle(ns, src, dst, w, cand)
-    assert runs["lower"] > runs["negative_cycles"] > 0 and runs["karp"] > 0, runs
+        runs["several"] += calls[0] > 1
+    assert runs["lower"] > runs["negative_cycles"] > 0 and runs["several"] > 0, runs
 
 
 @st.composite
@@ -271,15 +270,17 @@ def test_gate_verdicts_on_seeded_pairs():
 
 def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
     """_relax reduces by segments of equal source with no sort: each of
-    its callers (the bias of an evaluation, the gate, the quad drop's
-    negative cycles and the game witness) passes src nondecreasing."""
-    relax, callers = games._relax, set()
+    its callers (the cycle-ratio kernel of the evaluations, the quad drop
+    and the coupling's cycle mean, its negative cycles, the bias of an
+    evaluation, the gate and the game witness) passes src nondecreasing."""
+    relax, callers = matrix._relax, set()
 
-    def checked(n, src, dst, w, x, parent=None):
+    def checked(n, src, dst, w, x, parent=None, segs=None):
         callers.add(sys._getframe(1).f_code.co_name)
         assert np.all(np.diff(src) >= 0)
-        return relax(n, src, dst, w, x, parent)
+        return relax(n, src, dst, w, x, parent, segs)
 
+    monkeypatch.setattr(matrix, "_relax", checked)
     monkeypatch.setattr(games, "_relax", checked)
     for s in (1, 5, 6):
         prob = gen_random(6, 6, 20, 100, s)
@@ -290,7 +291,7 @@ def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
         assert feasible_finite(_at_level(_param_pair(prob), lam)[:5], max_sweeps=1) is not None
     _seeded_gate_sweep()  # pairs whose bias is no potential
     assert callers == {
-        "_one_player_min", "_dinkelbach_step", "_bias", "_gate", "_negative_cycle", "_bf_witness"
+        "_one_player_min", "_min_ratio", "_bias", "_gate", "_negative_cycle", "_bf_witness"
     }
 
 
@@ -375,16 +376,16 @@ def test_newton_probes_start_from_the_seed(monkeypatch):
 
 def test_float_ties_take_the_exact_fallback():
     """Weights near 2^55 where distinct fractions round to one float64:
-    in the Karp values (first graph), in the least reachable cycle mean
-    and the least candidate cycle mean (second graph, self-loops 2^55 + 1
-    and 2^55), and in _improve's best target gain (the arena)."""
+    in the cycle means of the first graph, in the least reachable cycle
+    mean and the least candidate cycle mean (second graph, self-loops
+    2^55 + 1 and 2^55), and in _improve's best target gain (the arena)."""
     base = _guard_max(5)
     karp = ([0, 0, 1, 2, 2], [2, 1, 2, 0, 2], [base, base - 4, base - 1, base - 2, base - 4])
     loops = ([0, 0, 1, 2], [1, 2, 1, 2], [0, 0, 2**55 + 1, 2**55])
     for src, dst, w in (karp, loops):
         src, dst, w = (np.array(c, dtype=np.int64) for c in (src, dst, w))
         want = oracle_one_player_min(3, src, dst, w, True)
-        # no candidate, and each node's first arc (the loops tie as floats)
+        # no candidate, and each node's first arc: the same start
         for cand in (None, np.searchsorted(src, np.arange(3))):
             got = _one_player_min(3, src, dst, w, cand)
             for a, b in zip(want, got):
@@ -471,7 +472,8 @@ def _check_carried(arena, ev, prev):
 def test_carried_bias_solves_the_levels_and_keeps_the_anchors(arena_sig):
     """One policy-iteration step: the evaluation of the improved sigma
     that carries the bias of the previous one, from Min's tight arcs and
-    on the Karp path, has the oracle's gains and a carried bias."""
+    from each node's first arc, has the oracle's gains and a carried
+    bias."""
     arena, sig = arena_sig
     prev = _evaluate(arena, sig)
     _improve(arena, sig, prev)

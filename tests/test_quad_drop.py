@@ -1,6 +1,7 @@
 """The exact Newton drop: Dinkelbach's cycle-ratio iteration on the
-parametric structure's integer arcs (games._least_level), and the exact
-level search of real-mode bisection on the same grids.
+parametric structure's integer arcs (games._least_level over the kernel
+matrix._min_ratio), and the exact level search of real-mode bisection on
+the same grids.
 
 At every Newton step it must give the drop the former inner level
 bisection gives (kept in _util as an oracle), on theta and on the
@@ -28,9 +29,9 @@ from tropopt import (
     newton_solve,
     newton_solve_quad,
 )
-from tropopt import games, pseudolinear
+from tropopt import matrix, pseudolinear
 from tropopt.games import EngineError, _least_level
-from tropopt.pseudolinear import _FareyGrid, _ParamStruct, _drop_data
+from tropopt.pseudolinear import _FareyGrid, _ParamStruct, _compiled
 
 from _util import data_denominator_lcm, linprob, oracle_quad_drop, quadprob, simple_cycles
 
@@ -82,7 +83,7 @@ def _newton_drops(prob):
 
     def alcoved_rec(*args):
         theta, x = alcoved(*args)
-        S = _drop_data(prob)[6]
+        S = _compiled(prob).drop[6]
         struct, _, sig_idx = probes[-1]
         drops.append((struct, sig_idx.copy(), None if theta is None else Fraction(theta, S)))
         return theta, x
@@ -191,8 +192,10 @@ def _arcs(draw):
         )
     )
     lam = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 3, 7**25] if huge else [1, 2, 3])))
-    src, dst, w0, k = (np.array(c) for c in zip(*sorted(arcs, key=lambda a: a[0])))
-    w0 = w0.astype(object if huge else np.int64)
+    # object columns: np.array of Python ints past int64 would round them
+    # to float64
+    src, dst, w0, k = (np.array(c, dtype=object) for c in zip(*sorted(arcs, key=lambda a: a[0])))
+    w0 = w0 if huge else w0.astype(np.int64)
     return n, src.astype(np.int64), dst.astype(np.int64), w0, k.astype(bool), L, lam
 
 
@@ -225,6 +228,6 @@ def test_least_level_cap_raises(monkeypatch):
     w0, k = np.array([-3, 2]), np.array([True, True])
     assert _least_level(2, src, dst, w0, k, 1, Fraction(0)) == Fraction(1, 2)
     assert _least_level(2, src, dst, w0, k, 1, Fraction(1)) is None
-    monkeypatch.setattr(games, "_RATIO_CAP", 1)
+    monkeypatch.setattr(matrix, "_RATIO_CAP", 1)
     with pytest.raises(EngineError, match="cycle-ratio iteration failed to converge"):
         _least_level(2, src, dst, w0, k, 1, Fraction(0))

@@ -13,12 +13,12 @@ starts from given strategies (another solve's row strategy and Min's
 tight arcs) and "cold" when it starts from the value-iteration seed.  Per
 kind and start the tool counts solves, one-player evaluations, gate
 calls, value-iteration rounds (n_min per seed), and within the
-evaluations the Dinkelbach steps from a candidate cycle to a lower one,
-the exact negative-cycle searches among them (a greedy step that found
-no lower cycle) and the Karp fallbacks (an evaluation with several gain
-levels).  --src names a checkout's src/ directory (default: this
-checkout's); a counter whose function that checkout lacks reads null.
-Prints one JSON object.
+evaluations the Dinkelbach steps of the cycle-ratio kernel
+(matrix._min_ratio) from a candidate cycle to a lower one, the exact
+negative-cycle searches among them (a greedy step that found no lower
+cycle) and the evaluations with several gain levels.  --src names a
+checkout's src/ directory (default: this checkout's); a counter whose
+function that checkout lacks reads null.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -40,15 +40,19 @@ def _one(out, *args):
     return 1
 
 
-# counter -> (the games function it counts, the amount a call adds from
-# its result and arguments)
+def _levels(out, *args):
+    return len(set(zip(out[0].tolist(), out[1].tolist()))) > 1
+
+
+# counter -> (the module whose binding of a function is counted, the
+# function, the amount a call adds from its result and arguments)
 COUNTED = {
-    "evaluations": ("_evaluate", _one),
-    "gates": ("_gate", _one),
-    "vi_rounds": ("_seed_sigma", lambda out, arena: arena.n_min),
-    "dinkelbach_steps": ("_dinkelbach_step", lambda out, *args: out[2] is not None),
-    "negative_cycles": ("_negative_cycle", _one),
-    "karp_fallbacks": ("_karp_gains", _one),
+    "evaluations": ("games", "_evaluate", _one),
+    "gates": ("games", "_gate", _one),
+    "vi_rounds": ("games", "_seed_sigma", lambda out, arena: arena.n_min),
+    "dinkelbach_steps": ("games", "_min_ratio", lambda out, *args: out[4]),
+    "negative_cycles": ("matrix", "_negative_cycle", _one),
+    "several_levels": ("games", "_one_player_min", _levels),
 }
 COUNTS = ("solves", *COUNTED)
 
@@ -112,9 +116,10 @@ class Counter:
                 self.solve = outer
 
         g.solve_arena = pl.solve_arena = counted_solve
-        for name, (fn, amount) in COUNTED.items():
-            if hasattr(g, fn):
-                setattr(g, fn, self._counting(name, getattr(g, fn), amount))
+        for name, (mod, fn, amount) in COUNTED.items():
+            m = self.prog.modules[mod]
+            if hasattr(m, fn):
+                setattr(m, fn, self._counting(name, getattr(m, fn), amount))
             else:
                 self.missing.add(name)
         pl._descent_witness = self._within("witness", pl._descent_witness)
