@@ -36,6 +36,7 @@ gate keeps the values independent of the start.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,6 +60,7 @@ from .matrix import (
     _relax,
     _scaled,
     _sccs,
+    _segments,
 )
 from .semiring import NEG_INF
 
@@ -215,30 +217,44 @@ def restrict_strategies(sys: TwoSidedSystem, tau=None, sigma=None) -> TwoSidedSy
 # offsets, so a Max strategy is an index into its group.
 
 _CUT64 = np.int64(1) << 61
+_MIN64 = np.iinfo(np.int64).min
+
+_Layout = namedtuple("_Layout", "n_min n_max a_off a_src a_tgt b_off b_tgt a_segs b_start b_row")
+
+
+def _layout(Af, Bf) -> _Layout:
+    """The arcs of the finite masks Af, Bf of a pair, in build_game's
+    order and without weights, and the bookkeeping every evaluation of an
+    arena on them shares: the segments of a_src (_segments), the start of
+    each Max node's arc group and each Max arc's node.  The weights and
+    their number type do not enter it, so one layout serves every level of
+    a parametric structure."""
+    m, n = Af.shape
+    a_src, a_tgt = np.nonzero(Af.T)
+    b_row, b_tgt = np.nonzero(Bf)
+    b_off = _offsets(b_row, m)
+    segs = _segments(a_src)
+    return _Layout(n, m, _offsets(a_src, n), a_src, a_tgt, b_off, b_tgt, segs, b_off[:-1], b_row)
 
 
 class Arena:
-    """The arc arrays above, weights integer-scaled by `scale`; weights
-    given as Python ints are stored as int64 once the guard admits them."""
+    """The arcs of a layout (_layout), whose fields it carries as its own,
+    with weights integer-scaled by `scale`, given as int64 or Python ints
+    and stored as int64 once the guard admits maxw, a bound (at least 1)
+    on every |weight| that the caller already has."""
 
-    def __init__(self, n_min, n_max, a_off, a_src, a_tgt, a_w, b_off, b_tgt, b_w, scale):
-        maxw = max(1, _abs_max(a_w), _abs_max(b_w))
-        v = max(n_min, n_max) + 2
+    def __init__(self, lay: _Layout, a_w, b_w, scale, maxw):
+        v = max(lay.n_min, lay.n_max) + 2
         if maxw * v * v * v >= (1 << 62):
             raise EngineError("weights too large for the integer engine")
-        self.n_min = n_min
-        self.n_max = n_max
+        (self.n_min, self.n_max, self.a_off, self.a_src, self.a_tgt,
+         self.b_off, self.b_tgt, self.a_segs, self.b_start, self.b_row) = lay
         self.scale = scale
-        self.a_off = a_off
-        self.a_src = np.asarray(a_src, dtype=np.int64)
-        self.a_tgt = np.asarray(a_tgt, dtype=np.int64)
         self.a_w = np.asarray(a_w, dtype=np.int64)
-        self.b_off = b_off
-        self.b_tgt = np.asarray(b_tgt, dtype=np.int64)
         self.b_w = np.asarray(b_w, dtype=np.int64)
 
     def sigma_arrays(self, sig_idx):
-        pos = self.b_off[:-1] + sig_idx
+        pos = self.b_start + sig_idx
         return self.b_tgt[pos], self.b_w[pos]
 
 
@@ -247,13 +263,6 @@ def _offsets(src, k):
     off = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=k), out=off[1:])
     return off
-
-
-def _min_arcs(Aw, Af):
-    """Min arcs of the finite entries of A scaled (Aw, Af), grouped by
-    column with rows ascending: (a_off, a_src, a_tgt, a_w), a_w = -a."""
-    a_src, a_tgt = np.nonzero(Af.T)
-    return _offsets(a_src, Af.shape[1]), a_src, a_tgt, -Aw.T[Af.T]
 
 
 def _live_rows(Af, Bf):
@@ -279,11 +288,9 @@ def _pair_arena(Aw, Af, Bw, Bf, scale):
     rows = np.flatnonzero(_live_rows(Af, Bf))
     if len(rows) < len(Af):
         Aw, Af, Bw, Bf = Aw[rows], Af[rows], Bw[rows], Bf[rows]
-    a_off, a_src, a_tgt, a_w = _min_arcs(Aw, Af)
-    b_src, b_tgt = np.nonzero(Bf)
-    m, n = Af.shape
-    arena = Arena(n, m, a_off, a_src, a_tgt, a_w, _offsets(b_src, m), b_tgt, Bw[Bf], scale)
-    return arena, rows
+    a_w, b_w = -Aw.T[Af.T], Bw[Bf]
+    maxw = max(1, _abs_max(a_w), _abs_max(b_w))
+    return Arena(_layout(Af, Bf), a_w, b_w, scale, maxw), rows
 
 
 def _least_level(n, src, dst, w0, k, L: int, lam: Fraction):
@@ -316,7 +323,7 @@ def _mean_signs(ns, src, dst, w):
     return reach, cyc, top
 
 
-def _bias(ns, src, dst, wp, pi, prev=None, gain=None):
+def _bias(ns, src, dst, wp, pi, prev=None, gain=None, segs=None):
     """(vhat, critical): the bias within the gain levels gain = (g_num,
     g_den), from a potential pi (<= 0) of their reduced weights wp.  The
     critical nodes lie on tight cycles (of mean exactly the gain).  Each
@@ -324,7 +331,8 @@ def _bias(ns, src, dst, wp, pi, prev=None, gain=None):
     its lowest node critical in prev, the previous evaluation, with the
     same gain, and must stay above -_CUT64 (else EngineError).  Elsewhere
     the bias is the least wp-distance to a critical node plus its bias;
-    at least _CUT64 at a node that reaches none."""
+    at least _CUT64 at a node that reaches none.  segs is _segments(src)
+    when the caller has it."""
     tight = pi[src] == wp + pi[dst]
     tadj = _adjacency(ns, src[tight], dst[tight])
     reach = _closure(tadj)
@@ -336,19 +344,20 @@ def _bias(ns, src, dst, wp, pi, prev=None, gain=None):
             cls = reach[:, keep] & reach[keep].T
             k = keep[np.argmax(cls, axis=1)]
             pi = np.where(cls.any(axis=1), pi + (prev.vhat - pi)[k], pi)
-    vhat = _relax(ns, src, dst, wp, np.where(critical, pi, _INF64))
+    vhat = _relax(ns, src, dst, wp, np.where(critical, pi, _INF64), segs=segs)
     if prev is not None and np.any(vhat <= -_CUT64):
         raise EngineError("carried bias beyond the int64 guard")
     return vhat, critical
 
 
-def _one_player_min(ns, src, dst, w, cand=None, prev=None):
+def _one_player_min(ns, src, dst, w, cand=None, prev=None, segs=None):
     """Exact one-player evaluation of a Min-controlled weighted graph.
 
     Every node must have an outgoing arc.  Returns (g_num, g_den, vhat,
-    critical): per-node gain (minimum reachable cycle mean) as a reduced
-    fraction, a per-node integer bias in units of 1/g_den of its own gain
-    level, and the mask of the critical nodes (see _bias).
+    critical, lvl): per-node gain (minimum reachable cycle mean) as a
+    reduced fraction, a per-node integer bias in units of 1/g_den of its
+    own gain level, the mask of the critical nodes (see _bias), and the
+    rank of each node's gain level, 0 for the least gain.
 
     cand is a candidate Min strategy, one arc per node (each node's first
     arc when None).  The least mean of its cycles bounds the graph's
@@ -357,9 +366,14 @@ def _one_player_min(ns, src, dst, w, cand=None, prev=None):
     every node, g is every node's gain.  Otherwise the nodes that reach
     one have gain g, and the rest, which no arc leaves, is solved the
     same way from cand's arcs there, level after level; the bias per
-    level then comes from the arcs that join equal gains.  Either way the
-    bias carries that of prev, the previous evaluation, when given (see
-    _bias)."""
+    level then comes from the arcs that join equal gains.  Every cycle of
+    a level's mean is critical, so the rest reaches none and each level's
+    gain lies strictly above the last (Cochet-Terrasson and Gaubert, C. R.
+    Acad. Sci. Paris 343, 2006): the ranks, numbered in the order the
+    levels are found, order the gains exactly; a level that is not higher
+    raises EngineError.  Either way the bias carries that of prev, the
+    previous evaluation, when given (see _bias).  segs is _segments(src)
+    when the caller has it."""
     if cand is None:
         off = _offsets(src, ns)
         if np.any(off[1:] == off[:-1]):
@@ -367,39 +381,44 @@ def _one_player_min(ns, src, dst, w, cand=None, prev=None):
         cand = off[:-1]
     one = np.ones(len(src), dtype=np.int64)
     start = _cycle_ratio(dst[cand], w[cand], one[cand])
-    num, den, wp, pi, _ = _min_ratio(ns, src, dst, w, one, *start)
-    vhat, critical = _bias(ns, src, dst, wp, pi, prev, (num, den))
+    num, den, wp, pi, _ = _min_ratio(ns, src, dst, w, one, *start, segs)
+    vhat, critical = _bias(ns, src, dst, wp, pi, prev, (num, den), segs)
     g_num, g_den = np.full(ns, num, dtype=np.int64), np.full(ns, den, dtype=np.int64)
+    lvl = np.zeros(ns, dtype=np.int64)
     rest = vhat >= _CUT64
     if not rest.any():
-        return g_num, g_den, vhat, critical
+        return g_num, g_den, vhat, critical, lvl
     while rest.any():
         inner = rest[src]
         s, d = src[inner], dst[inner]
         start = _cycle_ratio(np.where(rest, dst[cand], -1), w[cand], one[cand])
+        low = num, den
         num, den, wp, pi, _ = _min_ratio(ns, s, d, w[inner], one[inner], *start)
+        if num * low[1] <= low[0] * den:
+            raise EngineError("a gain level is not above the one before it")
         g_num[rest], g_den[rest] = num, den
+        lvl[rest] += 1
         rest &= _bias(ns, s, d, wp, pi)[0] >= _CUT64
-    adm = (g_num[src] == g_num[dst]) & (g_den[src] == g_den[dst])
+    adm = lvl[src] == lvl[dst]
     asrc, adst = src[adm], dst[adm]
     wp = w[adm] * g_den[asrc] - g_num[asrc]
     pi = _relax(ns, asrc, adst, wp, np.zeros(ns, dtype=np.int64))
     vhat, critical = _bias(ns, asrc, adst, wp, pi, prev, (g_num, g_den))
     if bool(np.any(vhat >= _CUT64)):
         raise EngineError("bias propagation failed to reach a critical node")
-    return g_num, g_den, vhat, critical
+    return g_num, g_den, vhat, critical, lvl
 
 
-class _Evaluation:
-    __slots__ = ("g_num", "g_den", "vhat", "critical", "t_dst", "t_w")
+class _Evaluation(namedtuple("_Evaluation", "g_num g_den vhat critical lvl t_dst t_w")):
+    """The evaluation of a Max strategy (_evaluate): _one_player_min's
+    arrays, gains g_num / g_den, bias vhat, the critical mask and the
+    level ranks lvl, with the turn graph's arcs (a Min arc and the
+    strategy's answer from its row), grouped as the arena's a-arrays:
+    target t_dst and weight t_w.  Within one evaluation lvl orders the
+    gains exactly, so _improve, _tight_tau, _gate and _least compare
+    ranks, not fractions."""
 
-    def __init__(self, g_num, g_den, vhat, critical, t_dst, t_w):
-        self.g_num = g_num
-        self.g_den = g_den
-        self.vhat = vhat
-        self.critical = critical
-        self.t_dst = t_dst
-        self.t_w = t_w
+    __slots__ = ()
 
 
 def _evaluate(arena: Arena, sig_idx, cand=None, prev=None) -> _Evaluation:
@@ -409,38 +428,27 @@ def _evaluate(arena: Arena, sig_idx, cand=None, prev=None) -> _Evaluation:
     sig_tgt, sig_w = arena.sigma_arrays(sig_idx)
     t_dst = sig_tgt[arena.a_tgt]
     t_w = arena.a_w + sig_w[arena.a_tgt]
-    out = _one_player_min(arena.n_min, arena.a_src, t_dst, t_w, cand, prev)
+    out = _one_player_min(arena.n_min, arena.a_src, t_dst, t_w, cand, prev, arena.a_segs)
     return _Evaluation(*out, t_dst, t_w)
 
 
 def _improve(arena: Arena, sig_idx, ev: _Evaluation):
     """One all-switch improvement pass; returns the number of switches.
 
-    Rule per Max node: lexicographically maximize (gain of target, then
-    scaled bias appraisal within that gain level); switch only on strict
-    improvement; ties go to the lowest target index."""
-    gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
-    off, tgt, ws = arena.b_off, arena.b_tgt, arena.b_w
-    grp = np.repeat(np.arange(arena.n_max), np.diff(off))
-    tn, td = gn[tgt], gd[tgt]
-    ratios = tn / td
-    kk = _first(ratios == np.maximum.reduceat(ratios, off[:-1])[grp], off)
-    bn, bd = tn[kk], td[kk]
-    exact = np.logical_and.reduceat(bn[grp] * td >= tn * bd[grp], off[:-1])
-    for i in np.flatnonzero(~exact):
-        # float prefilter missed a tie or rounding edge; exact scan
-        lo, hi = off[i], off[i + 1]
-        f = max(Fraction(int(n), int(d)) for n, d in zip(tn[lo:hi], td[lo:hi]))
-        bn[i], bd[i] = f.numerator, f.denominator
-    level = tn * bd[grp] == bn[grp] * td
-    appr = ws * bd[grp] + vhat[tgt]
-    top = np.maximum.reduceat(np.where(level, appr, np.iinfo(np.int64).min), off[:-1])
-    hit = level & (appr == top[grp])
-    pick = _first(hit, off) - off[:-1]
-    cur = off[:-1] + sig_idx
-    ct = tgt[cur]
-    # a lower current gain, or an equal one with a lower appraisal
-    switch = (gn[ct] * bd < bn * gd[ct]) | (top > ws[cur] * bd + vhat[ct])
+    Rule per Max node: lexicographically maximize (rank of the target's
+    gain level, then scaled bias appraisal b_w * g_den + vhat within that
+    level); switch only on strict improvement; ties go to the lowest
+    target index.  Ranks order the gains exactly (see _one_player_min),
+    and a level's nodes share its g_den."""
+    start, row, tgt = arena.b_start, arena.b_row, arena.b_tgt
+    rank = ev.lvl[tgt]
+    best = np.maximum.reduceat(rank, start)
+    appr = np.where(rank == best[row], arena.b_w * ev.g_den[tgt] + ev.vhat[tgt], _MIN64)
+    top = np.maximum.reduceat(appr, start)
+    pick = _first(appr == top[row], arena.b_off) - start
+    cur = start + sig_idx
+    # a lower current level, or the best one with a lower appraisal
+    switch = (rank[cur] < best) | (top > appr[cur])
     sig_idx[switch] = pick[switch]
     return int(np.count_nonzero(switch))
 
@@ -448,10 +456,10 @@ def _improve(arena: Arena, sig_idx, ev: _Evaluation):
 def _tight_tau(arena: Arena, ev: _Evaluation):
     """Min's best response to the evaluated sigma, as Min arcs (indices
     into the arena's a-arrays): per Min node, the arc to the lowest Max
-    row whose turn arc is gain-admissible and bias-tight."""
+    row whose turn arc stays on its gain level and is bias-tight."""
     gn, gd, vhat = ev.g_num, ev.g_den, ev.vhat
     j, l = arena.a_src, ev.t_dst
-    tight = (gn[l] == gn[j]) & (gd[l] == gd[j])
+    tight = ev.lvl[l] == ev.lvl[j]
     tight &= vhat[j] == ev.t_w * gd[j] - gn[j] + vhat[l]
     e = _first(tight, arena.a_off)
     if np.any(e < 0):
@@ -466,13 +474,13 @@ def _gate(arena: Arena, ev: _Evaluation, tau):
     an arc j -> l of weight a_w + b_w for each Max arc tau[j] -> l.  Max's
     best response to tau is at least the gains g of the sigma evaluation,
     and at most g, so the pair is a saddle point, exactly when no arc
-    raises g (g_l <= g_j) and no cycle beats its gain level: some
-    potential pi has pi_j <= r + pi_l on every arc within a level, r the
-    reduced weight g_num - w * g_den.  The negated bias of the evaluation
-    is one whenever no switch improves sigma and tau is tight, so it is
-    tried first; otherwise Bellman-Ford from zeros on r decides, as it
-    leaves such a potential exactly when it settles within n_min + 1
-    rounds."""
+    raises g (the rank of l's level is at most j's) and no cycle beats its
+    gain level: some potential pi has pi_j <= r + pi_l on every arc within
+    a level, r the reduced weight g_num - w * g_den.  The negated bias of
+    the evaluation is one whenever no switch improves sigma and tau is
+    tight, so it is tried first; otherwise Bellman-Ford from zeros on r
+    decides, as it leaves such a potential exactly when it settles within
+    n_min + 1 rounds."""
     tau_arr = np.asarray(tau, dtype=np.int64)
     e = _first(arena.a_tgt == tau_arr[arena.a_src], arena.a_off)
     if np.any(e < 0):
@@ -482,12 +490,12 @@ def _gate(arena: Arena, ev: _Evaluation, tau):
     src = np.repeat(np.arange(arena.n_min), deg)
     arc = np.arange(len(src)) + np.repeat(lo - (np.cumsum(deg) - deg), deg)
     dst = arena.b_tgt[arc]
-    gn, gd = ev.g_num, ev.g_den
-    if np.any(gn[dst] * gd[src] > gn[src] * gd[dst]):
+    lvl = ev.lvl
+    if np.any(lvl[dst] > lvl[src]):
         return False
-    level = (gn[dst] == gn[src]) & (gd[dst] == gd[src])
+    level = lvl[dst] == lvl[src]
     src, dst = src[level], dst[level]
-    w = gn[src] - (arena.a_w[e][src] + arena.b_w[arc[level]]) * gd[src]
+    w = ev.g_num[src] - (arena.a_w[e][src] + arena.b_w[arc[level]]) * ev.g_den[src]
     pi = -ev.vhat
     if np.any(pi[src] > w + pi[dst]):
         pi = _relax(arena.n_min, src, dst, w, np.zeros(arena.n_min, dtype=np.int64))
@@ -501,7 +509,7 @@ def _seed_sigma(arena: Arena):
     strategy, ties to the lowest index as in _improve.  After each
     renormalization |x| <= 4 * maxw * rounds, which the Arena's guard
     maxw * v**3 < 2**62 keeps in int64, since rounds <= v."""
-    a_start, b_start = arena.a_off[:-1], arena.b_off[:-1]
+    a_start, b_start = arena.a_off[:-1], arena.b_start
     x = np.zeros(arena.n_min, dtype=np.int64)
     for _ in range(arena.n_min):
         y = np.maximum.reduceat(arena.b_w + x[arena.b_tgt], b_start)
@@ -522,9 +530,10 @@ def solve_arena(arena: Arena, warm=None):
     the next one's candidate and the gate's tau.  EngineError when the
     budget runs out or the gate fails.
 
-    Returns (g_num, g_den, tau, sigma, warm): the value of Min node j
-    is g_num[j] / g_den[j] in scaled units (see _least and _values), and
-    warm = (sig_idx, tau arcs) can start another solve."""
+    Returns (g_num, g_den, lvl, tau, sigma, warm): the value of Min node
+    j is g_num[j] / g_den[j] in scaled units (see _least and _values),
+    lvl ranks the values (see _one_player_min), and warm = (sig_idx, tau
+    arcs) can start another solve."""
     if warm is not None and len(warm[0]) == arena.n_max:
         sig_idx, cand = np.asarray(warm[0], dtype=np.int64).copy(), warm[1]
     else:
@@ -538,7 +547,7 @@ def solve_arena(arena: Arena, warm=None):
             if not _gate(arena, ev, tau):
                 raise EngineError("the gate rejected a strategy pair with no switch")
             sig_tgt, _ = arena.sigma_arrays(sig_idx)
-            return ev.g_num, ev.g_den, tau, sig_tgt.tolist(), (sig_idx, cand)
+            return ev.g_num, ev.g_den, ev.lvl, tau, sig_tgt.tolist(), (sig_idx, cand)
     raise EngineError("policy iteration exhausted its budget")
 
 
@@ -547,14 +556,11 @@ def _values(g_num, g_den, scale: int):
     return [Fraction(n, d) / scale for n, d in zip(g_num.tolist(), g_den.tolist())]
 
 
-def _least(g_num, g_den, scale: int) -> Fraction:
-    """min(_values(g_num, g_den, scale)), from one Fraction: a float pick
-    re-checked by int64 cross-multiplication (the gains of an arena fit),
-    with the exact scan where the check fails."""
-    k = int(np.argmin(g_num / g_den))
-    if np.all(g_num[k] * g_den <= g_num * g_den[k]):
-        return Fraction(int(g_num[k]), int(g_den[k]) * scale)
-    return min(_values(g_num, g_den, scale))
+def _least(g_num, g_den, lvl, scale: int) -> Fraction:
+    """min(_values(g_num, g_den, scale)) as one Fraction: the value of a
+    node of rank 0, the least gain level (lvl, see _one_player_min)."""
+    k = int(np.argmin(lvl))
+    return Fraction(int(g_num[k]), int(g_den[k]) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +572,7 @@ def _solve_pair(Aw, Af, Bw, Bf, scale) -> GameValues:
     their finite masks, as _scaled returns them.  Rows with no finite
     entry take no part: tau never picks them and sigma is None there."""
     arena, rows = _pair_arena(Aw, Af, Bw, Bf, scale)
-    g_num, g_den, tau, sig, _ = solve_arena(arena)
+    g_num, g_den, _, tau, sig, _ = solve_arena(arena)
     sigma = [None] * len(Af)
     for r, c in zip(rows, sig):
         sigma[r] = c
@@ -655,7 +661,7 @@ def _finite_point(Aw, Af, Bw, Bf, L: int, sweeps: int):
         x, finite, _, _ = fix
         return x if finite.all() else None  # greatest solution below the seed
     arena, _ = _pair_arena(Aw, Af, Bw, Bf, L)
-    g_num, _, _, _, (sig_idx, _) = solve_arena(arena)
+    g_num, *_, (sig_idx, _) = solve_arena(arena)
     if np.any(g_num < 0):
         return None
     return _bf_witness(arena, sig_idx)

@@ -12,7 +12,7 @@ ExtScalar.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -454,15 +454,15 @@ def _cycle_ratio(nxt, c, t):
                 best = (W, T)
     if best is None:
         return None
-    f = Fraction(*best)
-    return f.numerator, f.denominator
+    g = gcd(*best)
+    return best[0] // g, best[1] // g
 
 
 _CHECK_ROUNDS = 8  # Bellman-Ford rounds between two looks for a lower cycle
 _RATIO_CAP = 10000  # Dinkelbach steps of one _min_ratio
 
 
-def _min_ratio(ns, src, dst, w, t, num, den):
+def _min_ratio(ns, src, dst, w, t, num, den, segs=None):
     """The least of num / den (den > 0) and the ratios W(C) / T(C) over
     the cycles C of a digraph (arc weights w and t >= 0, arcs grouped by
     source).
@@ -476,8 +476,9 @@ def _min_ratio(ns, src, dst, w, t, num, den):
     ratio (EngineError).  Returns (num, den, wp, pi, steps): the least
     ratio (reduced, or num / den as given when nothing lies below it), wp
     and the settled potentials pi there, and the number of steps down.  On
-    int64 while _fit admits every value formed, on Python ints beyond."""
-    segs = _segments(src)
+    int64 while _fit admits every value formed, on Python ints beyond.
+    segs is _segments(src) when the caller has it."""
+    segs = _segments(src) if segs is None else segs
     top, ttop = max(_abs_max(w), 1), max(_abs_max(t), 1)
 
     def ratio(arcs):

@@ -46,11 +46,10 @@ from .games import (
     TwoSidedSystem,
     _descend_scaled,
     _finite_point,
+    _layout,
     _least,
     _least_level,
     _mean_signs,
-    _min_arcs,
-    _offsets,
     _solve_pair,
     _solves,
     feasible_finite,
@@ -444,9 +443,10 @@ class _ParamStruct:
     """The prepared parametric structure: the literal pair's rows with a
     finite left entry and the stabilizing rows they need, as a pair tuple
     (see _param_pair) scaled by the denominator lcm L0 of its own entries,
-    and its integer arc arrays.  rows[r] is the core row of row r (the aug
-    rows come after them).  It keeps no state of any solve: a probe's warm
-    start is an argument (solve)."""
+    its arc layout (_layout), which every level's arena shares, and its
+    integer weights.  rows[r] is the core row of row r (the aug rows come
+    after them).  It keeps no state of any solve: a probe's warm start is
+    an argument (solve)."""
 
     def __init__(self, pair, rows, m):
         self.pair = pair
@@ -456,12 +456,10 @@ class _ParamStruct:
         self.n = Af.shape[1] - 1
         self.n_min = self.n + 1
         self.n_max = len(Af)
-        self._a_off, self._a_src, self._a_tgt, a_w0 = _min_arcs(Aw, Af)
-        self._a_w0 = np.asarray(a_w0, dtype=np.int64)
-        b_src, self._b_tgt = np.nonzero(Bf)
-        self._b_off = _offsets(b_src, self.n_max)
+        lay = self._lay = _layout(Af, Bf)
+        self._a_w0 = np.asarray(-Aw.T[Af.T], dtype=np.int64)
         self._b_w0 = np.asarray(Bw[Bf], dtype=np.int64)
-        self._b_lam = (b_src >= self.lam_rows.start) & (b_src < self.lam_rows.stop)
+        self._b_lam = (lay.b_row >= self.lam_rows.start) & (lay.b_row < self.lam_rows.stop)
         self._absmax0 = max(1, _abs_max(self._a_w0), _abs_max(self._b_w0))
 
     def arena(self, lam: Fraction) -> Arena:
@@ -475,8 +473,7 @@ class _ParamStruct:
             raise EngineError("probe level too fine for the integer engine")
         bw = self._b_w0 * fa
         bw[self._b_lam] = num * fl
-        a_arcs = (self._a_off, self._a_src, self._a_tgt, self._a_w0 * fa)
-        return Arena(self.n_min, self.n_max, *a_arcs, self._b_off, self._b_tgt, bw, S)
+        return Arena(self._lay, self._a_w0 * fa, bw, S, big)
 
     def solve(self, lam: Fraction, warm=None):
         """The certified game at level lam: (phi, sigma, sig_idx, tau),
@@ -485,8 +482,8 @@ class _ParamStruct:
         another probe, when given, and from the value-iteration seed
         otherwise."""
         arena = self.arena(lam)
-        g_num, g_den, _, sigma, warm = solve_arena(arena, warm)
-        return _least(g_num, g_den, arena.scale), sigma, *warm
+        g_num, g_den, lvl, _, sigma, warm = solve_arena(arena, warm)
+        return _least(g_num, g_den, lvl, arena.scale), sigma, *warm
 
     def phi(self, lam: Fraction) -> Fraction:
         return self.solve(lam)[0]
@@ -495,10 +492,11 @@ class _ParamStruct:
         """Least level at which the one-player game left after fixing the
         row strategy (a Min arc and its row's sigma arc make one arc) is
         nonnegative, or None when it is so at lam_floor."""
-        pos = (self._b_off[:-1] + sig_idx)[self._a_tgt]
+        lay = self._lay
+        pos = (lay.b_start + sig_idx)[lay.a_tgt]
         w0 = self._a_w0 + self._b_w0[pos]
-        tgt, k = self._b_tgt[pos], self._b_lam[pos]
-        return _least_level(self.n_min, self._a_src, tgt, w0, k, self.L0, lam_floor)
+        tgt, k = lay.b_tgt[pos], self._b_lam[pos]
+        return _least_level(self.n_min, lay.a_src, tgt, w0, k, self.L0, lam_floor)
 
     def witness(self, lam: Fraction):
         """Finite point at a feasible level: solve the system at lam on

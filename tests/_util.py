@@ -47,13 +47,14 @@ from tropopt.games import (
     Arena,
     EngineError,
     GameValues,
+    _Layout,
     _descend_scaled,
     _offsets,
     _solves,
     _values,
     solve_arena,
 )
-from tropopt.matrix import _den_lcm, _scaled
+from tropopt.matrix import _abs_max, _den_lcm, _scaled, _segments
 from tropopt.pseudolinear import _at_level, _tmat
 
 
@@ -674,18 +675,16 @@ def arena_of(min_arcs, max_arcs, scale):
             raise IsolatedNode(f"row {i} has no finite entry")
     a_src = np.array([j for j, arcs in enumerate(min_arcs) for _ in arcs], dtype=np.int64)
     b_src = np.array([i for i, arcs in enumerate(max_arcs) for _ in arcs], dtype=np.int64)
-    return Arena(
-        len(min_arcs),
-        len(max_arcs),
-        _offsets(a_src, len(min_arcs)),
-        a_src,
-        [i for arcs in min_arcs for (i, _) in arcs],
-        [w for arcs in min_arcs for (_, w) in arcs],
-        _offsets(b_src, len(max_arcs)),
-        [j for arcs in max_arcs for (j, _) in arcs],
-        [w for arcs in max_arcs for (_, w) in arcs],
-        scale,
+    a_tgt = np.array([i for arcs in min_arcs for (i, _) in arcs], dtype=np.int64)
+    b_tgt = np.array([j for arcs in max_arcs for (j, _) in arcs], dtype=np.int64)
+    a_off, b_off = _offsets(a_src, len(min_arcs)), _offsets(b_src, len(max_arcs))
+    lay = _Layout(
+        len(min_arcs), len(max_arcs), a_off, a_src, a_tgt, b_off, b_tgt,
+        _segments(a_src), b_off[:-1], b_src,
     )
+    a_w = [w for arcs in min_arcs for (_, w) in arcs]
+    b_w = [w for arcs in max_arcs for (_, w) in arcs]
+    return Arena(lay, a_w, b_w, scale, max(1, _abs_max(a_w), _abs_max(b_w)))
 
 
 def oracle_solve_values(sys):
@@ -694,7 +693,7 @@ def oracle_solve_values(sys):
     L = _den_lcm(sys.A, sys.B)
     min_arcs = [[(i, int(w * L)) for (i, w) in arcs] for arcs in game.min_arcs]
     max_arcs = [[(j, int(w * L)) for (j, w) in arcs] for arcs in game.max_arcs]
-    g_num, g_den, tau, sigma, _ = solve_arena(arena_of(min_arcs, max_arcs, L))
+    g_num, g_den, _, tau, sigma, _ = solve_arena(arena_of(min_arcs, max_arcs, L))
     return GameValues(_values(g_num, g_den, L), tau, sigma)
 
 

@@ -93,8 +93,10 @@ def _check_struct(struct, want):
         return
     assert struct.L0 == want["L0"]
     assert struct.rows.tolist() == want["rows"]
+    arrays = {**struct._lay._asdict(), "a_w0": struct._a_w0, "b_w0": struct._b_w0}
+    arrays["b_lam"] = struct._b_lam
     for name in ("a_off", "a_src", "a_tgt", "a_w0", "b_off", "b_tgt", "b_w0", "b_lam"):
-        got = getattr(struct, "_" + name)
+        got = arrays[name]
         assert got.tolist() == want[name], name
         assert got.dtype != object
 

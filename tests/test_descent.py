@@ -166,7 +166,7 @@ def test_param_arcs_match_reference_build():
             if prep.kind != "ok":
                 continue
             st_ = prep.struct
-            got = [st_._a_off, st_._a_src, st_._a_tgt, st_._a_w0, st_._b_w0]
+            got = [st_._lay.a_off, st_._lay.a_src, st_._lay.a_tgt, st_._a_w0, st_._b_w0]
             for g, w in zip(got, _reference_arcs(st_)):
                 assert g.dtype == np.int64
                 assert np.array_equal(g, w)

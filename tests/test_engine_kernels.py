@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tropopt import games, matrix, pseudolinear
 from tropopt.games import (
@@ -416,7 +416,7 @@ def test_no_tight_move_and_missing_tau_arc_raise():
     arena = arena_of([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
     ev = _evaluate(arena, np.zeros(2, dtype=np.int64))
     broken = _Evaluation(
-        ev.g_num, ev.g_den, ev.vhat + np.array([1, 0]), ev.critical, ev.t_dst, ev.t_w
+        ev.g_num, ev.g_den, ev.vhat + np.array([1, 0]), ev.critical, ev.lvl, ev.t_dst, ev.t_w
     )
     for fn in (_tight_tau, oracle_tight_tau):
         with pytest.raises(EngineError, match="no tight move at Min node 0"):
@@ -432,7 +432,9 @@ def test_carried_bias_beyond_the_guard_raises():
     arena = arena_of([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
     sig = np.zeros(2, dtype=np.int64)
     ev = _evaluate(arena, sig)
-    low = _Evaluation(ev.g_num, ev.g_den, ev.vhat - (1 << 61), ev.critical, ev.t_dst, ev.t_w)
+    low = _Evaluation(
+        ev.g_num, ev.g_den, ev.vhat - (1 << 61), ev.critical, ev.lvl, ev.t_dst, ev.t_w
+    )
     assert np.array_equal(_evaluate(arena, sig, None, ev).vhat, ev.vhat)
     with pytest.raises(EngineError, match="carried bias beyond the int64 guard"):
         _evaluate(arena, sig, None, low)
@@ -483,6 +485,84 @@ def test_carried_bias_solves_the_levels_and_keeps_the_anchors(arena_sig):
         _same(ev.g_num, g_num)
         _same(ev.g_den, g_den)
         _check_carried(arena, ev, prev)
+
+
+@st.composite
+def _leveled_arena(draw):
+    """An arena of two or three disjoint blocks, each a small arena as
+    _arena draws it, block k's Min arcs shifted by k' * 5 hi (k' drawn, so
+    two blocks may share a shift), and a sigma: gains fall into several
+    levels, distinct across blocks of distinct shifts, and often several
+    within one block or equal across blocks."""
+    hi = draw(st.sampled_from([1, 4, _guard_max(11) // 12]))
+    wt = _weights(hi)
+    min_arcs, max_arcs = [], []
+    for _ in range(draw(st.integers(2, 3))):
+        n_min, n_max = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        i0, j0 = len(max_arcs), len(min_arcs)
+        shift = 5 * hi * draw(st.integers(0, 2))
+
+        def arcs(n_from, n_to, base, extra):
+            out = []
+            for _ in range(n_from):
+                tgts = draw(st.lists(st.integers(0, n_to - 1), min_size=1, max_size=n_to, unique=True))
+                out.append([(base + t, draw(wt) + extra) for t in sorted(tgts)])
+            return out
+
+        min_arcs += arcs(n_min, n_max, i0, shift)
+        max_arcs += arcs(n_max, n_min, j0, 0)
+    arena = arena_of(min_arcs, max_arcs, 1)
+    sig = np.array([draw(st.integers(0, len(a) - 1)) for a in max_arcs], dtype=np.int64)
+    return arena, sig
+
+
+def _ranks_order_gains(arena, ev):
+    """ev.lvl orders the oracle's Fraction gains exactly: u's rank is
+    below v's exactly when u's gain is, and equal exactly when the gains
+    are.  Returns the number of distinct gains."""
+    g_num, g_den, _ = oracle_one_player_min(arena.n_min, arena.a_src, ev.t_dst, ev.t_w, False)
+    g = [Fraction(int(n), int(d)) for n, d in zip(g_num, g_den)]
+    lvl = ev.lvl.tolist()
+    assert ev.lvl.dtype == np.int64
+    for u in range(arena.n_min):
+        for v in range(arena.n_min):
+            assert (lvl[u] < lvl[v]) == (g[u] < g[v])
+            assert (lvl[u] == lvl[v]) == (g[u] == g[v])
+    return len(set(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_leveled_arena())
+def test_level_ranks_order_the_gains_exactly(arena_sig):
+    """On arenas with several gain levels, the ranks of an evaluation
+    started with no candidate, from the seeded candidate, and carrying the
+    previous evaluation (after one improvement pass, from its tight arcs)
+    compare as the exact gains do."""
+    arena, sig = arena_sig
+    prev = _evaluate(arena, sig)
+    assume(_ranks_order_gains(arena, prev) > 1)
+    _ranks_order_gains(arena, _evaluate(arena, sig, _seed_sigma(arena)[1]))
+    _improve(arena, sig, prev)
+    _ranks_order_gains(arena, _evaluate(arena, sig, _tight_tau(arena, prev), prev))
+
+
+def test_a_level_not_above_the_last_raises(monkeypatch):
+    """Two disjoint self-loops of weight 0 and 5 make two gain levels; a
+    cycle-ratio kernel that reports the second level at the first one's
+    gain is caught by a typed EngineError, not an assert."""
+    src, dst, w = (np.array(c, dtype=np.int64) for c in ([0, 1], [0, 1], [0, 5]))
+    got = _one_player_min(2, src, dst, w)
+    assert got[4].tolist() == [0, 1] and got[0].tolist() == [0, 5]
+    first = []
+
+    def stuck(*args):
+        out = _min_ratio(*args)
+        first.append(out[:2])
+        return (*first[0], *out[2:])
+
+    monkeypatch.setattr(games, "_min_ratio", stuck)
+    with pytest.raises(EngineError, match="gain level is not above"):
+        _one_player_min(2, src, dst, w)
 
 
 @pytest.mark.parametrize("solve", [bisection_solve, newton_solve])

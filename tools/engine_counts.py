@@ -16,9 +16,10 @@ calls, value-iteration rounds (n_min per seed), and within the
 evaluations the Dinkelbach steps of the cycle-ratio kernel
 (matrix._min_ratio) from a candidate cycle to a lower one, the exact
 negative-cycle searches among them (a greedy step that found no lower
-cycle) and the evaluations with several gain levels.  --src names a
-checkout's src/ directory (default: this checkout's); a counter whose
-function that checkout lacks reads null.  Prints one JSON object.
+cycle) and the evaluations with several gain levels (a nonzero rank in
+_one_player_min's rank array).  --src names a checkout's src/ directory
+(default: this checkout's); a counter whose function that checkout lacks
+reads null.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ def _one(out, *args):
 
 
 def _levels(out, *args):
+    """Whether an evaluation has several gain levels: a nonzero rank in
+    its rank array, or, from a checkout whose evaluation returns none,
+    several distinct gains."""
+    if len(out) > 4:
+        return bool(out[4].any())
     return len(set(zip(out[0].tolist(), out[1].tolist()))) > 1
 
 
