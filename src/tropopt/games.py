@@ -55,11 +55,9 @@ from .matrix import (
     _first,
     _first_best,
     _fit,
-    _karp_table,
     _min_ratio,
     _relax,
     _scaled,
-    _sccs,
     _segments,
 )
 from .semiring import NEG_INF
@@ -304,25 +302,6 @@ def _least_level(n, src, dst, w0, k, L: int, lam: Fraction):
     return Fraction(-num, den * L) if steps else None
 
 
-def _mean_signs(ns, src, dst, w):
-    """Signs of the minimum cycle means of a digraph, with no division.
-
-    Returns (reach, cyc, top): reach is the reflexive-transitive closure,
-    and top[v] = max_k (D_N(v) - D_k(v)) at the nodes cyc of Karp's table.
-    Every denominator N - k is positive, so top[v] has the sign of Karp's
-    value at v; over the cyc nodes of any union of SCCs, the least value
-    is their minimum cycle mean.  So a set of SCCs has a cycle of negative
-    (nonpositive) mean exactly when one of its cyc nodes has top < 0
-    (top <= 0).  w may hold Python ints; it runs on int64 whenever every
-    walk weight fits."""
-    reach, root = _sccs(ns, src, dst)
-    big = (ns + 1) * _abs_max(w)
-    D, N, cut = _karp_table(ns, src, dst, _fit(w, big), root)
-    cyc = D[N] < cut
-    top = np.where((D[:N] < cut) & cyc, D[N] - D[:N], -2 * cut).max(axis=0)
-    return reach, cyc, top
-
-
 def _bias(ns, src, dst, wp, pi, prev=None, gain=None, segs=None):
     """(vhat, critical): the bias within the gain levels gain = (g_num,
     g_den), from a potential pi (<= 0) of their reduced weights wp.  The
@@ -506,15 +485,14 @@ def _seed_sigma(arena: Arena):
     """Cold start of policy iteration: (sig_idx, tau arcs), Max's greedy
     strategy after n_min rounds of value iteration from x = 0 (Zwick and
     Paterson), and Min's greedy arcs against the Max values of that
-    strategy, ties to the lowest index as in _improve.  After each
-    renormalization |x| <= 4 * maxw * rounds, which the Arena's guard
-    maxw * v**3 < 2**62 keeps in int64, since rounds <= v."""
+    strategy, ties to the lowest index as in _improve.  Each round adds
+    at most 2 * maxw to |x|, so |x| <= 2 * maxw * n_min, which the Arena's
+    guard maxw * v**3 < 2**62 keeps in int64."""
     a_start, b_start = arena.a_off[:-1], arena.b_start
     x = np.zeros(arena.n_min, dtype=np.int64)
     for _ in range(arena.n_min):
         y = np.maximum.reduceat(arena.b_w + x[arena.b_tgt], b_start)
         x = np.minimum.reduceat(arena.a_w + y[arena.a_tgt], a_start)
-        x -= x.max()
     val = arena.b_w + x[arena.b_tgt]
     sig_idx = _first_best(val, arena.b_off, np.maximum) - b_start
     y = val[b_start + sig_idx]
@@ -567,16 +545,17 @@ def _least(g_num, g_den, lvl, scale: int) -> Fraction:
 # public solve on systems
 
 
-def _solve_pair(Aw, Af, Bw, Bf, scale) -> GameValues:
-    """solve_values on a system already scaled: weights times `scale` and
-    their finite masks, as _scaled returns them.  Rows with no finite
-    entry take no part: tau never picks them and sigma is None there."""
+def _solve_pair(Aw, Af, Bw, Bf, scale):
+    """(g_num, g_den, tau, sigma): solve_arena on a system already scaled,
+    weights times `scale` and their finite masks as _scaled returns them,
+    with tau and sigma on the system's rows.  Rows with no finite entry
+    take no part: tau never picks them and sigma is None there."""
     arena, rows = _pair_arena(Aw, Af, Bw, Bf, scale)
     g_num, g_den, _, tau, sig, _ = solve_arena(arena)
     sigma = [None] * len(Af)
     for r, c in zip(rows, sig):
         sigma[r] = c
-    return GameValues(_values(g_num, g_den, scale), [int(rows[t]) for t in tau], sigma)
+    return g_num, g_den, [int(rows[t]) for t in tau], sigma
 
 
 def solve_values(sys: TwoSidedSystem) -> GameValues:
@@ -585,7 +564,8 @@ def solve_values(sys: TwoSidedSystem) -> GameValues:
     chi_j >= 0 exactly when the system has a solution with x_j finite.
     """
     L = _den_lcm(sys.A, sys.B)
-    return _solve_pair(*_scaled(sys.A, L), *_scaled(sys.B, L), L)
+    g_num, g_den, tau, sigma = _solve_pair(*_scaled(sys.A, L), *_scaled(sys.B, L), L)
+    return GameValues(_values(g_num, g_den, L), tau, sigma)
 
 
 # ---------------------------------------------------------------------------

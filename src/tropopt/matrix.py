@@ -292,7 +292,7 @@ def kleene_star(A: TropMatrix) -> TropMatrix:
 
 # ---------------------------------------------------------------------------
 # cycle ratios on scaled integers: Bellman-Ford, Dinkelbach's iteration,
-# and one Karp table for all SCCs
+# and the negative-cycle test of the certificate checks
 
 _INF64 = np.int64(1) << 62
 
@@ -332,37 +332,6 @@ def _segments(keys):
     them on sorted keys, without a sort."""
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return keys[starts], starts
-
-
-def _sccs(ns, src, dst):
-    """(reach, root): the reflexive-transitive closure of a digraph, and
-    the least node of each node's SCC (R & R^T gives the SCCs)."""
-    reach = _closure(_adjacency(ns, src, dst))
-    return reach, np.argmax(reach & reach.T, axis=1)
-
-
-def _karp_table(ns, src, dst, w, root):
-    """Karp's table for every SCC at once, walks starting at each SCC's
-    least node (root) and using only arcs inside one SCC.
-
-    Returns (D, N, cut): D[k, v] is the least weight of a k-arc walk from
-    v's root to v, or at least cut when there is none, for k = 0..N with
-    N the largest SCC size.  w is int64 (walk weights below 2^61) or
-    Python ints in an object array, whose sentinel grows with the
-    weights."""
-    inner = root[src] == root[dst]
-    isrc, idst, iw = src[inner], dst[inner], w[inner]
-    N = int(np.max(np.bincount(root, minlength=ns)))
-    inf = _INF64 if w.dtype != object else 4 * (N + 1) * (_abs_max(iw) + 1)
-    D = np.full((N + 1, ns), inf, dtype=w.dtype)
-    D[0, root == np.arange(ns)] = 0
-    if len(idst):
-        order = np.argsort(idst, kind="stable")
-        isrc, idst, iw = isrc[order], idst[order], iw[order]
-        heads, starts = _segments(idst)
-        for k in range(1, N + 1):
-            D[k, heads] = np.minimum.reduceat(D[k - 1][isrc] + iw, starts)
-    return D, N, inf // 2
 
 
 def _first(cond, off):
@@ -425,6 +394,28 @@ def _negative_cycle(n, src, dst, w):
         arcs.append(int(parent[v]))
         v = int(dst[arcs[-1]])
     return arcs
+
+
+def _reach_negative(n, src, dst, w, nonpositive=False):
+    """Mask of the nodes that reach a cycle of negative weight (of weight
+    <= 0 when nonpositive): those lowered by round n + 1 of a Jacobi
+    Bellman-Ford from zeros.  After n rounds a node that reaches no
+    negative cycle holds its least walk weight, that of a simple path, so
+    the round lowers only nodes that reach one; and it lowers a node of
+    every negative cycle, since unlowered nodes all round a cycle would
+    sum to a weight >= 0.  With nonpositive the weights become
+    (n + 1) w - 1, which makes a cycle of at most n arcs negative exactly
+    when its weight was <= 0.  The arcs come grouped by source (see
+    _relax); w is int64 or Python ints, and the rounds run on int64 while
+    _fit admits every walk weight."""
+    k = n + 1 if nonpositive else 1
+    w = _fit(w, (n + 1) * (k * _abs_max(w) + 1))
+    if nonpositive:
+        w = k * w - 1
+    x = _relax(n - 1, src, dst, w, np.zeros(n, dtype=w.dtype))
+    low = np.zeros(n, dtype=bool)
+    low[src[x[src] > w + x[dst]]] = True
+    return low
 
 
 def _cycle_ratio(nxt, c, t):

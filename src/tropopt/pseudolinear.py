@@ -33,8 +33,11 @@ from .matrix import (
     TypingError,
     _GUARD,
     _abs_max,
+    _adjacency,
+    _closure,
     _fit,
     _max_cycle_mean,
+    _reach_negative,
     _scaled,
     _segments,
     _star,
@@ -49,7 +52,6 @@ from .games import (
     _layout,
     _least,
     _least_level,
-    _mean_signs,
     _solve_pair,
     _solves,
     feasible_finite,
@@ -1002,7 +1004,8 @@ def certify_optimal(prob, lam, tau, x=None) -> bool:
     tau indexes rows of the literal parametric pair; rows appended to
     stabilize absent variables come after those.  The check is exact on
     scaled integers: the point on the pair's integer weights, and (b) by
-    reading only the signs of Karp's tables (see games._mean_signs)."""
+    the signs of two Bellman-Ford passes and one closure on tau's graph
+    contracted onto the columns (see _tau_passes)."""
     lam = _finite_level(lam)
     pair = _param_pair(prob)
     n1 = pair[1].shape[1]
@@ -1024,22 +1027,28 @@ def certify_optimal(prob, lam, tau, x=None) -> bool:
     for j, r in enumerate(tau):
         if not (0 <= r < M) or not Af[r, j]:
             raise InvalidStrategy(f"tau[{j}] selects no finite entry")
-    # the tau graph: columns 0..n1-1, rows n1..n1+M-1, weights negated so
-    # that a cycle of positive weight has a negative minimum mean
-    t = np.asarray(tau, dtype=np.int64)
-    br, bc = np.nonzero(Bf)
-    src = np.concatenate([np.arange(n1), n1 + br])
-    dst = np.concatenate([n1 + t, bc])
-    neg = np.concatenate([Aw[t, np.arange(n1)], -Bw[Bf]])
-    lam_node = np.zeros(n1 + M, dtype=bool)
-    lam_node[n1 + lam_rows.start : n1 + lam_rows.stop] = True
-    reach, cyc, top = _mean_signs(n1 + M, src, dst, neg)
-    free = ~(lam_node[src] | lam_node[dst])
-    _, cyc_free, top_free = _mean_signs(n1 + M, src[free], dst[free], neg[free])
-    # a start fails when it reaches a cycle of weight > 0, or a lam-free
-    # cycle of weight >= 0
-    bad = (cyc & (top < 0)) | (cyc_free & (top_free <= 0))
-    return bool(np.any(~np.any(reach[:n1] & bad, axis=1)))
+    return _tau_passes(Aw, Bw, Bf, lam_rows, np.asarray(tau, dtype=np.int64))
+
+
+def _tau_passes(Aw, Bw, Bf, lam_rows, t) -> bool:
+    """Half (b) of certify_optimal on a pair's integer weights, t a valid
+    tau.  Its graph is contracted onto the columns, as _gate contracts
+    the row player's: an arc j -> c for each finite B[t_j, c], weighing
+    a_{t_j j} - b_{t_j c} (negated, so that a cycle of positive weight is
+    negative).  A column has one move, so the contraction keeps the
+    cycles, their weights and what the columns reach, and a cycle avoids
+    the lam rows when no arc on it passes one.  A start column fails when
+    it reaches a node of a negative cycle, or of a lam-free cycle of
+    weight <= 0 (_reach_negative)."""
+    src, dst = np.nonzero(Bf[t])  # row-major: grouped by source
+    rows = t[src]
+    w = Aw[rows, src] - Bw[rows, dst]
+    free = (rows < lam_rows.start) | (rows >= lam_rows.stop)
+    n1 = len(t)
+    bad = _reach_negative(n1, src, dst, w)
+    bad |= _reach_negative(n1, src[free], dst[free], w[free], nonpositive=True)
+    reach = _closure(_adjacency(n1, src, dst))
+    return bool(np.any(~np.any(reach & bad, axis=1)))
 
 
 def optimality_certificate(prob, lam):
@@ -1049,15 +1058,15 @@ def optimality_certificate(prob, lam):
     of the value functions (their breakpoints have bounded denominator),
     so the strategy found is optimal on a whole interval ending at lam
     and passes certify_optimal whenever lam really is the least feasible
-    level."""
+    level.  The sign of the least value is read off the integer gains."""
     lam = _finite_level(lam)
     pair = _param_pair(prob)
     nodes = sum(pair[1].shape)
     dl = lam.denominator
     L = lcm(pair[4], dl)
     delta = Fraction(1, 4 * nodes * nodes * L * dl)
-    vals = _solve_pair(*_at_level(pair, lam - delta)[:5])
-    return None if min(vals.chi) >= 0 else vals.tau
+    g_num, _, tau, _ = _solve_pair(*_at_level(pair, lam - delta)[:5])
+    return tau if np.any(g_num < 0) else None
 
 
 def unboundedness_certificate(prob):
@@ -1065,9 +1074,16 @@ def unboundedness_certificate(prob):
     None.  Solves the parametric game at a level so low that any cycle
     through a level-bearing row would be negative; a nonnegative value
     there forces the strategy found to keep those rows out of cycles.
-    Fully vacuous structural rows take no part; sigma is None there."""
-    vals = _solve_pair(*_at_level(_param_pair(prob), prob._lam_floor())[:5])
-    return None if min(vals.chi) < 0 else vals.sigma
+    Fully vacuous structural rows take no part; sigma is None there.
+    With a finite anchor gap no game is solved: every feasible x has
+    f(x) >= anchor > lam_floor, so the value there is negative.  A
+    row-infeasible problem still goes to the game, which raises
+    IsolatedNode."""
+    rec = _compiled(prob)
+    if rec.anchor.is_finite and not rec.row_infeasible:
+        return None
+    g_num, _, _, sigma = _solve_pair(*_at_level(rec.pair, prob._lam_floor())[:5])
+    return None if np.any(g_num < 0) else sigma
 
 
 def certify_unbounded(prob, sigma) -> bool:
@@ -1076,9 +1092,8 @@ def certify_unbounded(prob, sigma) -> bool:
     through a lam-bearing row and every cycle has nonnegative weight.
     Both together keep the game value nonnegative at every level, so the
     objective is unbounded below on the feasible set.  sigma is None
-    exactly at the fully vacuous structural rows.  One closure gives the
-    SCCs at the lam rows, and one Karp table the sign of the least cycle
-    mean."""
+    exactly at the fully vacuous structural rows.  The check runs on
+    sigma's graph contracted onto the columns (see _sigma_passes)."""
     Aw, Af, Bw, Bf, L, lam_rows = _at_level(_param_pair(prob), Fraction(0))
     M, n1 = Af.shape
     if len(sigma) != M:
@@ -1087,14 +1102,22 @@ def certify_unbounded(prob, sigma) -> bool:
     for r, c in enumerate(sigma):
         if not (c is None if vacuous[r] else c is not None and 0 <= c < n1 and Bf[r, c]):
             raise InvalidStrategy(f"sigma[{r}] selects no finite entry")
-    rows = np.flatnonzero(~vacuous)
-    s = np.array([sigma[r] for r in rows], dtype=np.int64)
-    ar, ac = np.nonzero(Af)
-    src = np.concatenate([ac, n1 + rows])
-    dst = np.concatenate([n1 + ar, s])
-    w = np.concatenate([-Aw[Af], Bw[rows, s]])
-    reach, cyc, top = _mean_signs(n1 + M, src, dst, w)
-    lam_nodes = n1 + np.arange(lam_rows.start, lam_rows.stop)
-    if np.any((reach & reach.T)[lam_nodes].sum(axis=1) > 1):
-        return False  # a lam row lies on a cycle
-    return not np.any(cyc & (top < 0))
+    s = np.array([-1 if c is None else c for c in sigma], dtype=np.int64)
+    return _sigma_passes(Aw, Af, Bw, lam_rows, s)
+
+
+def _sigma_passes(Aw, Af, Bw, lam_rows, s) -> bool:
+    """certify_unbounded's verdict on a pair's integer weights, s a valid
+    sigma (any value at the vacuous rows, which have no arc).  Its graph
+    is contracted onto the columns: an arc j -> s_r for each finite
+    A[r, j], weighing b_{r s_r} - a_{rj}.  A lam row lies on a cycle
+    exactly when the head of one of its arcs reaches the arc's tail; then,
+    or when some cycle is negative (_reach_negative), the check fails."""
+    src, rows = np.nonzero(Af.T)  # row-major: grouped by source
+    dst = s[rows]
+    n1 = Af.shape[1]
+    reach = _closure(_adjacency(n1, src, dst))
+    lam = (rows >= lam_rows.start) & (rows < lam_rows.stop)
+    if np.any(reach[dst[lam], src[lam]]):
+        return False
+    return not np.any(_reach_negative(n1, src, dst, Bw[rows, dst] - Aw[rows, src]))

@@ -768,12 +768,18 @@ def oracle_certify_optimal(prob, lam, tau, x=None):
         return False
     if len(tau) != n1:
         raise InvalidStrategy("tau length mismatch")
-    arcs = []
     for j in range(n1):
         r = tau[j]
         if not (0 <= r < M) or not A.data[r][j].is_finite:
             raise InvalidStrategy(f"tau[{j}] selects no finite entry")
-        arcs.append((j, n1 + r, -A.data[r][j].value))
+    return oracle_tau_passes(A, B, lam_rows, tau)
+
+
+def oracle_tau_passes(A, B, lam_rows, tau):
+    """Half (b) of oracle_certify_optimal for a valid tau: the Fraction
+    Karp on the bipartite strategy graph, start by start."""
+    M, n1 = A.shape
+    arcs = [(j, n1 + tau[j], -A.data[tau[j]][j].value) for j in range(n1)]
     for r in range(M):
         for c in range(n1):
             if B.data[r][c].is_finite:
@@ -802,6 +808,20 @@ def oracle_certify_unbounded(prob, sigma):
     M, n1 = A.shape
     if len(sigma) != M:
         raise InvalidStrategy("sigma length mismatch")
+    for r in range(M):
+        c = sigma[r]
+        if _vacuous(A, B, r) and c is None:
+            continue
+        if c is None or not (0 <= c < n1) or not B.data[r][c].is_finite:
+            raise InvalidStrategy(f"sigma[{r}] selects no finite entry")
+    return oracle_sigma_passes(A, B, lam_rows, sigma)
+
+
+def oracle_sigma_passes(A, B, lam_rows, sigma):
+    """oracle_certify_unbounded's verdict for a valid sigma (None at the
+    rows it leaves out): Tarjan's SCCs at the lam rows and the Fraction
+    Karp on the bipartite strategy graph."""
+    M, n1 = A.shape
     arcs = []
     for j in range(n1):
         for r in range(M):
@@ -809,11 +829,8 @@ def oracle_certify_unbounded(prob, sigma):
                 arcs.append((j, n1 + r, -A.data[r][j].value))
     for r in range(M):
         c = sigma[r]
-        if _vacuous(A, B, r) and c is None:
-            continue
-        if c is None or not (0 <= c < n1) or not B.data[r][c].is_finite:
-            raise InvalidStrategy(f"sigma[{r}] selects no finite entry")
-        arcs.append((n1 + r, c, B.data[r][c].value))
+        if c is not None:
+            arcs.append((n1 + r, c, B.data[r][c].value))
     succ = [[] for _ in range(n1 + M)]
     for (s, t, _) in arcs:
         succ[s].append(t)

@@ -15,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,15 +34,18 @@ from tropopt import (
     gen_random,
     newton_solve,
     newton_solve_quad,
+    objective,
+    objective_quad,
     optimality_certificate,
     parametric_game,
     parametric_game_quad,
     tmax,
     unboundedness_certificate,
 )
+from tropopt import games
 from tropopt.cli import main as cli_main
 from tropopt.io import BadRational, dump_problem
-from tropopt.pseudolinear import _literal_pair
+from tropopt.pseudolinear import _literal_pair, _sigma_passes, _tau_passes
 from tropopt.pseudoquadratic import _lower_bound_quad
 
 from _util import (
@@ -53,6 +57,8 @@ from _util import (
     oracle_max_cycle_mean,
     oracle_optimality_certificate,
     oracle_pair,
+    oracle_sigma_passes,
+    oracle_tau_passes,
     oracle_unboundedness_certificate,
     quadprob,
 )
@@ -389,3 +395,174 @@ def test_quad_lower_bound_matches_fraction_cycle_mean(n, data):
     C = M(rows)
     anchor = tmax(*[prob.p[j] + prob.q[j].conj() for j in range(n)]).half()
     assert _lower_bound_quad(prob) == tmax(anchor, oracle_max_cycle_mean(C))
+
+
+# ---------------------------------------------------------------------------
+# the contracted checks and the builders' shortcuts
+
+_S = 1 << 62  # a weight unit past the int64 guard of matrix._fit
+
+
+class _Solved(Exception):
+    """Raised by a patched game solve."""
+
+
+def _tmatrix(w, f):
+    return TropMatrix([[F(int(v)) if ok else NEG_INF for v, ok in zip(*r)] for r in zip(w, f)], "max")
+
+
+@st.composite
+def _strategy_pair(draw):
+    """A pair's integer arrays, a lam row range and a valid tau: weights in
+    -3..3, so that cycles of weight exactly 0 are common, times 2^62 when
+    huge, so that they leave int64.  Some columns get a two-node cycle
+    j -> tau_j -> j, some of weight 0, and some tau rows lose every
+    finite right entry (a dead-end column)."""
+    M, n1 = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+    def grid(elems):
+        return np.array(draw(st.lists(elems, min_size=M * n1, max_size=M * n1))).reshape(M, n1)
+
+    Af, Bf = grid(st.booleans()), grid(st.booleans())
+    Aw, Bw = grid(st.integers(-3, 3)), grid(st.integers(-3, 3))
+    for j in range(n1):
+        if not Af[:, j].any():
+            Af[draw(st.integers(0, M - 1)), j] = True
+    tau = [draw(st.sampled_from(np.flatnonzero(Af[:, j]).tolist())) for j in range(n1)]
+    for j in range(n1):
+        kind = draw(st.integers(0, 5))
+        if kind < 2:  # j -> tau_j -> j, of weight 0 when kind is 0
+            Bf[tau[j], j] = True
+            if kind == 0:
+                Bw[tau[j], j] = Aw[tau[j], j]
+        elif kind == 2:
+            Bf[tau[j]] = False
+    if draw(st.booleans()):
+        Aw, Bw = Aw.astype(object) * _S, Bw.astype(object) * _S
+    lo = draw(st.integers(0, M))
+    return Aw, Af, Bw, Bf, range(lo, draw(st.integers(lo, M))), tau
+
+
+@settings(max_examples=400, deadline=None)
+@given(_strategy_pair(), st.data())
+def test_contracted_checks_match_the_bipartite_karp(pair, data):
+    """_tau_passes and _sigma_passes, on the strategy graphs contracted
+    onto the columns, against the Fraction Karp on the bipartite graphs.
+    For sigma, a row with a finite left entry and none on the right gets
+    one, and a row with neither is vacuous (sigma None)."""
+    Aw, Af, Bw, Bf, lam_rows, tau = pair
+    A, B = _tmatrix(Aw, Af), _tmatrix(Bw, Bf)
+    got = _tau_passes(Aw, Bw, Bf, lam_rows, np.array(tau, dtype=np.int64))
+    assert got == oracle_tau_passes(A, B, lam_rows, tau)
+    Bf = Bf.copy()
+    sigma = []
+    for r in range(len(Af)):
+        if Af[r].any() and not Bf[r].any():
+            Bf[r, data.draw(st.integers(0, Af.shape[1] - 1))] = True
+        cols = np.flatnonzero(Bf[r]).tolist()
+        sigma.append(data.draw(st.sampled_from(cols)) if cols else None)
+    s = np.array([-1 if c is None else c for c in sigma], dtype=np.int64)
+    got = _sigma_passes(Aw, Af, Bw, lam_rows, s)
+    assert got == oracle_sigma_passes(A, _tmatrix(Bw, Bf), lam_rows, sigma)
+
+
+def _max_plus(row, x, c):
+    """max(row (x) x, c) on Python numbers, None for -inf."""
+    vals = [a + v for a, v in zip(row, x) if a is not None] + ([c] if c is not None else [])
+    return max(vals) if vals else None
+
+
+@st.composite
+def _problem_and_point(draw):
+    """Integer data times 1 or 2^62, and an integer point x that meets
+    every structural row: a row it violates has d raised to its left
+    side.  Each lam at or above f(x) admits x, so the checkers reach
+    their graph verdicts."""
+    k = draw(st.sampled_from([1, _S]))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ent = st.one_of(st.none(), st.integers(-4, 4).map(lambda v: v * k))
+
+    def row(size):
+        return [draw(ent) for _ in range(size)]
+
+    U, Vm, b, d = [row(n) for _ in range(m)], [row(n) for _ in range(m)], row(m), row(m)
+    x = [draw(st.integers(-4, 4)) * k for _ in range(n)]
+    for i in range(m):
+        lhs, rhs = _max_plus(U[i], x, b[i]), _max_plus(Vm[i], x, d[i])
+        if lhs is not None and (rhs is None or lhs > rhs):
+            d[i] = lhs
+    p = row(n)
+    q = [draw(st.one_of(st.integers(-4, 4).map(lambda v: v * k), st.just("+inf"))) for _ in range(n)]
+    if draw(st.booleans()):
+        return quadprob(U, Vm, b, d, p, q, [row(n) for _ in range(n)]), x
+    return linprob(U, Vm, b, d, p, q), x
+
+
+@settings(max_examples=120, deadline=None)
+@given(_problem_and_point(), st.sampled_from([F(0), F(1, 2), F(3)]))
+def test_checkers_with_a_feasible_point_match_the_oracles(case, step):
+    """certify_optimal with a point feasible at lam, for up to 12 taus,
+    and certify_unbounded for up to 12 sigmas, against the oracles; on
+    Python ints when the data is scaled by 2^62."""
+    prob, x = case
+    f = (objective if isinstance(prob, PseudolinearProblem) else objective_quad)(prob, x)
+    lam = (f.value if f.is_finite else F(0)) + step
+    A, B, _ = oracle_pair(prob, fin(lam))
+    for tau in itertools.islice(itertools.product(*_finite_choices(A)), 12):
+        assert _same(certify_optimal, oracle_certify_optimal, prob, lam, list(tau), x=x)[0] == "ok"
+    vac = [not any(e.is_finite for e in A.data[r] + B.data[r]) for r in range(A.rows)]
+    rows = [[None] if vac[r] else [c for c in range(B.cols) if B.data[r][c].is_finite] for r in range(B.rows)]
+    for sig in itertools.islice(itertools.product(*rows), 12):
+        _same(certify_unbounded, oracle_certify_unbounded, prob, list(sig))
+
+
+def _refuse_games(monkeypatch):
+    """Patch the library's game solve to raise _Solved; the oracles keep
+    their own binding."""
+
+    def refuse(*args, **kw):
+        raise _Solved
+
+    monkeypatch.setattr(games, "solve_arena", refuse)
+
+
+def test_a_finite_anchor_needs_no_game(monkeypatch):
+    """With a finite anchor gap and no infeasible row the builder answers
+    None, as the oracle's game does, with the game solve patched to
+    raise; without an anchor it reaches the patch."""
+    _refuse_games(monkeypatch)
+    checked = 0
+    for s in range(30):
+        prob = gen_random(3, 3, 6, 60, 990000 + s, quadratic=bool(s % 2))
+        if prob._rec.anchor.is_finite and not prob._rec.row_infeasible:
+            assert unboundedness_certificate(prob) is None
+            assert oracle_unboundedness_certificate(prob) is None
+            checked += 1
+    assert checked >= 20
+    with pytest.raises(_Solved):
+        unboundedness_certificate(linprob([[0]], [[0]], [None], [None], [0], ["+inf"]))
+
+
+def test_a_row_infeasible_problem_still_raises_isolated_node(monkeypatch):
+    """The finite anchor 0 does not hide the row with a finite left side
+    and an empty right side: IsolatedNode, as before, with no game."""
+    _refuse_games(monkeypatch)
+    lin = linprob([[None], [0]], [[None], [None]], [None, None], [None, None], [0], [0])
+    quad = quadprob([[0, None]], [[None, None]], [None], [None], [0, 1], [0, 2], [[None, 1], [None, None]])
+    for prob in (lin, quad):
+        assert prob._rec.anchor.is_finite
+        with pytest.raises(IsolatedNode, match="row . of the right matrix has no finite entry"):
+            unboundedness_certificate(prob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_problem(), st.booleans())
+def test_without_an_anchor_the_builder_matches_the_oracle(prob, drop_p):
+    """No j with both p_j and q_j finite: the game decides, as before."""
+    n = prob.shape[1]
+    if drop_p:
+        prob.p = [NEG_INF] * n
+    else:
+        prob.q = [POS_INF] * n
+    assert prob._rec.anchor.is_neg_inf
+    _same(unboundedness_certificate, oracle_unboundedness_certificate, prob)
