@@ -27,7 +27,6 @@ from .games import EngineError
 from .pseudolinear import (
     PseudolinearProblem,
     _compiled,
-    _prepare,
     bisection_solve,
     initial_bounds,
     newton_solve,
@@ -86,19 +85,17 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
             s = seed * 1000003 + di * 10007 + t
             prob = gen_random(dim, dim, weight_range, density, s, quadratic)
             if lb_only:
-                prep = _prepare(prob)
-                if prep.kind == "row_infeasible":
-                    continue
+                rec = _compiled(prob)
                 lb, up, wit = _bounds(prob)
                 if wit is None:
                     continue
                 feasible += 1
-                if prep.kind == "free_objective" or not lb.is_finite:
+                if rec.free_objective or not lb.is_finite:
                     continue
                 lb_used += 1
                 # same test as feasible_finite on the level system, but on
                 # the fast parametric engine: feasible iff the value is >= 0
-                if prep.struct.phi(lb.value) >= 0:
+                if rec.struct.phi(lb.value) >= 0:
                     lb_hits += 1
                 continue
             bisect, newton = _solvers(prob)

@@ -18,7 +18,6 @@ on the grid of multiples of 1/(2L), which makes both schemes exact.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partialmethod
@@ -176,7 +175,7 @@ class _ProblemData:
         return self._rec.m, self._rec.n
 
     def _lam_floor(self) -> Fraction:
-        return self._rec.lam_floor(self._rec.quad)
+        return self._rec.lam_floor()
 
 
 class PseudolinearProblem(_ProblemData):
@@ -324,10 +323,10 @@ class _Compiled:
         rows = self.entries(name, self._scalars, scalar)
         return tuple(rows) if name in "bdpq" else TropMatrix(rows, "max")
 
-    def lam_floor(self, quad: bool) -> Fraction:
-        """A level below every achievable finite optimum, for the
-        pseudoquadratic objective when quad, else for the linear one."""
-        per_col = 6 * self.n + 6 if quad else 2 * self.n + 4
+    def lam_floor(self) -> Fraction:
+        """A level below every achievable finite optimum of the problem's
+        objective, pseudoquadratic or linear."""
+        per_col = 6 * self.n + 6 if self.quad else 2 * self.n + 4
         return Fraction(-(2 * self.m + per_col)) * max(Fraction(1), Fraction(self.WL, self.L))
 
     @cached_property
@@ -367,24 +366,14 @@ class _Compiled:
         """_param_pair's tuple."""
         return self._with_aug(np.arange(len(self.core[0])), False)
 
-    def _struct(self, coupling):
-        """The prepared structure on the core rows with a finite left
-        entry, without the coupling rows unless asked for."""
-        keep = self.core[1].any(axis=1)
-        if not coupling:
-            keep[self.m : self.m + self.k - self.n] = False
-        rows = np.flatnonzero(keep)
-        return _ParamStruct(self._with_aug(rows, True), rows, self.m)
-
     @cached_property
     def struct(self):
-        """The prepared structure (see _prepare)."""
-        return self._struct(coupling=True)
-
-    @cached_property
-    def witness_struct(self):
-        """The structure _descent_witness probes: no coupling rows."""
-        return self._struct(coupling=False) if self.quad else self.struct
+        """The problem's one prepared structure (_ParamStruct), on the
+        core rows with a finite left entry.  Built on first read, which
+        the solvers make only after the bounds found a feasible point, so
+        a row-infeasible, free or infeasible request builds none."""
+        rows = np.flatnonzero(self.core[1].any(axis=1))
+        return _ParamStruct(self._with_aug(rows, True), rows, self.m)
 
     @cached_property
     def affine_witness(self):
@@ -446,9 +435,10 @@ class _ParamStruct:
     finite left entry and the stabilizing rows they need, as a pair tuple
     (see _param_pair) scaled by the denominator lcm L0 of its own entries,
     its arc layout (_layout), which every level's arena shares, and its
-    integer weights.  rows[r] is the core row of row r (the aug rows come
-    after them).  It keeps no state of any solve: a probe's warm start is
-    an argument (solve)."""
+    integer weights, int64 (EngineError, as the Arena's, past that).
+    rows[r] is the core row of row r (the aug rows come after them).  It
+    keeps no state of any solve: a probe's warm start is an argument
+    (solve)."""
 
     def __init__(self, pair, rows, m):
         self.pair = pair
@@ -457,25 +447,26 @@ class _ParamStruct:
         self.m = m
         self.n = Af.shape[1] - 1
         self.n_min = self.n + 1
-        self.n_max = len(Af)
         lay = self._lay = _layout(Af, Bf)
-        self._a_w0 = np.asarray(-Aw.T[Af.T], dtype=np.int64)
-        self._b_w0 = np.asarray(Bw[Bf], dtype=np.int64)
+        try:
+            self._a_w0 = np.asarray(-Aw.T[Af.T], dtype=np.int64)
+            self._b_w0 = np.asarray(Bw[Bf], dtype=np.int64)
+        except OverflowError:
+            raise EngineError("weights too large for the integer engine") from None
         self._b_lam = (lay.b_row >= self.lam_rows.start) & (lay.b_row < self.lam_rows.stop)
         self._absmax0 = max(1, _abs_max(self._a_w0), _abs_max(self._b_w0))
 
     def arena(self, lam: Fraction) -> Arena:
+        """The arena at level lam, on Python ints past _fit's bound, so
+        that the Arena's guard, not an int64 cast, refuses a fine level."""
         num, den = lam.numerator, lam.denominator
         S = self.L0 * den // gcd(self.L0, den)
         fa = S // self.L0
         fl = S // den
-        v = max(self.n_min, self.n_max) + 2
         big = max(self._absmax0 * fa, abs(num) * fl, 1)
-        if big * v * v * v >= (1 << 62):
-            raise EngineError("probe level too fine for the integer engine")
-        bw = self._b_w0 * fa
+        bw = _fit(self._b_w0, big) * fa
         bw[self._b_lam] = num * fl
-        return Arena(self._lay, self._a_w0 * fa, bw, S, big)
+        return Arena(self._lay, _fit(self._a_w0, big) * fa, bw, S, big)
 
     def solve(self, lam: Fraction, warm=None):
         """The certified game at level lam: (phi, sigma, sig_idx, tau),
@@ -517,21 +508,6 @@ class _ParamStruct:
         return out
 
 
-_Prep = namedtuple("_Prep", "kind struct", defaults=[None])
-
-
-def _prepare(prob, ignore_objective=False) -> _Prep:
-    """The prepared structure of a problem, or why there is none: a
-    row-infeasible problem, or a free objective unless that is ignored
-    (the structure then has the structural rows alone)."""
-    rec = _compiled(prob)
-    if rec.row_infeasible:
-        return _Prep("row_infeasible")
-    if rec.free_objective and not ignore_objective:
-        return _Prep("free_objective")
-    return _Prep("ok", rec.struct)
-
-
 # ---------------------------------------------------------------------------
 # feasibility front-end
 
@@ -549,11 +525,14 @@ def _descent_witness(rec):
     First a greatest-point descent from a seed pinned at (2W+2): each
     sweep maps x to x /\\ U# (V x + d), which preserves every solution
     below the seed; a fixpoint that also passes the b rows is a solution.
-    Only when the descent is inconclusive is infeasibility decided on the
-    parametric engine: any finite feasible point has bounded spread, so
-    the level cap -lam_floor is reachable whenever any level is.  A
-    feasible system then gets its point exactly from the homogenized
-    game, [U | b] <= [V | d] over (x, t) on its own scale."""
+    Only when the descent is inconclusive does a game decide: that of the
+    homogenized system [U | b] <= [V | d] over (x, t) on its own scale,
+    with a tautological row per column that has no finite left entry.  It
+    has a finite solution exactly when the affine system does, so its
+    least value is negative exactly when that is infeasible.  A feasible
+    system gets its point from the same homogenized system
+    (feasible_finite).  A game past the arena's int64 guard raises
+    EngineError; feasible_finite's own descent may still find the point."""
     if rec.row_infeasible:
         return None
     m, n, L = rec.m, rec.n, rec.L
@@ -564,13 +543,13 @@ def _descent_witness(rec):
         x, finite, y, y_fin = fix
         if finite.all() and not np.any(Af[:m, n] & ~(y_fin & (Aw[:m, n] <= y))):
             return [Fraction(int(v), L) for v in x[:n]]
+    hom = rec._with_aug(np.flatnonzero(Af[:m].any(axis=1)), True)[:5]
     try:
-        if rec.witness_struct.phi(-rec.lam_floor(False)) < 0:
+        if np.any(_solve_pair(*hom)[0] < 0):
             return None
     except EngineError:
         pass
-    kept = np.flatnonzero(Af[:m].any(axis=1))
-    w = feasible_finite(rec._with_aug(kept, True)[:5])
+    w = feasible_finite(hom)
     if w is None:
         return None
     return [w[j] - w[n] for j in range(n)]
@@ -612,36 +591,29 @@ def spectral_value(prob, lam) -> ExtScalar:
     lamF = scal(lam)
     if not lamF.is_finite:
         raise TypingError("level must be finite")
-    prep = _prepare(prob, ignore_objective=True)
-    if prep.kind == "row_infeasible":
+    rec = _compiled(prob)
+    if rec.row_infeasible:
         return NEG_INF
-    return fin(prep.struct.phi(lamF.value))
+    return fin(rec.struct.phi(lamF.value))
 
 
 # ---------------------------------------------------------------------------
 # bisection
 
 
-def _outcome_infeasible(tr=None):
-    return SolveOutcome("infeasible", None, None, 0, tr or [])
-
-
 def _presolve(prob, mode, tol, bounds):
-    """What the solvers do before any level search: an outcome when that
-    settles the problem, else (struct, lb, up, wit) from the prepared
-    structure and the a-priori bounds."""
+    """What the solvers do before any level search: an outcome when the
+    a-priori bounds settle the problem (no feasible point, or a free
+    objective over a feasible set), else (struct, lb, up, wit) with the
+    problem's prepared structure, which is built only then."""
     _check_mode(prob, mode, tol)
-    prep = _prepare(prob)
-    if prep.kind == "row_infeasible":
-        return _outcome_infeasible()
-    if prep.kind == "free_objective":
-        if _affine_witness(prob) is None:
-            return _outcome_infeasible()
-        return SolveOutcome("unbounded", NEG_INF, None, 0, [])
     lb, up, wit = bounds(prob)
     if wit is None:
-        return _outcome_infeasible()
-    return prep.struct, lb, up, wit
+        return SolveOutcome("infeasible", None, None, 0, [])
+    rec = _compiled(prob)
+    if rec.free_objective:
+        return SolveOutcome("unbounded", NEG_INF, None, 0, [])
+    return rec.struct, lb, up, wit
 
 
 def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOutcome:

@@ -1034,10 +1034,10 @@ def _row_classes(U, V, b, d):
     return kept
 
 
-def oracle_struct(prob, ignore_objective=False, coupling=True):
+def oracle_struct(prob, ignore_objective=False):
     """The prepared parametric structure, assembled row by row: the kept
     structural rows, the coupling rows with a finite entry (pseudoquadratic
-    data, unless coupling is False), the epigraph rows of the finite p_j,
+    data), the epigraph rows of the finite p_j,
     the q row when some q_j is finite, then one tautological row per column
     without a finite left entry.  Returns "row_infeasible",
     "free_objective", or a dict of the integer arc arrays the engine reads,
@@ -1045,7 +1045,7 @@ def oracle_struct(prob, ignore_objective=False, coupling=True):
     denominators) and `rows`, the pair row of each non-aug row."""
     m, n = prob.shape
     quad = isinstance(prob, PseudoquadraticProblem)
-    crows = prob.C.data if quad and coupling else None
+    crows = prob.C.data if quad else None
     kept = _row_classes(prob.U, prob.V, prob.b, prob.d)
     if kept is None:
         return "row_infeasible"

@@ -43,7 +43,7 @@ from tropopt import (
     spectral_value,
     write_csv,
 )
-from tropopt.pseudolinear import _literal_pair, _prepare
+from tropopt.pseudolinear import _compiled, _literal_pair
 from tropopt.semiring import ZERO
 
 from _util import golden_game, golden_linear, struct_system, swap_cycle_instance
@@ -396,11 +396,11 @@ def test_criterion_07_minimax_collapse():
         m = rng.randint(1, min(4, 7 - n))
         prob = gen_random(n, m, 10, rng.randint(55, 100), seed=870000 + t)
         t += 1
-        prep = _prepare(prob)
-        if prep.kind != "ok":
+        rec = _compiled(prob)
+        if rec.row_infeasible or rec.free_objective:
             continue
         lam = levels[t % 3]
-        sys = struct_system(prep.struct, lam)
+        sys = struct_system(rec.struct, lam)
         A, B = sys.A, sys.B
         M_, n1 = A.shape
         tau_choices = [

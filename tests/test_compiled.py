@@ -4,10 +4,13 @@ once and read by the solvers, bounds, witness and certificates.
 The record's prepared structure and literal pair must equal the entry-by-
 entry builds kept in _util as oracles, on sparse problems with vacuous
 rows, -inf anchors, all +inf q, free objectives and row-infeasible data,
-a third of them on denominators past the int64 range.  A solve or
-certify request compiles its data exactly once, the integer objectives
-equal the extended-scalar ones, and a non-positive tol is rejected before
-any work.
+a third of them on denominators past the int64 range, where building
+the structure is the engine's typed refusal.  A solve or certify request
+compiles its data exactly once and builds at most one structure, none
+for an infeasible problem.  On the same problems, the start point that a
+game decides (the descents forced inconclusive) agrees with the
+feasibility oracle.  The integer objectives equal the extended-scalar
+ones, and a non-positive tol is rejected before any work.
 """
 
 from fractions import Fraction
@@ -18,28 +21,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropopt import (
+    EngineError,
+    IsolatedNode,
     NEG_INF,
     POS_INF,
     PseudolinearProblem,
     PseudoquadraticProblem,
+    TropMatrix,
     TypingError,
+    ZERO,
     bisection_solve,
     bisection_solve_quad,
     certify_optimal,
     certify_unbounded,
     fin,
     gen_random,
+    mat_vec_mul,
     newton_solve,
     newton_solve_quad,
     objective,
     objective_quad,
     optimality_certificate,
+    tmax,
     unboundedness_certificate,
 )
+from tropopt import games, pseudolinear
 from tropopt.io import BadRational, IllegalInfinity, dump_problem, format_outcome, parse_problem
-from tropopt.pseudolinear import _compiled, _Compiled, _param_pair, _prepare
+from tropopt.pseudolinear import _affine_witness, _compiled, _Compiled, _param_pair, _ParamStruct
 
 from _util import (
+    _oracle_feasible,
     data_denominator_lcm,
     linprob,
     oracle_objective,
@@ -87,8 +98,10 @@ def _int64(values):
 
 def _check_struct(struct, want):
     """The structure's arc arrays against the oracle's, or the oracle's
-    weights past int64 when building them raised OverflowError."""
-    if isinstance(struct, OverflowError):
+    weights past int64 when building them raised the engine's typed
+    refusal."""
+    if isinstance(struct, EngineError):
+        assert str(struct) == "weights too large for the integer engine"
         assert not _int64(want["a_w0"] + want["b_w0"])
         return
     assert struct.L0 == want["L0"]
@@ -104,29 +117,31 @@ def _check_struct(struct, want):
 def _build(fn):
     try:
         return fn()
-    except OverflowError as e:
+    except EngineError as e:
         return e
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.booleans().flatmap(_problem))
 def test_record_matches_entrywise_build(prob):
+    """The record's flags and its one prepared structure against the
+    oracle, which gives the structure when the objective is ignored (as
+    spectral_value does) and otherwise says why a solver builds none."""
     quad = isinstance(prob, PseudoquadraticProblem)
+    rec = _compiled(prob)
     for ignore in (False, True):
         want = oracle_struct(prob, ignore_objective=ignore)
-        prep = _build(lambda: _prepare(prob, ignore_objective=ignore))
+        free = rec.free_objective and not ignore
+        kind = "row_infeasible" if rec.row_infeasible else "free_objective" if free else None
         if isinstance(want, str):
-            assert prep.kind == want
+            assert kind == want
         else:
-            _check_struct(prep if isinstance(prep, OverflowError) else prep.struct, want)
-    want = oracle_struct(prob, ignore_objective=True, coupling=False)
-    if not isinstance(want, str):
-        _check_struct(_build(lambda: _compiled(prob).witness_struct), want)
+            assert kind is None
+            _check_struct(_build(lambda: rec.struct), want)
     got, want = _param_pair(prob), oracle_param_pair(prob)
     for g, w in zip(got[:4], want[:4]):
         assert g.shape == w.shape and g.tolist() == w.tolist()
     assert got[4:] == want[4:]
-    rec = _compiled(prob)
     assert rec.L == data_denominator_lcm(prob)
     assert Fraction(rec.WL, rec.L) == weight_bound(prob)
     assert not quad or rec.quad
@@ -168,16 +183,16 @@ def test_record_is_private_and_built_once():
     assert bisection_solve(prob).lam == fin(7) and _compiled(prob) is not rec
 
 
-def _compiles(request):
-    """The number of compiled records (_Compiled) built during request()."""
+def _builds(cls, request):
+    """The number of cls instances built during request()."""
     calls = [0]
-    init = _Compiled.__init__
+    init = cls.__init__
 
     def counted(self, *args):
         calls[0] += 1
         init(self, *args)
 
-    with patch.object(_Compiled, "__init__", counted):
+    with patch.object(cls, "__init__", counted):
         request()
     return calls[0]
 
@@ -195,7 +210,7 @@ def test_one_scan_of_the_data_per_request(quad):
             format_outcome(out, include_trace=True)
             outs.append(out)
 
-        assert _compiles(request) == 1
+        assert _builds(_Compiled, request) == 1
     assert outs[0].status == "optimal"
     lam = outs[0].lam.value
 
@@ -206,7 +221,69 @@ def test_one_scan_of_the_data_per_request(quad):
         sig = unboundedness_certificate(p)
         assert sig is None or not certify_unbounded(p, sig)
 
-    assert _compiles(certify) == 1
+    assert _builds(_Compiled, certify) == 1
+
+
+@pytest.mark.parametrize("quad", [False, True])
+def test_one_structure_per_problem(quad):
+    """A solve request builds the problem's prepared structure
+    (_ParamStruct) only for its level search: none when the problem is
+    infeasible, which the start point's game on the constraint system
+    alone decides, and one when it is optimal, whatever the solver."""
+    solvers = (bisection_solve_quad, newton_solve_quad) if quad else (bisection_solve, newton_solve)
+    for seed, status, structures in ((1, "infeasible", 0), (0, "optimal", 1)):
+        text = dump_problem(gen_random(8, 8, 100, 100, seed, quad))
+        for solve in solvers:
+            outs = []
+            assert _builds(_ParamStruct, lambda: outs.append(solve(parse_problem(text)))) == structures
+            assert outs[0].status == status
+
+
+def _hom_feasible(prob):
+    """The oracle's verdict on [U | b] <= [V | d] over (x, t), with a
+    tautological row per column that has no finite left entry; a row
+    whose finite left side faces an all -inf right side fails."""
+    n = prob.shape[1]
+    A = [list(r) + [b] for r, b in zip(prob.U.data, prob.b)]
+    B = [list(r) + [d] for r, d in zip(prob.V.data, prob.d)]
+    for c in range(n + 1):
+        if not any(row[c].is_finite for row in A):
+            A.append([ZERO if j == c else NEG_INF for j in range(n + 1)])
+            B.append(A[-1])
+    try:
+        return _oracle_feasible(TropMatrix(A, "max"), TropMatrix(B, "max"))
+    except IsolatedNode:
+        return False
+
+
+@pytest.mark.parametrize("game_descent_too", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(prob=st.booleans().flatmap(_problem))
+def test_start_point_past_an_inconclusive_descent(game_descent_too, prob):
+    """The start point when the affine descent is inconclusive (patched
+    to return None), and, with game_descent_too, feasible_finite's
+    descent as well, so that games alone decide: None exactly when the
+    homogenized constraint system has no finite solution (the oracle),
+    else a point that meets U x + b <= V x + d exactly.  Data past the
+    int64 guard may get the engine's typed refusal instead."""
+    inconclusive = lambda *args: None  # noqa: E731
+    with patch.object(pseudolinear, "_descend_scaled", inconclusive), patch.object(
+        games, "_descend_scaled", inconclusive if game_descent_too else games._descend_scaled
+    ):
+        try:
+            x = _affine_witness(prob)
+        except EngineError as e:
+            assert str(e) == "weights too large for the integer engine"
+            assert _compiled(prob).L > 2**61
+            return
+    if x is None:
+        assert not _hom_feasible(prob)
+        return
+    assert _hom_feasible(prob)
+    xs = [fin(v) for v in x]
+    lhs = [tmax(u, b) for u, b in zip(mat_vec_mul(prob.U, xs), prob.b)]
+    rhs = [tmax(v, d) for v, d in zip(mat_vec_mul(prob.V, xs), prob.d)]
+    assert all(a <= c for a, c in zip(lhs, rhs))
 
 
 def _row_infeasible(quad):

@@ -29,7 +29,7 @@ from tropopt import (
     tmax,
 )
 from tropopt.games import EngineError, _den_lcm
-from tropopt.pseudolinear import _prepare
+from tropopt.pseudolinear import _compiled
 
 from _util import (
     M,
@@ -162,10 +162,10 @@ def test_param_arcs_match_reference_build():
     for s in range(12):
         base = gen_random(6, 5, 40, 60, s, quadratic=bool(s % 2))
         for prob in (base, _rational(base, rng)):
-            prep = _prepare(prob, ignore_objective=True)
-            if prep.kind != "ok":
+            rec = _compiled(prob)
+            if rec.row_infeasible:
                 continue
-            st_ = prep.struct
+            st_ = rec.struct
             got = [st_._lay.a_off, st_._lay.a_src, st_._lay.a_tgt, st_._a_w0, st_._b_w0]
             for g, w in zip(got, _reference_arcs(st_)):
                 assert g.dtype == np.int64

@@ -2,9 +2,10 @@
 checkouts, on one instance of every family.
 
 Two runs must write identical files, every instance must have all of its
-request lines, and in every family the two solvers must agree on status
-and level: since real mode bisects Newton's grid, that holds in real
-mode too.
+request lines, no request may fail with a bare OverflowError (data past
+the integer engine gets a typed refusal), and in every family the two
+solvers must agree on status and level: since real mode bisects Newton's
+grid, that holds in real mode too.
 """
 
 import importlib.util
@@ -40,6 +41,7 @@ def test_dump_is_deterministic_and_solvers_agree(tmp_path):
     answers = {}
     for line in text.decode().splitlines():
         family, i, req, ans = line.split(" ", 3)
+        assert not ans.startswith("!OverflowError"), line
         answers.setdefault((family, i), {})[req] = ans
     assert {family for family, _ in answers} == set(tool.FAMILIES)
     for key, reqs in answers.items():

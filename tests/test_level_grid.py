@@ -6,7 +6,8 @@ pseudoquadratic data), so real mode returns the exact optimum and tol
 changes nothing.  tol is still validated: anything but a finite positive
 rational is rejected before any work, by every solver, as is any tol in
 integer mode; round_bounded rejects a non-finite level; neither leaks a
-bare OverflowError or ZeroDivisionError.
+bare OverflowError or ZeroDivisionError.  A level too fine for the game
+engine gets its typed refusal, not an OverflowError either.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from tropopt import (
+    EngineError,
     bisection_solve,
     bisection_solve_quad,
     format_outcome,
@@ -21,6 +23,7 @@ from tropopt import (
     newton_solve,
     newton_solve_quad,
     round_bounded,
+    spectral_value,
 )
 
 
@@ -66,3 +69,13 @@ def test_newton_rejects_tol_in_integer_mode(solve):
 def test_round_bounded_rejects_a_non_finite_level(lam):
     with pytest.raises(ValueError):
         round_bounded(lam, 2, "down")
+
+
+@pytest.mark.parametrize("den", [2**50, 10**30])
+def test_a_level_too_fine_for_the_engine_is_a_typed_refusal(den):
+    """The probe at level 1/den scales its weights by den, past the
+    engine's int64 guard: at 2^50 int64 still holds them, at 10^30 it
+    does not, and both get the engine's refusal."""
+    prob = gen_random(6, 6, 20, 100, 0)
+    with pytest.raises(EngineError, match="^weights too large for the integer engine$"):
+        spectral_value(prob, Fraction(1, den))
