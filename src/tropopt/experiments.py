@@ -32,7 +32,6 @@ from .pseudolinear import (
     newton_solve,
 )
 from .pseudoquadratic import (
-    _lower_bound_quad,
     bisection_solve_quad,
     bounds_quad,
     newton_solve_quad,
@@ -49,22 +48,11 @@ CSV_FIELDS = [
 ]
 
 
-def _bounds(prob):
+def _kind(prob):
+    """(bounds, bisection, Newton) of the problem's kind."""
     if isinstance(prob, PseudolinearProblem):
-        return initial_bounds(prob)
-    return bounds_quad(prob)
-
-
-def _lower_bound(prob):
-    if isinstance(prob, PseudolinearProblem):
-        return _compiled(prob).anchor
-    return _lower_bound_quad(prob)
-
-
-def _solvers(prob):
-    if isinstance(prob, PseudolinearProblem):
-        return bisection_solve, newton_solve
-    return bisection_solve_quad, newton_solve_quad
+        return initial_bounds, bisection_solve, newton_solve
+    return bounds_quad, bisection_solve_quad, newton_solve_quad
 
 
 def _mean(xs):
@@ -84,9 +72,10 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
         for t in range(trials):
             s = seed * 1000003 + di * 10007 + t
             prob = gen_random(dim, dim, weight_range, density, s, quadratic)
+            bounds, bisect, newton = _kind(prob)
             if lb_only:
                 rec = _compiled(prob)
-                lb, up, wit = _bounds(prob)
+                lb, up, wit = bounds(prob)
                 if wit is None:
                     continue
                 feasible += 1
@@ -98,7 +87,6 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
                 if rec.struct.phi(lb.value) >= 0:
                     lb_hits += 1
                 continue
-            bisect, newton = _solvers(prob)
             t0 = time.perf_counter()
             bis = bisect(prob)
             newt = newton(prob)
@@ -115,7 +103,8 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
                 continue
             bis_iters.append(bis.iterations)
             newt_iters.append(newt.iterations)
-            lb = _lower_bound(prob)
+            # the start point is cached on the solved problem
+            lb = bounds(prob)[0]
             if lb.is_finite:
                 lb_used += 1
                 if bis.lam.value == lb.value:

@@ -2,7 +2,10 @@
 
 A matrix is max-plus typed (entries in Q + {-inf}) or min-plus typed
 (entries in Q + {+inf}).  Keeping the two families apart is what makes
-the checked scalar sum safe: products never mix -inf with +inf.
+the checked scalar sum safe: products never mix -inf with +inf.  One
+max-plus loop (_dot) computes every product; the min-plus ones run it on
+negated entries, min_k (a_k + b_k) = -max_k (-a_k - b_k), the conjugation
+A -> -A^T of the residuated side.
 
 Conventions: a matrix holds its ExtScalar entries as a tuple of row
 tuples, so it cannot be edited in place; vectors are plain lists of
@@ -16,7 +19,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .semiring import ExtScalar, NEG_INF, POS_INF, ZERO, fin, scal, tmax, tmin
+from .semiring import ExtScalar, NEG_INF, ZERO, fin, scal, tmax, tmin
 
 
 class TypingError(ValueError):
@@ -109,58 +112,42 @@ def mat_add(A: TropMatrix, B: TropMatrix) -> TropMatrix:
     )
 
 
+def _dot(row, col) -> ExtScalar:
+    """max_k (row_k + col_k) over the pairs with no -inf; -inf when none
+    is left.  The min-plus products call it on negated entries: there
+    min_k (a_k + b_k) over the pairs with no +inf is -_dot(-a, -b)."""
+    best = NEG_INF
+    for a, b in zip(row, col):
+        if a.is_neg_inf or b.is_neg_inf:
+            continue
+        cand = a + b
+        if best < cand:
+            best = cand
+    return best
+
+
+def _neg(rows):
+    return [[e.conj() for e in row] for row in rows]
+
+
 def mat_mul(A: TropMatrix, B: TropMatrix) -> TropMatrix:
     """Max-plus product: C_ij = max_k (A_ik + B_kj)."""
     if A.typing != "max" or B.typing != "max":
         raise TypingError("mat_mul is for max-plus typed matrices")
     if A.cols != B.rows:
         raise TypingError("inner dimensions disagree")
-    out = []
-    for i in range(A.rows):
-        arow = A.data[i]
-        orow = []
-        for j in range(B.cols):
-            best = NEG_INF
-            for k in range(A.cols):
-                a = arow[k]
-                if a.is_neg_inf:
-                    continue
-                b = B.data[k][j]
-                if b.is_neg_inf:
-                    continue
-                cand = a + b
-                if best < cand:
-                    best = cand
-            orow.append(best)
-        out.append(orow)
-    return TropMatrix(out, "max")
+    cols = list(zip(*B.data))
+    return TropMatrix([[_dot(row, col) for col in cols] for row in A.data], "max")
 
 
 def dual_mat_mul(A: TropMatrix, B: TropMatrix) -> TropMatrix:
-    """Min-plus product: C_ij = min_k (A_ik + B_kj)."""
+    """Min-plus product: C_ij = min_k (A_ik + B_kj) = -max_k (-A_ik - B_kj)."""
     if A.typing != "min" or B.typing != "min":
         raise TypingError("dual_mat_mul is for min-plus typed matrices")
     if A.cols != B.rows:
         raise TypingError("inner dimensions disagree")
-    out = []
-    for i in range(A.rows):
-        arow = A.data[i]
-        orow = []
-        for j in range(B.cols):
-            best = POS_INF
-            for k in range(A.cols):
-                a = arow[k]
-                if a.is_pos_inf:
-                    continue
-                b = B.data[k][j]
-                if b.is_pos_inf:
-                    continue
-                cand = a + b
-                if cand < best:
-                    best = cand
-            orow.append(best)
-        out.append(orow)
-    return TropMatrix(out, "min")
+    cols = _neg(zip(*B.data))
+    return TropMatrix([[_dot(row, col).conj() for col in cols] for row in _neg(A.data)], "min")
 
 
 def conjugate(A: TropMatrix) -> TropMatrix:
@@ -176,47 +163,25 @@ def conjugate(A: TropMatrix) -> TropMatrix:
 
 
 def mat_vec_mul(A: TropMatrix, x: list) -> list:
-    """Max-plus matrix–vector product; x may contain -inf."""
+    """Max-plus matrix–vector product; x may hold either infinity."""
     xs = [scal(v) for v in x]
     if A.typing != "max":
         raise TypingError("mat_vec_mul is for max-plus typed matrices")
     if len(xs) != A.cols:
         raise TypingError("dimension mismatch")
-    out = []
-    for i in range(A.rows):
-        best = NEG_INF
-        arow = A.data[i]
-        for k in range(A.cols):
-            a = arow[k]
-            if a.is_neg_inf or xs[k].is_neg_inf:
-                continue
-            cand = a + xs[k]
-            if best < cand:
-                best = cand
-        out.append(best)
-    return out
+    return [_dot(row, xs) for row in A.data]
 
 
 def dual_mat_vec_mul(A: TropMatrix, x: list) -> list:
-    """Min-plus matrix–vector product; x may contain +inf."""
+    """Min-plus matrix–vector product, -((-A)(-x)) on the max-plus loop;
+    x may hold either infinity."""
     xs = [scal(v) for v in x]
     if A.typing != "min":
         raise TypingError("dual_mat_vec_mul is for min-plus typed matrices")
     if len(xs) != A.cols:
         raise TypingError("dimension mismatch")
-    out = []
-    for i in range(A.rows):
-        best = POS_INF
-        arow = A.data[i]
-        for k in range(A.cols):
-            a = arow[k]
-            if a.is_pos_inf or xs[k].is_pos_inf:
-                continue
-            cand = a + xs[k]
-            if cand < best:
-                best = cand
-        out.append(best)
-    return out
+    neg_x = [v.conj() for v in xs]
+    return [_dot(row, neg_x).conj() for row in _neg(A.data)]
 
 
 # ---------------------------------------------------------------------------

@@ -189,10 +189,12 @@ class PseudolinearProblem(_ProblemData):
         return objective(self, x)
 
 
-def parametric_game(prob: PseudolinearProblem, lam) -> TwoSidedSystem:
-    """The two-sided system over (x, t) whose finite solvability is
-    equivalent to feasibility at level lam.  Raises IsolatedNode when a
-    variable never occurs on the constraining side."""
+def parametric_game(prob, lam) -> TwoSidedSystem:
+    """The literal two-sided system over (x, t) at level lam of a
+    pseudolinear or pseudoquadratic problem (parametric_game_quad is this
+    function): finitely solvable exactly when some feasible x has
+    objective at most lam.  Raises IsolatedNode when a variable never
+    occurs on the constraining side."""
     A, B, _ = _literal_pair(prob, lam, aug=False)
     return TwoSidedSystem(A, B)
 
@@ -890,7 +892,7 @@ def _newton(prob, mode, tol, bounds) -> SolveOutcome:
         try:
             lam, x_lam = drop(sigma, sig_idx)
         except InfeasibleReduction:
-            break  # cannot happen for a certified strategy; drop target +inf
+            raise EngineError(f"infeasible strategy reduction below the level {lam_k}")
         if lam is None:
             if not lb.is_neg_inf:
                 raise EngineError("unbounded drop despite a finite lower bound")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .games import TwoSidedSystem
 from .semiring import ExtScalar, POS_INF, fin, tmax
 from .pseudolinear import (
     SolveOutcome,
@@ -24,10 +23,10 @@ from .pseudolinear import (
     _bisect,
     _checked_point,
     _compiled,
-    _literal_pair,
     _newton,
     _ProblemData,
     _require,
+    parametric_game,
 )
 
 __all__ = [
@@ -56,11 +55,7 @@ class PseudoquadraticProblem(_ProblemData):
         return objective_quad(self, x)
 
 
-def parametric_game_quad(prob: PseudoquadraticProblem, lam) -> TwoSidedSystem:
-    """The literal parametric two-sided system at level lam; raises
-    IsolatedNode when a variable never occurs on the constraining side."""
-    A, B, _ = _literal_pair(prob, lam, aug=False)
-    return TwoSidedSystem(A, B)
+parametric_game_quad = parametric_game
 
 
 def objective_quad(prob: PseudoquadraticProblem, x) -> ExtScalar:

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropopt import (
     NEG_INF,
@@ -104,6 +105,72 @@ def test_dual_mul_typing():
         dual_mat_vec_mul(M([[0]]), [ZERO])  # max-typed into the dual product
     with pytest.raises(TypingError):
         dual_mat_mul(M([[0]], typing="min"), M([[0]]))
+
+
+_NEG, _POS = float("-inf"), float("inf")
+_FIN = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 4)).map(fin)
+
+
+def _line(e):
+    """e on the extended line: its Fraction, or a float infinity."""
+    return e.value if e.is_finite else (_NEG if e.is_neg_inf else _POS)
+
+
+def _brute(rows, cols, typing):
+    """max (min) over k of a_k + b_k for each row and column, skipping the
+    pairs with a -inf (+inf); -inf (+inf) when no pair is left."""
+    skip, pick = (_NEG, max) if typing == "max" else (_POS, min)
+    return [
+        [
+            pick((a + b for a, b in zip(row, col) if skip not in (a, b)), default=skip)
+            for col in cols
+        ]
+        for row in rows
+    ]
+
+
+def _ext(v):
+    return fin(v) if isinstance(v, Fraction) else NEG_INF if v < 0 else POS_INF
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_products_match_brute_force(data):
+    """The four products against a brute-force max/min over k, with both
+    infinities in the vectors, also the one the matrix typing excludes;
+    then the TypingError messages for a wrong typing and for mismatched
+    dimensions."""
+    r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+    products = (("max", mat_mul, mat_vec_mul), ("min", dual_mat_mul, dual_mat_vec_mul))
+    for typing, mul, vec in products:
+        entry = st.one_of(_FIN, st.just(NEG_INF if typing == "max" else POS_INF))
+
+        def row(entry, size):
+            return st.lists(entry, min_size=size, max_size=size)
+
+        A, B = (TropMatrix(data.draw(row(row(entry, n), m)), typing) for m, n in ((r, k), (k, c)))
+        x = data.draw(row(st.one_of(_FIN, st.sampled_from([NEG_INF, POS_INF])), k))
+        rows = [[_line(e) for e in row] for row in A.data]
+        want = _brute(rows, [[_line(e) for e in col] for col in zip(*B.data)], typing)
+        assert mul(A, B) == TropMatrix([[_ext(v) for v in row] for row in want], typing)
+        assert vec(A, x) == [_ext(row[0]) for row in _brute(rows, [[_line(e) for e in x]], typing)]
+
+        other = "min" if typing == "max" else "max"
+
+        def zeros(rows, cols):
+            return TropMatrix([[ZERO] * cols for _ in range(rows)], other)
+
+        wrong = f"is for {typing}-plus typed matrices$"
+        with pytest.raises(TypingError, match=f"^{mul.__name__} {wrong}"):
+            mul(zeros(r, k), B)
+        with pytest.raises(TypingError, match=f"^{mul.__name__} {wrong}"):
+            mul(A, zeros(k, c))
+        with pytest.raises(TypingError, match=f"^{vec.__name__} {wrong}"):
+            vec(zeros(r, k), x)
+        with pytest.raises(TypingError, match="^inner dimensions disagree$"):
+            mul(A, TropMatrix(B.data + B.data[:1], typing))
+        with pytest.raises(TypingError, match="^dimension mismatch$"):
+            vec(A, x + [ZERO])
 
 
 def _rand_entry(rng, density, lo=-9, hi=9):

@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 
+from tropopt import pseudolinear
 from tropopt import (
     NEG_INF,
     POS_INF,
     AlcovedProblem,
+    EngineError,
     InfeasibleReduction,
     IsolatedNode,
     PseudolinearProblem,
@@ -317,6 +319,21 @@ def test_infeasible_instance():
     for out in (bisection_solve(prob), newton_solve(prob)):
         assert out.status == "infeasible"
         assert out.lam is None and out.x is None
+
+
+def test_newton_refuses_a_failed_drop(monkeypatch):
+    """A drop that finds the strategy-reduced problem infeasible contradicts
+    the certified strategy: Newton raises instead of calling the level it
+    was at optimal (61 here, where the optimum is 31/2)."""
+    prob = gen_random(5, 5, 20, 100, 0)
+    assert bisection_solve(prob).lam == fin(F(31, 2))
+
+    def infeasible(*args):
+        raise InfeasibleReduction("bounds incompatible with coupling")
+
+    monkeypatch.setattr(pseudolinear, "_alcoved", infeasible)
+    with pytest.raises(EngineError, match="infeasible strategy reduction below the level 61"):
+        newton_solve(prob)
 
 
 def test_mode_validation():
