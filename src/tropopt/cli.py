@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .experiments import parse_dims, run_experiments, write_csv
+from .experiments import _kind, parse_dims, run_experiments, write_csv
 from .games import IsolatedNode
 from .io import (
     dump_problem,
@@ -24,16 +24,12 @@ from .io import (
     scalar_to_json,
 )
 from .pseudolinear import (
-    PseudolinearProblem,
-    bisection_solve,
     certify_optimal,
     certify_unbounded,
-    newton_solve,
     optimality_certificate,
     spectral_value,
     unboundedness_certificate,
 )
-from .pseudoquadratic import bisection_solve_quad, newton_solve_quad
 from .random_instances import gen_random
 
 _EXIT = {"optimal": 0, "infeasible": 2, "unbounded": 3}
@@ -50,11 +46,8 @@ def _emit(doc):
 
 def _cmd_solve(args):
     prob = _load(args.file)
-    linear = isinstance(prob, PseudolinearProblem)
-    if args.method == "bisection":
-        fn = bisection_solve if linear else bisection_solve_quad
-    else:
-        fn = newton_solve if linear else newton_solve_quad
+    bisect, newton = _kind(prob)
+    fn = bisect if args.method == "bisection" else newton
     tol = parse_level(args.tol) if args.tol is not None else None
     out = fn(prob, mode=args.mode, tol=tol)
     print(format_outcome(out, include_trace=args.trace))

@@ -31,11 +31,7 @@ from .pseudolinear import (
     initial_bounds,
     newton_solve,
 )
-from .pseudoquadratic import (
-    bisection_solve_quad,
-    bounds_quad,
-    newton_solve_quad,
-)
+from .pseudoquadratic import bisection_solve_quad, newton_solve_quad
 from .random_instances import gen_random
 
 CSV_FIELDS = [
@@ -49,10 +45,10 @@ CSV_FIELDS = [
 
 
 def _kind(prob):
-    """(bounds, bisection, Newton) of the problem's kind."""
+    """(bisection, Newton) of the problem's kind."""
     if isinstance(prob, PseudolinearProblem):
-        return initial_bounds, bisection_solve, newton_solve
-    return bounds_quad, bisection_solve_quad, newton_solve_quad
+        return bisection_solve, newton_solve
+    return bisection_solve_quad, newton_solve_quad
 
 
 def _mean(xs):
@@ -72,10 +68,10 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
         for t in range(trials):
             s = seed * 1000003 + di * 10007 + t
             prob = gen_random(dim, dim, weight_range, density, s, quadratic)
-            bounds, bisect, newton = _kind(prob)
+            bisect, newton = _kind(prob)
             if lb_only:
                 rec = _compiled(prob)
-                lb, up, wit = bounds(prob)
+                lb, up, wit = initial_bounds(prob)
                 if wit is None:
                     continue
                 feasible += 1
@@ -104,7 +100,7 @@ def run_experiments(dims, trials, weight_range, density, seed, lb_only=False, qu
             bis_iters.append(bis.iterations)
             newt_iters.append(newt.iterations)
             # the start point is cached on the solved problem
-            lb = bounds(prob)[0]
+            lb = initial_bounds(prob)[0]
             if lb.is_finite:
                 lb_used += 1
                 if bis.lam.value == lb.value:

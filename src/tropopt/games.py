@@ -630,23 +630,6 @@ def _solves(Aw, Af, Bw, Bf, xs) -> bool:
     return not np.any(lhs > rhs)
 
 
-def _finite_point(Aw, Af, Bw, Bf, L: int, sweeps: int):
-    """A finite solution of the system scaled by L, in scaled units, or
-    None; the two stages of feasible_finite before its check.  Rows with
-    no finite entry constrain nothing (see _live_rows)."""
-    _live_rows(Af, Bf)
-    WL = max(_abs_max(Aw.ravel()), _abs_max(Bw.ravel()))
-    fix = _descend_scaled(Aw, Af, Bw, Bf, 2 * WL + 2 * L, sweeps)
-    if fix is not None:
-        x, finite, _, _ = fix
-        return x if finite.all() else None  # greatest solution below the seed
-    arena, _ = _pair_arena(Aw, Af, Bw, Bf, L)
-    g_num, *_, (sig_idx, _) = solve_arena(arena)
-    if np.any(g_num < 0):
-        return None
-    return _bf_witness(arena, sig_idx)
-
-
 def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     """A finite solution of A (x) <= B (x) as a list of Fractions, or None.
 
@@ -656,8 +639,9 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     below the seed); if the descent is inconclusive, the game decides
     the sign; a Bellman-Ford potential built from the optimal Max
     strategy then always produces a witness.  The witness is checked
-    exactly before it is returned.  sys may also be given scaled: the
-    tuple (Aw, Af, Bw, Bf, L) of _scaled's arrays at the scale L.
+    exactly before it is returned.  Rows with no finite entry constrain
+    nothing (see _live_rows).  sys may also be given scaled: the tuple
+    (Aw, Af, Bw, Bf, L) of _scaled's arrays at the scale L.
     """
     if isinstance(sys, TwoSidedSystem):
         L = _den_lcm(sys.A, sys.B)
@@ -665,9 +649,19 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     Aw, Af, Bw, Bf, L = sys
     if max_sweeps is None:
         max_sweeps = 3 * sum(Af.shape) + 6
-    x = _finite_point(Aw, Af, Bw, Bf, L, max_sweeps)
-    if x is None:
-        return None
+    _live_rows(Af, Bf)
+    WL = max(_abs_max(Aw.ravel()), _abs_max(Bw.ravel()))
+    fix = _descend_scaled(Aw, Af, Bw, Bf, 2 * WL + 2 * L, max_sweeps)
+    if fix is not None:
+        x, finite, _, _ = fix
+        if not finite.all():  # the greatest solution below the seed
+            return None
+    else:
+        arena, _ = _pair_arena(Aw, Af, Bw, Bf, L)
+        g_num, *_, (sig_idx, _) = solve_arena(arena)
+        if np.any(g_num < 0):
+            return None
+        x = _bf_witness(arena, sig_idx)
     xs = [int(v) for v in x]
     if not _solves(Aw, Af, Bw, Bf, xs):
         raise EngineError("finite witness violates the system")

@@ -340,25 +340,14 @@ def _relax(n, src, dst, w, x, parent=None, segs=None):
 
 
 def _negative_cycle(n, src, dst, w):
-    """The arcs of a negative cycle, or None.  Bellman-Ford from 0 at every
-    node with parent arcs: every cycle of the parent graph is negative, and
-    a negative cycle keeps the rounds from settling, which leaves one there
-    after n + 1 rounds; pointer doubling finds a node on it.  The arcs come
-    grouped by source (see _relax)."""
+    """The parent arcs of Bellman-Ford from 0 at every node, one out of
+    each node it lowered.  Every cycle of the parent graph is negative,
+    and a negative cycle keeps the rounds from settling, which leaves one
+    there after n + 1 rounds.  The arcs come grouped by source (see
+    _relax)."""
     parent = np.full(n, -1, dtype=np.int64)
     _relax(n, src, dst, w, np.zeros(n, dtype=w.dtype), parent)
-    nxt = np.append(np.append(dst, n)[parent], n)
-    for _ in range(n.bit_length()):
-        nxt = nxt[nxt]
-    on = nxt[:n][nxt[:n] < n]
-    if not len(on):
-        return None
-    start = v = int(on[0])
-    arcs = []
-    while not arcs or v != start:
-        arcs.append(int(parent[v]))
-        v = int(dst[arcs[-1]])
-    return arcs
+    return parent[parent >= 0]
 
 
 def _reach_negative(n, src, dst, w, nonpositive=False):
@@ -428,12 +417,13 @@ def _min_ratio(ns, src, dst, w, t, num, den, segs=None):
     some cycle is negative in wp, and the iteration moves down to its
     ratio.  That cycle is the greedy one of the unsettled potentials,
     tried every _CHECK_ROUNDS rounds, when it is lower, and after ns + 1
-    rounds the exact negative cycle.  A negative cycle with T = 0 has no
-    ratio (EngineError).  Returns (num, den, wp, pi, steps): the least
-    ratio (reduced, or num / den as given when nothing lies below it), wp
-    and the settled potentials pi there, and the number of steps down.  On
-    int64 while _fit admits every value formed, on Python ints beyond.
-    segs is _segments(src) when the caller has it."""
+    rounds the least-ratio cycle of the Bellman-Ford parent graph, whose
+    cycles are all negative (_negative_cycle).  A negative cycle with
+    T = 0 has no ratio (EngineError).  Returns (num, den, wp, pi, steps):
+    the least ratio (reduced, or num / den as given when nothing lies
+    below it), wp and the settled potentials pi there, and the number of
+    steps down.  On int64 while _fit admits every value formed, on
+    Python ints beyond.  segs is _segments(src) when the caller has it."""
     segs = _segments(src) if segs is None else segs
     top, ttop = max(_abs_max(w), 1), max(_abs_max(t), 1)
 

@@ -47,7 +47,6 @@ from .games import (
     InvalidStrategy,
     TwoSidedSystem,
     _descend_scaled,
-    _finite_point,
     _layout,
     _least,
     _least_level,
@@ -56,7 +55,7 @@ from .games import (
     feasible_finite,
     solve_arena,
 )
-from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal
+from .semiring import ExtScalar, NEG_INF, POS_INF, fin, scal, tmax
 
 _NEWTON_CAP = 100000
 _BISECT_CAP = 100000
@@ -185,9 +184,6 @@ class PseudolinearProblem(_ProblemData):
     def __init__(self, U, V, b, d, p, q):
         self._load(dict(U=U, V=V, b=b, d=d, p=p, q=q))
 
-    def _objective(self, x):
-        return objective(self, x)
-
 
 def parametric_game(prob, lam) -> TwoSidedSystem:
     """The literal two-sided system over (x, t) at level lam of a
@@ -200,15 +196,17 @@ def parametric_game(prob, lam) -> TwoSidedSystem:
 
 
 def objective(prob, x) -> ExtScalar:
-    """f(x) = max_j max(p_j - x_j, x_j - q_j); x must be finite.  Exact
-    on the compiled record's integers."""
+    """f(x) = max_j max(p_j - x_j, x_j - q_j), and for a pseudoquadratic
+    problem also the coupling terms max_j ((C x)_j - x_j) (objective_quad
+    is this function); x must be finite.  Exact on the compiled record's
+    integers."""
     rec = _compiled(prob)
-    return rec.objective(_checked_point(x, rec.n), coupling=False)
+    return rec.objective(_checked_point(x, rec.n))
 
 
 def _require(prob, kind):
-    """TypingError unless prob is a kind instance: each solver takes the
-    bounds and the level structure of its own problem kind."""
+    """TypingError unless prob is a kind instance: each public solver
+    answers for its own problem kind only."""
     if not isinstance(prob, kind):
         raise TypingError(f"this solver takes a {kind.__name__}, not a {type(prob).__name__}")
 
@@ -389,10 +387,13 @@ class _Compiled:
         return fin(Fraction(int((p - q)[both].max()), 2 * self.L)) if both.any() else NEG_INF
 
     @cached_property
-    def coupling_mean(self):
-        """The largest cycle mean of C, None when C is acyclic."""
-        mu = _max_cycle_mean(*self.data["C"])
-        return None if mu is None else mu / self.L
+    def lower(self) -> ExtScalar:
+        """The a-priori lower level bound: the anchor gap, raised for
+        pseudoquadratic data to the largest cycle mean of C when that is
+        higher (a cycle of C bounds the coupling term from below on any
+        x)."""
+        mu = _max_cycle_mean(*self.data["C"]) if self.quad else None
+        return self.anchor if mu is None else tmax(self.anchor, fin(mu / self.L))
 
     @cached_property
     def drop(self):
@@ -404,15 +405,15 @@ class _Compiled:
         arrays, big = _filled(parts + [(self.data["q"][0] * 2, self.data["q"][1], 1)], self.n)
         return (*arrays, 2 * self.L, big)
 
-    def objective(self, xs, coupling):
+    def objective(self, xs):
         """The objective at the finite point xs (ExtScalars) on Python
-        ints: the anchor terms, and the coupling terms when asked for."""
+        ints: the anchor terms, and the coupling terms of quad data."""
         L = lcm(self.L, *(v.value.denominator for v in xs))
         f = L // self.L
         x = np.array([v.value.numerator * (L // v.value.denominator) for v in xs], dtype=object)
         (p, pf), (q, qf) = self.data["p"], self.data["q"]
         terms = [(p.astype(object) * f - x)[pf], (x - q.astype(object) * f)[qf]]
-        if coupling:
+        if self.quad:
             Cw, Cf = self.data["C"]
             Cw, live = Cw.astype(object) * f, Cf.any(axis=1)
             low = -(_abs_max(Cw.ravel()) + _abs_max(x) + 1)
@@ -557,11 +558,14 @@ def _descent_witness(rec):
     return [w[j] - w[n] for j in range(n)]
 
 
-def initial_bounds(prob: PseudolinearProblem):
-    """(lower, upper, witness): the a-priori level bounds and a finite
-    feasible point realizing the upper one.  upper is f(witness); an
-    infeasible problem gets upper = POS_INF and no witness."""
-    lb = _compiled(prob).anchor
+def initial_bounds(prob):
+    """(lower, upper, witness): the a-priori level bounds of a
+    pseudolinear or pseudoquadratic problem (bounds_quad is this
+    function) and a finite feasible point realizing the upper one.  lower
+    is the record's (_Compiled.lower), upper is f(witness), the coupling
+    terms included for pseudoquadratic data; an infeasible problem gets
+    upper = POS_INF and no witness."""
+    lb = _compiled(prob).lower
     wit = _affine_witness(prob)
     if wit is None:
         return lb, POS_INF, None
@@ -603,13 +607,13 @@ def spectral_value(prob, lam) -> ExtScalar:
 # bisection
 
 
-def _presolve(prob, mode, tol, bounds):
+def _presolve(prob, mode, tol):
     """What the solvers do before any level search: an outcome when the
-    a-priori bounds settle the problem (no feasible point, or a free
-    objective over a feasible set), else (struct, lb, up, wit) with the
-    problem's prepared structure, which is built only then."""
+    a-priori bounds (initial_bounds) settle the problem (no feasible
+    point, or a free objective over a feasible set), else (struct, lb,
+    up, wit) with the problem's prepared structure, built only then."""
     _check_mode(prob, mode, tol)
-    lb, up, wit = bounds(prob)
+    lb, up, wit = initial_bounds(prob)
     if wit is None:
         return SolveOutcome("infeasible", None, None, 0, [])
     rec = _compiled(prob)
@@ -625,12 +629,12 @@ def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> Solv
     denominator lcm, on which the optimum lies, and return the exact
     optimum; real mode only validates tol (the answer is within any)."""
     _require(prob, PseudolinearProblem)
-    return _bisect(prob, mode, tol, initial_bounds)
+    return _bisect(prob, mode, tol)
 
 
-def _bisect(prob, mode, tol, bounds) -> SolveOutcome:
+def _bisect(prob, mode, tol) -> SolveOutcome:
     """Both bisection solvers, on the problem's level grid."""
-    start = _presolve(prob, mode, tol, bounds)
+    start = _presolve(prob, mode, tol)
     if isinstance(start, SolveOutcome):
         return start
     struct, lb, up, _ = start
@@ -669,7 +673,7 @@ def _bisect(prob, mode, tol, bounds) -> SolveOutcome:
 def _optimal_witness(prob, struct, lam):
     """A finite point at level lam with objective exactly lam."""
     x = struct.witness(lam)
-    if prob._objective(x) != fin(lam):
+    if objective(prob, x) != fin(lam):
         raise EngineError(f"witness objective differs from the optimal level {lam}")
     return x
 
@@ -844,17 +848,17 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
     alcoved problem.  Exact in both modes on the grid of multiples of
     1/(2L); real mode only validates tol."""
     _require(prob, PseudolinearProblem)
-    return _newton(prob, mode, tol, initial_bounds)
+    return _newton(prob, mode, tol)
 
 
-def _newton(prob, mode, tol, bounds) -> SolveOutcome:
+def _newton(prob, mode, tol) -> SolveOutcome:
     """Both Newton solvers, on the problem's level grid.  Only the drop
     differs.  Linear data drops to the alcoved closed form of the
     strategy-reduced problem, whose point it keeps.  Pseudoquadratic data
     drops to the least level at which the strategy-reduced game stays
     nonnegative (_ParamStruct.drop), rounded up onto the grid, and finds
     its point at the optimum."""
-    start = _presolve(prob, mode, tol, bounds)
+    start = _presolve(prob, mode, tol)
     if isinstance(start, SolveOutcome):
         return start
     struct, lb, up, x = start
@@ -969,10 +973,10 @@ def certify_optimal(prob, lam, tau, x=None) -> bool:
     """Check an optimality certificate for level lam.
 
     Validity needs (a) a finite feasible point at level lam (x when
-    given, otherwise one is computed), and (b) a column strategy tau in
-    the parametric game at lam from which some start column only reaches
-    cycles of weight <= 0, with cycles avoiding every lam-bearing row
-    strictly negative.  Such a tau forces a negative value below lam, so
+    given, otherwise feasible_finite's, which it checks exactly), and (b)
+    a column strategy tau in the parametric game at lam from which some
+    start column only reaches cycles of weight <= 0, with cycles avoiding
+    every lam-bearing row strictly negative.  Such a tau forces a negative value below lam, so
     together the two halves pin the optimum at lam.
 
     tau indexes rows of the literal parametric pair; rows appended to
@@ -993,7 +997,7 @@ def certify_optimal(prob, lam, tau, x=None) -> bool:
             return False
     else:
         Aw, Af, Bw, Bf, L, lam_rows = _at_level(pair, lam)
-        if _finite_point(Aw, Af, Bw, Bf, L, 3 * sum(Af.shape) + 6) is None:
+        if feasible_finite((Aw, Af, Bw, Bf, L)) is None:
             return False
     M = len(Af)
     if len(tau) != n1:

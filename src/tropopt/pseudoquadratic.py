@@ -8,24 +8,29 @@ same variable), the epigraph rows for p, and the collecting row for q.
 With integer data the optimum has denominator at most n + 1, so exact
 search works on the grid of rationals with bounded denominator; rational
 data is handled by clearing its common denominator first.
+
+The problem's compiled record knows its kind, so the pseudolinear
+functions serve both kinds: objective_quad, parametric_game_quad and
+bounds_quad are objective, parametric_game and initial_bounds, which add
+the coupling terms and the largest cycle mean of C exactly for this
+kind's data.  Only the level grid and Newton's drop differ from the
+linear solvers, and the record picks those too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .semiring import ExtScalar, POS_INF, fin, tmax
 from .pseudolinear import (
     SolveOutcome,
     _FareyGrid,
     _Field,
-    _affine_witness,
     _bisect,
-    _checked_point,
-    _compiled,
     _newton,
     _ProblemData,
     _require,
+    initial_bounds,
+    objective,
     parametric_game,
 )
 
@@ -51,17 +56,10 @@ class PseudoquadraticProblem(_ProblemData):
     def __init__(self, U, V, b, d, p, q, C):
         self._load(dict(U=U, V=V, b=b, d=d, p=p, q=q, C=C))
 
-    def _objective(self, x):
-        return objective_quad(self, x)
-
 
 parametric_game_quad = parametric_game
-
-
-def objective_quad(prob: PseudoquadraticProblem, x) -> ExtScalar:
-    """max of the (p, q) anchor terms and the coupling terms (C x)_j - x_j,
-    exact on the compiled record's integers."""
-    return _compiled(prob).objective(_checked_point(x, prob.shape[1]), coupling=True)
+objective_quad = objective
+bounds_quad = initial_bounds
 
 
 def round_bounded(lam, D: int, direction: str) -> Fraction:
@@ -79,26 +77,6 @@ def round_bounded(lam, D: int, direction: str) -> Fraction:
     return _FareyGrid(D, 1).snap(direction, x)
 
 
-def _lower_bound_quad(prob) -> ExtScalar:
-    """The anchor gap, or the largest cycle mean of C when that is higher
-    (a cycle of C bounds the coupling term from below on any x); the
-    cycle mean runs on the compiled record's integers."""
-    rec = _compiled(prob)
-    mu = rec.coupling_mean
-    return rec.anchor if mu is None else tmax(rec.anchor, fin(mu))
-
-
-def bounds_quad(prob: PseudoquadraticProblem):
-    """(lower, upper, witness): a-priori level bounds, the lower one
-    combining the anchor gap with the largest coupling cycle mean.
-    An infeasible problem gets upper = POS_INF and no witness."""
-    lb = _lower_bound_quad(prob)
-    wit = _affine_witness(prob)
-    if wit is None:
-        return lb, POS_INF, None
-    return lb, objective_quad(prob, wit), wit
-
-
 def bisection_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) -> SolveOutcome:
     """Exact minimizer by level bisection on the bounded-denominator grid.
 
@@ -106,7 +84,7 @@ def bisection_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None)
     denominator lcm, has denominator at most n + 1, and return the exact
     optimum; real mode only validates tol (the answer is within any)."""
     _require(prob, PseudoquadraticProblem)
-    return _bisect(prob, mode, tol, bounds_quad)
+    return _bisect(prob, mode, tol)
 
 
 def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) -> SolveOutcome:
@@ -121,4 +99,4 @@ def newton_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None) ->
     Bellman-Ford, games._least_level).  iterations counts strategy
     evaluations; real mode only validates tol."""
     _require(prob, PseudoquadraticProblem)
-    return _newton(prob, mode, tol, bounds_quad)
+    return _newton(prob, mode, tol)

@@ -723,16 +723,29 @@ def _oracle_game(A, B):
     return vals.chi, [rows[t] for t in vals.tau], sigma
 
 
-def _oracle_feasible(A, B):
+def _oracle_feasible(A, B, exact=False):
     """Whether A (x) <= B (x) (vacuous rows left out) has a finite
-    solution: the Fraction descent when it converges, else the game."""
+    solution: the Fraction descent when it converges, else the game on
+    the integer engine, which refuses weights past its int64 guard as
+    the library's engine does.  With exact, a pair past the guard gets
+    the game's verdict on Fractions instead, by enumerating the row
+    strategies: feasible exactly when each start column has one under
+    which every cycle that Min reaches is nonnegative
+    (one_player_value)."""
     A, B, _ = _live(A, B)
     sys = TwoSidedSystem(A, B)
     W = max(finite_abs_max(A), finite_abs_max(B))
     x, converged = descent_oracle(A, B, W, 3 * (A.rows + A.cols) + 6)
     if converged:
         return all(v.is_finite for v in x)
-    return min(oracle_solve_values(sys).chi) >= 0
+    if not exact or max(W * _den_lcm(A, B), 1) * (max(A.shape) + 2) ** 3 < 1 << 62:
+        return min(oracle_solve_values(sys).chi) >= 0
+    starts = set(range(A.cols))
+    for sigma in enum_max_strategies(B):
+        starts = {j for j in starts if one_player_value(A, B, sigma=sigma, start=j) < 0}
+        if not starts:
+            return True
+    return False
 
 
 def _finite_level(lam):

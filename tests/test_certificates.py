@@ -45,8 +45,7 @@ from tropopt import (
 from tropopt import games
 from tropopt.cli import main as cli_main
 from tropopt.io import BadRational, dump_problem
-from tropopt.pseudolinear import _literal_pair, _sigma_passes, _tau_passes
-from tropopt.pseudoquadratic import _lower_bound_quad
+from tropopt.pseudolinear import _compiled, _literal_pair, _sigma_passes, _tau_passes
 
 from _util import (
     M,
@@ -394,7 +393,7 @@ def test_quad_lower_bound_matches_fraction_cycle_mean(n, data):
     prob = quadprob([[None] * n], [[None] * n], [None], [None], p, ["+inf"] * n, rows)
     C = M(rows)
     anchor = tmax(*[prob.p[j] + prob.q[j].conj() for j in range(n)]).half()
-    assert _lower_bound_quad(prob) == tmax(anchor, oracle_max_cycle_mean(C))
+    assert _compiled(prob).lower == tmax(anchor, oracle_max_cycle_mean(C))
 
 
 # ---------------------------------------------------------------------------

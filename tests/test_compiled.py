@@ -18,7 +18,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropopt import (
     EngineError,
@@ -242,7 +242,9 @@ def test_one_structure_per_problem(quad):
 def _hom_feasible(prob):
     """The oracle's verdict on [U | b] <= [V | d] over (x, t), with a
     tautological row per column that has no finite left entry; a row
-    whose finite left side faces an all -inf right side fails."""
+    whose finite left side faces an all -inf right side fails.  Exact
+    past the engine's int64 guard too, which the code under test may
+    pass by its own descent."""
     n = prob.shape[1]
     A = [list(r) + [b] for r, b in zip(prob.U.data, prob.b)]
     B = [list(r) + [d] for r, d in zip(prob.V.data, prob.d)]
@@ -251,7 +253,7 @@ def _hom_feasible(prob):
             A.append([ZERO if j == c else NEG_INF for j in range(n + 1)])
             B.append(A[-1])
     try:
-        return _oracle_feasible(TropMatrix(A, "max"), TropMatrix(B, "max"))
+        return _oracle_feasible(TropMatrix(A, "max"), TropMatrix(B, "max"), exact=True)
     except IsolatedNode:
         return False
 
@@ -259,13 +261,35 @@ def _hom_feasible(prob):
 @pytest.mark.parametrize("game_descent_too", [False, True])
 @settings(max_examples=150, deadline=None)
 @given(prob=st.booleans().flatmap(_problem))
+@example(
+    prob=linprob(
+        [[None]] * 4,
+        [[None], [None], [Fraction(1, 5**30)], [None]],
+        [None, None, None, 0],
+        [None, 0, 0, Fraction(-1, 7**25)],
+        [None],
+        ["+inf"],
+    )
+)
+@example(
+    prob=linprob(
+        [[None, 0], [None, None], [None, None]],
+        [[None, 0], [Fraction(1, 7**25), None], [None, None]],
+        [None, None, 0],
+        [None, 0, Fraction(-1, 5**30)],
+        [None, 0],
+        ["+inf", "+inf"],
+    )
+)
 def test_start_point_past_an_inconclusive_descent(game_descent_too, prob):
     """The start point when the affine descent is inconclusive (patched
     to return None), and, with game_descent_too, feasible_finite's
     descent as well, so that games alone decide: None exactly when the
     homogenized constraint system has no finite solution (the oracle),
     else a point that meets U x + b <= V x + d exactly.  Data past the
-    int64 guard may get the engine's typed refusal instead."""
+    int64 guard may get the engine's typed refusal instead.  The two
+    examples are feasible systems past the guard, where the oracle's own
+    descent does not settle and its game runs past the engine too."""
     inconclusive = lambda *args: None  # noqa: E731
     with patch.object(pseudolinear, "_descend_scaled", inconclusive), patch.object(
         games, "_descend_scaled", inconclusive if game_descent_too else games._descend_scaled

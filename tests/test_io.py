@@ -16,10 +16,12 @@ from tropopt import (
     PseudolinearProblem,
     PseudoquadraticProblem,
     bisection_solve,
+    bisection_solve_quad,
     dump_problem,
     fin,
     format_outcome,
     gen_random,
+    newton_solve_quad,
     parse_level,
     parse_problem,
     scalar_from_json,
@@ -166,6 +168,19 @@ def test_cli_solve_optimal(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["iterations"] == 3
     assert [pair[0] for pair in doc["trace"]] == [8, 2, 1]
+
+
+def test_cli_solve_pseudoquadratic(tmp_path, capsys):
+    """solve on a pseudoquadratic file: both methods print what the quad
+    solvers return, at the optimum whose bound needs the coupling terms
+    (the linear objective at the start point is 14)."""
+    prob = gen_random(5, 5, 20, 100, 4, True)
+    path = _write(tmp_path, prob)
+    for method, solve in (("bisection", bisection_solve_quad), ("newton", newton_solve_quad)):
+        assert cli_main(["solve", path, "--method", method, "--trace"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out == format_outcome(solve(prob), include_trace=True)
+        assert json.loads(out)["lambda"] == 19
 
 
 def test_cli_solve_exit_codes(tmp_path, capsys):

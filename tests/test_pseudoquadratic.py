@@ -13,6 +13,7 @@ import pytest
 from tropopt import (
     NEG_INF,
     POS_INF,
+    PseudolinearProblem,
     PseudoquadraticProblem,
     TropMatrix,
     TypingError,
@@ -21,16 +22,18 @@ from tropopt import (
     bounds_quad,
     fin,
     gen_random,
+    initial_bounds,
     mat_vec_mul,
     newton_solve,
     newton_solve_quad,
+    objective,
     objective_quad,
     parametric_game_quad,
     round_bounded,
     spectral_value,
 )
 
-from _util import E, M, V, quadprob
+from _util import E, M, V, oracle_objective, quadprob
 
 F = Fraction
 
@@ -183,6 +186,33 @@ def test_bounds_quad():
     assert up2.is_pos_inf and wit2 is None
 
 
+def test_one_bounds_and_objective_for_both_kinds():
+    """bounds_quad and objective_quad are initial_bounds and objective,
+    which read the kind off the problem's record.  On a pseudolinear
+    problem they answer as the linear pair does (they raised KeyError 'C'
+    when they were separate functions).  On pseudoquadratic data the
+    upper bound is the start point's objective with its coupling terms,
+    so it lies at or above the optimum; the linear objective alone put it
+    below on seed 4 (14 against 19) and 3 other seeds here."""
+    assert bounds_quad is initial_bounds and objective_quad is objective
+    lin = gen_random(3, 3, 5, 100, 0)
+    lb, up, wit = bounds_quad(lin)
+    assert (lb, up) == (fin(2), fin(15))
+    assert objective_quad(lin, wit) == oracle_objective(lin, V(wit)) == up
+    below = 0
+    for s in range(40):
+        prob = gen_random(5, 5, 20, 100, s, True)
+        lb, up, wit = initial_bounds(prob)
+        out = bisection_solve_quad(prob)
+        assert (wit is None) == (out.status == "infeasible")
+        if out.status == "optimal":
+            assert objective(prob, wit) == oracle_objective(prob, V(wit)) == up
+            assert lb <= out.lam <= up
+            anchors = PseudolinearProblem(*(getattr(prob, f) for f in "UVbdpq"))
+            below += objective(anchors, wit) < out.lam
+    assert below == 4
+
+
 def test_golden_quad_solve():
     prob = _golden_quad()
     ob = bisection_solve_quad(prob)
@@ -279,11 +309,12 @@ def test_quad_real_mode_scaled_exact():
 
 
 def test_solvers_refuse_the_other_problem_kind():
-    """Each solver takes its own kind only.  A linear solver on
-    pseudoquadratic data would bound by the linear objective but probe
-    the coupled structure (it raised EngineError: no finite point at the
-    feasible level 14 on this instance), and a quad solver on linear data
-    found no coupling matrix (KeyError 'C')."""
+    """Each solver takes its own kind only.  Before the bounds read the
+    kind off the record, a linear solver on pseudoquadratic data bounded
+    by the linear objective but probed the coupled structure (it raised
+    EngineError: no finite point at the feasible level 14 on this
+    instance), and a quad solver on linear data found no coupling matrix
+    (KeyError 'C')."""
     quad = gen_random(5, 5, 20, 100, 4, True)
     linear = gen_random(5, 5, 20, 100, 4)
     assert bisection_solve_quad(quad).status == "optimal"
