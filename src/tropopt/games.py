@@ -56,6 +56,7 @@ from .matrix import (
     _first_best,
     _fit,
     _min_ratio,
+    _reach_negative,
     _relax,
     _scaled,
     _segments,
@@ -329,7 +330,7 @@ def _bias(ns, src, dst, wp, pi, prev=None, gain=None, segs=None):
     return vhat, critical
 
 
-def _one_player_min(ns, src, dst, w, cand=None, prev=None, segs=None):
+def _one_player_min(ns, src, dst, w, cand, prev=None, segs=None):
     """Exact one-player evaluation of a Min-controlled weighted graph.
 
     Every node must have an outgoing arc.  Returns (g_num, g_den, vhat,
@@ -338,26 +339,20 @@ def _one_player_min(ns, src, dst, w, cand=None, prev=None, segs=None):
     own gain level, the mask of the critical nodes (see _bias), and the
     rank of each node's gain level, 0 for the least gain.
 
-    cand is a candidate Min strategy, one arc per node (each node's first
-    arc when None).  The least mean of its cycles bounds the graph's
-    least cycle mean g from above, and _min_ratio lowers it to g.  When
-    the bias then reaches a critical node (on a cycle of mean g) from
-    every node, g is every node's gain.  Otherwise the nodes that reach
-    one have gain g, and the rest, which no arc leaves, is solved the
-    same way from cand's arcs there, level after level; the bias per
-    level then comes from the arcs that join equal gains.  Every cycle of
-    a level's mean is critical, so the rest reaches none and each level's
-    gain lies strictly above the last (Cochet-Terrasson and Gaubert, C. R.
-    Acad. Sci. Paris 343, 2006): the ranks, numbered in the order the
-    levels are found, order the gains exactly; a level that is not higher
-    raises EngineError.  Either way the bias carries that of prev, the
-    previous evaluation, when given (see _bias).  segs is _segments(src)
-    when the caller has it."""
-    if cand is None:
-        off = _offsets(src, ns)
-        if np.any(off[1:] == off[:-1]):
-            raise EngineError("node with no reachable cycle; graph not total")
-        cand = off[:-1]
+    cand is a candidate Min strategy, one arc per node.  The least mean
+    of its cycles bounds the graph's least cycle mean g from above, and
+    _min_ratio lowers it to g.  When the bias then reaches a critical
+    node (on a cycle of mean g) from every node, g is every node's gain.
+    Otherwise the nodes that reach one have gain g, and the rest, which
+    no arc leaves, is solved the same way from cand's arcs there, level
+    after level; the bias per level then comes from the arcs that join
+    equal gains.  Every cycle of a level's mean is critical, so the rest
+    reaches none and each level's gain lies strictly above the last
+    (Cochet-Terrasson and Gaubert, C. R. Acad. Sci. Paris 343, 2006): the
+    ranks, numbered in the order the levels are found, order the gains
+    exactly; a level that is not higher raises EngineError.  Either way
+    the bias carries that of prev, the previous evaluation, when given
+    (see _bias).  segs is _segments(src) when the caller has it."""
     one = np.ones(len(src), dtype=np.int64)
     start = _cycle_ratio(dst[cand], w[cand], one[cand])
     num, den, wp, pi, _ = _min_ratio(ns, src, dst, w, one, *start, segs)
@@ -400,7 +395,7 @@ class _Evaluation(namedtuple("_Evaluation", "g_num g_den vhat critical lvl t_dst
     __slots__ = ()
 
 
-def _evaluate(arena: Arena, sig_idx, cand=None, prev=None) -> _Evaluation:
+def _evaluate(arena: Arena, sig_idx, cand, prev=None) -> _Evaluation:
     """The one-player evaluation of sig_idx, from the candidate Min arcs
     cand and carrying the bias of the previous evaluation prev, when
     given (see _one_player_min)."""
@@ -457,9 +452,8 @@ def _gate(arena: Arena, ev: _Evaluation, tau):
     gain level: some potential pi has pi_j <= r + pi_l on every arc within
     a level, r the reduced weight g_num - w * g_den.  The negated bias of
     the evaluation is one whenever no switch improves sigma and tau is
-    tight, so it is tried first; otherwise Bellman-Ford from zeros on r
-    decides, as it leaves such a potential exactly when it settles within
-    n_min + 1 rounds."""
+    tight, so it is tried first; otherwise one exists exactly when no
+    cycle is negative in r (_reach_negative)."""
     tau_arr = np.asarray(tau, dtype=np.int64)
     e = _first(arena.a_tgt == tau_arr[arena.a_src], arena.a_off)
     if np.any(e < 0):
@@ -476,9 +470,8 @@ def _gate(arena: Arena, ev: _Evaluation, tau):
     src, dst = src[level], dst[level]
     w = ev.g_num[src] - (arena.a_w[e][src] + arena.b_w[arc[level]]) * ev.g_den[src]
     pi = -ev.vhat
-    if np.any(pi[src] > w + pi[dst]):
-        pi = _relax(arena.n_min, src, dst, w, np.zeros(arena.n_min, dtype=np.int64))
-    return not np.any(pi[src] > w + pi[dst])
+    potential = not np.any(pi[src] > w + pi[dst])
+    return potential or not _reach_negative(arena.n_min, src, dst, w).any()
 
 
 def _seed_sigma(arena: Arena):

@@ -257,7 +257,7 @@ def kleene_star(A: TropMatrix) -> TropMatrix:
 
 # ---------------------------------------------------------------------------
 # cycle ratios on scaled integers: Bellman-Ford, Dinkelbach's iteration,
-# and the negative-cycle test of the certificate checks
+# and the negative-cycle test of the gate and the certificate checks
 
 _INF64 = np.int64(1) << 62
 
@@ -350,26 +350,21 @@ def _negative_cycle(n, src, dst, w):
     return parent[parent >= 0]
 
 
-def _reach_negative(n, src, dst, w, nonpositive=False):
-    """Mask of the nodes that reach a cycle of negative weight (of weight
-    <= 0 when nonpositive): those lowered by round n + 1 of a Jacobi
-    Bellman-Ford from zeros.  After n rounds a node that reaches no
-    negative cycle holds its least walk weight, that of a simple path, so
-    the round lowers only nodes that reach one; and it lowers a node of
-    every negative cycle, since unlowered nodes all round a cycle would
-    sum to a weight >= 0.  With nonpositive the weights become
-    (n + 1) w - 1, which makes a cycle of at most n arcs negative exactly
-    when its weight was <= 0.  The arcs come grouped by source (see
-    _relax); w is int64 or Python ints, and the rounds run on int64 while
-    _fit admits every walk weight."""
-    k = n + 1 if nonpositive else 1
-    w = _fit(w, (n + 1) * (k * _abs_max(w) + 1))
-    if nonpositive:
-        w = k * w - 1
+def _reach_negative(n, src, dst, w):
+    """Mask of the nodes that reach a cycle of negative weight.  Round
+    n + 1 of a Jacobi Bellman-Ford from zeros lowers only such nodes:
+    after n rounds a node that reaches no negative cycle holds its least
+    walk weight, that of a simple path.  It lowers a node of every
+    negative cycle, since unlowered nodes all round a cycle would sum to
+    a weight >= 0.  So a node reaches a negative cycle exactly when it
+    reaches a lowered node, which one zero-weight pass finds.  The arcs
+    come grouped by source (see _relax); w is int64 or Python ints, and
+    the rounds run on int64 while _fit admits every walk weight."""
+    w = _fit(w, (n + 1) * (_abs_max(w) + 1))
     x = _relax(n - 1, src, dst, w, np.zeros(n, dtype=w.dtype))
-    low = np.zeros(n, dtype=bool)
-    low[src[x[src] > w + x[dst]]] = True
-    return low
+    low = np.ones(n, dtype=np.int64)
+    low[src[x[src] > w + x[dst]]] = 0
+    return _relax(n, src, dst, np.zeros(len(src), dtype=np.int64), low) == 0
 
 
 def _cycle_ratio(nxt, c, t):

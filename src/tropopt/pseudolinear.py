@@ -32,8 +32,6 @@ from .matrix import (
     TypingError,
     _GUARD,
     _abs_max,
-    _adjacency,
-    _closure,
     _fit,
     _max_cycle_mean,
     _reach_negative,
@@ -341,11 +339,11 @@ class _Compiled:
         """No finite p, q or coupling entry: nothing bounds the level."""
         return not self.core[1][self.m :].any()
 
-    def _with_aug(self, rows, own_scale):
+    def _with_aug(self, rows):
         """The pair of the core rows `rows` (ascending) plus one
         tautological "aug" row x_c <= x_c for each column they leave
-        without a finite left entry; rescaled to the denominator lcm of its
-        own entries when own_scale, else kept at L."""
+        without a finite left entry, rescaled to the denominator lcm of its
+        own entries (on all rows that is L, the data's)."""
         Aw, Af, Bw, Bf = (a[rows] for a in self.core)
         aug = np.flatnonzero(~Af.any(axis=0))
         eye = np.zeros((len(aug), self.n + 1), dtype=bool)
@@ -353,7 +351,7 @@ class _Compiled:
         Af, Bf = np.vstack([Af, eye]), np.vstack([Bf, eye])
         Aw, Bw = (np.vstack([w, np.zeros(eye.shape, dtype=w.dtype)]) for w in (Aw, Bw))
         L = self.L
-        if own_scale and L > 1:
+        if L > 1:
             g = gcd(L, int(np.gcd.reduce(Aw.ravel())), int(np.gcd.reduce(Bw.ravel())))
             # int64 weights lie below the guard, so a g past it divides only zeros
             Aw, Bw = (w // g if w.dtype == object or g < _GUARD else 0 * w for w in (Aw, Bw))
@@ -364,7 +362,7 @@ class _Compiled:
     @cached_property
     def pair(self):
         """_param_pair's tuple."""
-        return self._with_aug(np.arange(len(self.core[0])), False)
+        return self._with_aug(np.arange(len(self.core[0])))
 
     @cached_property
     def struct(self):
@@ -373,7 +371,7 @@ class _Compiled:
         the solvers make only after the bounds found a feasible point, so
         a row-infeasible, free or infeasible request builds none."""
         rows = np.flatnonzero(self.core[1].any(axis=1))
-        return _ParamStruct(self._with_aug(rows, True), rows, self.m)
+        return _ParamStruct(self._with_aug(rows), rows, self.m)
 
     @cached_property
     def affine_witness(self):
@@ -546,7 +544,7 @@ def _descent_witness(rec):
         x, finite, y, y_fin = fix
         if finite.all() and not np.any(Af[:m, n] & ~(y_fin & (Aw[:m, n] <= y))):
             return [Fraction(int(v), L) for v in x[:n]]
-    hom = rec._with_aug(np.flatnonzero(Af[:m].any(axis=1)), True)[:5]
+    hom = rec._with_aug(np.flatnonzero(Af[:m].any(axis=1)))[:5]
     try:
         if np.any(_solve_pair(*hom)[0] < 0):
             return None
@@ -633,12 +631,16 @@ def bisection_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> Solv
 
 
 def _bisect(prob, mode, tol) -> SolveOutcome:
-    """Both bisection solvers, on the problem's level grid."""
+    """Both bisection solvers, on the problem's level grid.  Quad data
+    probes the grid point at or below each midpoint, which keeps the
+    probes' denominators those of the grid; lo is a grid point at or
+    below it, so the loop still ends on the least feasible one."""
     start = _presolve(prob, mode, tol)
     if isinstance(start, SolveOutcome):
         return start
     struct, lb, up, _ = start
-    grid, tr = _compiled(prob).grid, []
+    rec, tr = _compiled(prob), []
+    grid = rec.grid
     # each probe after the first starts from the previous one's
     # strategies, which are near-optimal at the nearby level
     if lb.is_neg_inf:
@@ -659,7 +661,7 @@ def _bisect(prob, mode, tol) -> SolveOutcome:
     while lo < hi:
         if iters > _BISECT_CAP:
             raise EngineError("bisection failed to converge")
-        mid = (lo + hi) / 2
+        mid = grid.down((lo + hi) / 2) if rec.quad else (lo + hi) / 2
         ph, _, *warm = struct.solve(mid, warm)
         iters += 1
         tr.append((mid, ph))
@@ -982,8 +984,8 @@ def certify_optimal(prob, lam, tau, x=None) -> bool:
     tau indexes rows of the literal parametric pair; rows appended to
     stabilize absent variables come after those.  The check is exact on
     scaled integers: the point on the pair's integer weights, and (b) by
-    the signs of two Bellman-Ford passes and one closure on tau's graph
-    contracted onto the columns (see _tau_passes)."""
+    one negative-cycle test on tau's graph contracted onto the columns
+    (see _tau_passes)."""
     lam = _finite_level(lam)
     pair = _param_pair(prob)
     n1 = pair[1].shape[1]
@@ -1016,17 +1018,18 @@ def _tau_passes(Aw, Bw, Bf, lam_rows, t) -> bool:
     negative).  A column has one move, so the contraction keeps the
     cycles, their weights and what the columns reach, and a cycle avoids
     the lam rows when no arc on it passes one.  A start column fails when
-    it reaches a node of a negative cycle, or of a lam-free cycle of
-    weight <= 0 (_reach_negative)."""
+    it reaches a negative cycle, or a lam-free cycle of weight 0.  With
+    c = n1 + 1, an arc weighing (c + 1) c w + c on a lam row and
+    (c + 1) c w - 1 elsewhere makes exactly those simple cycles (at most
+    n1 arcs) negative, so one _reach_negative finds the failing starts."""
     src, dst = np.nonzero(Bf[t])  # row-major: grouped by source
     rows = t[src]
     w = Aw[rows, src] - Bw[rows, dst]
-    free = (rows < lam_rows.start) | (rows >= lam_rows.stop)
-    n1 = len(t)
-    bad = _reach_negative(n1, src, dst, w)
-    bad |= _reach_negative(n1, src[free], dst[free], w[free], nonpositive=True)
-    reach = _closure(_adjacency(n1, src, dst))
-    return bool(np.any(~np.any(reach & bad, axis=1)))
+    c = len(t) + 1
+    k = (c + 1) * c
+    lam = (rows >= lam_rows.start) & (rows < lam_rows.stop)
+    w = _fit(w, k * (_abs_max(w) + 1)) * k + np.where(lam, c, -1)
+    return not _reach_negative(c - 1, src, dst, w).all()
 
 
 def optimality_certificate(prob, lam):
@@ -1088,14 +1091,16 @@ def _sigma_passes(Aw, Af, Bw, lam_rows, s) -> bool:
     """certify_unbounded's verdict on a pair's integer weights, s a valid
     sigma (any value at the vacuous rows, which have no arc).  Its graph
     is contracted onto the columns: an arc j -> s_r for each finite
-    A[r, j], weighing b_{r s_r} - a_{rj}.  A lam row lies on a cycle
-    exactly when the head of one of its arcs reaches the arc's tail; then,
-    or when some cycle is negative (_reach_negative), the check fails."""
+    A[r, j], weighing b_{r s_r} - a_{rj}.  The check fails when a lam row
+    lies on a cycle, or some cycle is negative.  Lowering each lam-row
+    arc by (n1 + 1)(W + 1), W the largest |weight|, makes every simple
+    cycle through a lam row negative too, so one _reach_negative
+    decides."""
     src, rows = np.nonzero(Af.T)  # row-major: grouped by source
     dst = s[rows]
     n1 = Af.shape[1]
-    reach = _closure(_adjacency(n1, src, dst))
-    lam = (rows >= lam_rows.start) & (rows < lam_rows.stop)
-    if np.any(reach[dst[lam], src[lam]]):
-        return False
-    return not np.any(_reach_negative(n1, src, dst, Bw[rows, dst] - Aw[rows, src]))
+    w = Bw[rows, dst] - Aw[rows, src]
+    drop = (n1 + 1) * (_abs_max(w) + 1)
+    w = _fit(w, 2 * drop)
+    w[(rows >= lam_rows.start) & (rows < lam_rows.stop)] -= drop
+    return not _reach_negative(n1, src, dst, w).any()

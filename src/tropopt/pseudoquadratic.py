@@ -81,8 +81,9 @@ def bisection_solve_quad(prob: PseudoquadraticProblem, mode="integer", tol=None)
     """Exact minimizer by level bisection on the bounded-denominator grid.
 
     Both modes search the levels whose multiple by L, the data's
-    denominator lcm, has denominator at most n + 1, and return the exact
-    optimum; real mode only validates tol (the answer is within any)."""
+    denominator lcm, has denominator at most n + 1, probing the one at
+    or below each midpoint, and return the exact optimum; real mode only
+    validates tol (the answer is within any)."""
     _require(prob, PseudoquadraticProblem)
     return _bisect(prob, mode, tol)
 

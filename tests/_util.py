@@ -158,6 +158,17 @@ def reachable(n, arcs, start):
                 stack.append(v)
     return seen
 
+
+def reach_negative(n, arcs):
+    """Per node, whether it reaches an elementary cycle of negative
+    weight (arcs (u, v, w), any number between two nodes)."""
+    neg = set()
+    for cyc in simple_cycles(n, arcs):
+        if sum(arcs[i][2] for i in cyc) < 0:
+            neg.update(arcs[i][0] for i in cyc)
+    return [bool(reachable(n, arcs, u) & neg) for u in range(n)]
+
+
 def cycle_means_from(n, arcs, start, turn_arcs=1):
     """Exact means of every elementary cycle reachable from start.
 

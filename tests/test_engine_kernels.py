@@ -11,10 +11,13 @@ from any candidate Min strategy, whether the Dinkelbach steps of the
 cycle-ratio kernel (`matrix._min_ratio`) stall (the exact negative
 cycle) or the graph has several gain levels (one kernel run per level).
 The gate's potential check must give the verdict of the Karp oracle on
-any pair of strategies, not only on the tight ones.  The value-iteration
-cold start (`_seed_sigma`) must leave every game value as an enumeration
-of Max's strategies finds it, and must keep cutting the evaluations of a
-cold solve; Newton's probes all start from it.  Every caller of the
+any pair of strategies, not only on the tight ones, and the
+negative-cycle test behind its fallback and the certificate checks
+(`matrix._reach_negative`) must mark exactly the nodes that reach a
+negative elementary cycle.  The value-iteration cold start
+(`_seed_sigma`) must leave every game value as an enumeration of Max's
+strategies finds it, and must keep cutting the evaluations of a cold
+solve; Newton's probes all start from it.  Every caller of the
 Bellman-Ford kernel passes its arcs grouped by source.
 
 An evaluation that carries the previous one's bias must still give the
@@ -47,7 +50,7 @@ from tropopt.games import (
     _values,
     solve_arena,
 )
-from tropopt.matrix import _min_ratio, _negative_cycle
+from tropopt.matrix import _min_ratio, _negative_cycle, _reach_negative
 from tropopt.pseudolinear import _at_level, _compiled, _param_pair, bisection_solve, newton_solve
 from tropopt.pseudoquadratic import bisection_solve_quad, newton_solve_quad
 from tropopt.random_instances import gen_random
@@ -60,6 +63,7 @@ from _util import (
     oracle_one_player_min,
     oracle_seed_sigma,
     oracle_tight_tau,
+    reach_negative,
     tarjan_sccs,
 )
 
@@ -101,7 +105,7 @@ def _same(a, b):
         assert np.array_equal(a, b)
 
 
-def _matches_oracle(ns, src, dst, w, cand=None):
+def _matches_oracle(ns, src, dst, w, cand):
     try:
         want = oracle_one_player_min(ns, src, dst, w, True)
     except EngineError as e:
@@ -116,7 +120,8 @@ def _matches_oracle(ns, src, dst, w, cand=None):
 @settings(max_examples=400, deadline=None)
 @given(_graph())
 def test_one_player_min_matches_oracle(graph):
-    _matches_oracle(*graph)
+    ns, src, dst, w = graph
+    _matches_oracle(ns, src, dst, w, games._offsets(src, ns)[:-1])
 
 
 @st.composite
@@ -197,7 +202,7 @@ def _arena(draw):
 @given(_arena())
 def test_improve_tight_tau_and_gate_match_oracles(arena_sig):
     arena, sig = arena_sig
-    ev = _evaluate(arena, sig)
+    ev = _evaluate(arena, sig, arena.a_off[:-1])
     want = oracle_one_player_min(arena.n_min, arena.a_src, ev.t_dst, ev.t_w, True)
     for a, b in zip(want, (ev.g_num, ev.g_den, ev.vhat)):
         _same(a, b)
@@ -226,7 +231,7 @@ def _arena_pair(draw):
 def _gate_case(arena, sig, tau):
     """(verdict, number of gain levels); the gate must agree with the
     oracle."""
-    ev = _evaluate(arena, sig)
+    ev = _evaluate(arena, sig, arena.a_off[:-1])
     verdict = _gate(arena, ev, tau)
     assert verdict is oracle_gate(arena, ev, tau)
     return verdict, len({(int(n), int(d)) for n, d in zip(ev.g_num, ev.g_den)})
@@ -272,7 +277,8 @@ def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
     """_relax reduces by segments of equal source with no sort: each of
     its callers (the cycle-ratio kernel of the evaluations, the quad drop
     and the coupling's cycle mean, its negative cycles, the bias of an
-    evaluation, the gate and the game witness) passes src nondecreasing."""
+    evaluation, the negative-cycle test of the gate and the certificate
+    checks, and the game witness) passes src nondecreasing."""
     relax, callers = matrix._relax, set()
 
     def checked(n, src, dst, w, x, parent=None, segs=None):
@@ -291,8 +297,39 @@ def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
         assert feasible_finite(_at_level(_param_pair(prob), lam)[:5], max_sweeps=1) is not None
     _seeded_gate_sweep()  # pairs whose bias is no potential
     assert callers == {
-        "_one_player_min", "_min_ratio", "_bias", "_gate", "_negative_cycle", "_bf_witness"
+        "_one_player_min", "_min_ratio", "_bias", "_reach_negative", "_negative_cycle",
+        "_bf_witness",
     }
+
+
+@st.composite
+def _weighted_digraph(draw):
+    """(n, arcs, dtype): up to 6 nodes, arcs (u, v, w) grouped by source,
+    some nodes with none and some pairs with several.  A weight is
+    k * scale + e with small k: small int64 weights with many zero-weight
+    cycles (scale 1, e = 0), int64 weights up to 3 * 2^61 whose walk
+    weights leave int64, or Python ints past 2^62; e in -1..1 then
+    decides the sign of a cycle whose k sum to 0."""
+    n = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1, 1 << 61, (1 << 62) + 1]))
+    arcs = []
+    for u in range(n):
+        for _ in range(draw(st.integers(0, 3))):
+            e = draw(st.integers(-1, 1)) if scale > 1 else 0
+            arcs.append((u, draw(st.integers(0, n - 1)), draw(st.integers(-3, 3)) * scale + e))
+    return n, arcs, object if scale > 1 << 62 else np.int64
+
+
+@settings(max_examples=400, deadline=None)
+@given(_weighted_digraph())
+def test_reach_negative_marks_every_node_that_reaches_a_negative_cycle(graph):
+    """_reach_negative against the elementary cycles: a node is marked
+    exactly when it reaches one of negative weight, on int64 and on
+    Python-int weights."""
+    n, arcs, dtype = graph
+    src, dst = (np.array([a[i] for a in arcs], dtype=np.int64) for i in (0, 1))
+    w = np.array([a[2] for a in arcs], dtype=dtype)
+    assert _reach_negative(n, src, dst, w).tolist() == reach_negative(n, arcs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -413,11 +450,9 @@ def test_float_ties_take_the_exact_fallback():
     for src, dst, w in (karp, loops):
         src, dst, w = (np.array(c, dtype=np.int64) for c in (src, dst, w))
         want = oracle_one_player_min(3, src, dst, w, True)
-        # no candidate, and each node's first arc: the same start
-        for cand in (None, np.searchsorted(src, np.arange(3))):
-            got = _one_player_min(3, src, dst, w, cand)
-            for a, b in zip(want, got):
-                _same(a, b)
+        got = _one_player_min(3, src, dst, w, np.searchsorted(src, np.arange(3)))
+        for a, b in zip(want, got):
+            _same(a, b)
     assert int(got[0][0]) == 2**55
     big = 2**54
     arena = arena_of(
@@ -426,23 +461,15 @@ def test_float_ties_take_the_exact_fallback():
         1,
     )
     sig = np.zeros(3, dtype=np.int64)
-    ev = _evaluate(arena, sig)
+    ev = _evaluate(arena, sig, arena.a_off[:-1])
     want_sig = sig.copy()
     assert _improve(arena, sig, ev) == oracle_improve(arena, want_sig, ev) == 1
     assert np.array_equal(sig, want_sig) and sig[0] == 1
 
 
-def test_no_reachable_cycle_raises():
-    src, dst, w = (np.array(c, dtype=np.int64) for c in ([0], [1], [3]))
-    with pytest.raises(EngineError, match="no reachable cycle"):
-        _one_player_min(2, src, dst, w)
-    with pytest.raises(EngineError, match="no reachable cycle"):
-        oracle_one_player_min(2, src, dst, w, False)
-
-
 def test_no_tight_move_and_missing_tau_arc_raise():
     arena = arena_of([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
-    ev = _evaluate(arena, np.zeros(2, dtype=np.int64))
+    ev = _evaluate(arena, np.zeros(2, dtype=np.int64), arena.a_off[:-1])
     broken = _Evaluation(
         ev.g_num, ev.g_den, ev.vhat + np.array([1, 0]), ev.critical, ev.lvl, ev.t_dst, ev.t_w
     )
@@ -459,13 +486,13 @@ def test_carried_bias_beyond_the_guard_raises():
     leave int64's safe range in the appraisals: typed EngineError."""
     arena = arena_of([[(0, 1), (1, 2)], [(1, 0)]], [[(0, 1), (1, 0)], [(1, -1)]], 1)
     sig = np.zeros(2, dtype=np.int64)
-    ev = _evaluate(arena, sig)
+    ev = _evaluate(arena, sig, arena.a_off[:-1])
     low = _Evaluation(
         ev.g_num, ev.g_den, ev.vhat - (1 << 61), ev.critical, ev.lvl, ev.t_dst, ev.t_w
     )
-    assert np.array_equal(_evaluate(arena, sig, None, ev).vhat, ev.vhat)
+    assert np.array_equal(_evaluate(arena, sig, arena.a_off[:-1], ev).vhat, ev.vhat)
     with pytest.raises(EngineError, match="carried bias beyond the int64 guard"):
-        _evaluate(arena, sig, None, low)
+        _evaluate(arena, sig, arena.a_off[:-1], low)
 
 
 def _check_carried(arena, ev, prev):
@@ -505,9 +532,9 @@ def test_carried_bias_solves_the_levels_and_keeps_the_anchors(arena_sig):
     from each node's first arc, has the oracle's gains and a carried
     bias."""
     arena, sig = arena_sig
-    prev = _evaluate(arena, sig)
+    prev = _evaluate(arena, sig, arena.a_off[:-1])
     _improve(arena, sig, prev)
-    for cand in (_tight_tau(arena, prev), None):
+    for cand in (_tight_tau(arena, prev), arena.a_off[:-1]):
         ev = _evaluate(arena, sig, cand, prev)
         g_num, g_den, _ = oracle_one_player_min(arena.n_min, arena.a_src, ev.t_dst, ev.t_w, False)
         _same(ev.g_num, g_num)
@@ -563,11 +590,12 @@ def _ranks_order_gains(arena, ev):
 @given(_leveled_arena())
 def test_level_ranks_order_the_gains_exactly(arena_sig):
     """On arenas with several gain levels, the ranks of an evaluation
-    started with no candidate, from the seeded candidate, and carrying the
+    started from each node's first arc, from the seeded candidate, and
+    carrying the
     previous evaluation (after one improvement pass, from its tight arcs)
     compare as the exact gains do."""
     arena, sig = arena_sig
-    prev = _evaluate(arena, sig)
+    prev = _evaluate(arena, sig, arena.a_off[:-1])
     assume(_ranks_order_gains(arena, prev) > 1)
     _ranks_order_gains(arena, _evaluate(arena, sig, _seed_sigma(arena)[1]))
     _improve(arena, sig, prev)
@@ -579,7 +607,7 @@ def test_a_level_not_above_the_last_raises(monkeypatch):
     cycle-ratio kernel that reports the second level at the first one's
     gain is caught by a typed EngineError, not an assert."""
     src, dst, w = (np.array(c, dtype=np.int64) for c in ([0, 1], [0, 1], [0, 5]))
-    got = _one_player_min(2, src, dst, w)
+    got = _one_player_min(2, src, dst, w, np.arange(2))
     assert got[4].tolist() == [0, 1] and got[0].tolist() == [0, 5]
     first = []
 
@@ -590,7 +618,7 @@ def test_a_level_not_above_the_last_raises(monkeypatch):
 
     monkeypatch.setattr(games, "_min_ratio", stuck)
     with pytest.raises(EngineError, match="gain level is not above"):
-        _one_player_min(2, src, dst, w)
+        _one_player_min(2, src, dst, w, np.arange(2))
 
 
 @pytest.mark.parametrize("solve", [bisection_solve, newton_solve])
@@ -617,7 +645,7 @@ def test_quad_cycle_is_infeasible_by_value_iteration():
         assert solve(prob).status == "infeasible"
     rec = _compiled(prob)
     kept = np.flatnonzero(rec.core[1][: rec.m].any(axis=1))
-    arena, _ = games._pair_arena(*rec._with_aug(kept, True)[:5])
+    arena, _ = games._pair_arena(*rec._with_aug(kept)[:5])
     assert _values(*solve_arena(arena)[:2], arena.scale) == [-35] * arena.n_min
     x, rounds = np.zeros(arena.n_min, dtype=np.int64), 20000
     for _ in range(rounds):

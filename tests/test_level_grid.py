@@ -7,7 +7,8 @@ changes nothing.  tol is still validated: anything but a finite positive
 rational is rejected before any work, by every solver, as is any tol in
 integer mode; round_bounded rejects a non-finite level; neither leaks a
 bare OverflowError or ZeroDivisionError.  A level too fine for the game
-engine gets its typed refusal, not an OverflowError either.
+engine gets its typed refusal, not an OverflowError either; quad
+bisection probes only grid levels, whose denominators stay small.
 """
 
 from fractions import Fraction
@@ -79,3 +80,15 @@ def test_a_level_too_fine_for_the_engine_is_a_typed_refusal(den):
     prob = gen_random(6, 6, 20, 100, 0)
     with pytest.raises(EngineError, match="^weights too large for the integer engine$"):
         spectral_value(prob, Fraction(1, den))
+
+
+def test_quad_bisection_probes_grid_levels_at_d200():
+    """Quad bisection probes the grid point at or below each midpoint.  It
+    probed the midpoint itself, whose denominator (75,222 at the 11th
+    probe) scaled the weights past the engine's int64 guard, and refused
+    this instance with EngineError; Newton answers 518507."""
+    prob = gen_random(200, 200, 500000, 100, 101, True)
+    out = bisection_solve_quad(prob)
+    assert out.status == "optimal" and out.lam.value == 518507
+    assert out.iterations == 23
+    assert all(lam.denominator <= 201 for lam, _ in out.trace)
