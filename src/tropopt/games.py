@@ -639,6 +639,21 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     if isinstance(sys, TwoSidedSystem):
         L = _den_lcm(sys.A, sys.B)
         sys = (*_scaled(sys.A, L), *_scaled(sys.B, L), L)
+    return _finite_point(sys, max_sweeps)
+
+
+def _solved_game(Aw, Af, Bw, Bf, scale):
+    """(g_num, arena, sig_idx): the values of a scaled system's game (see
+    _pair_arena), its arena and Max's optimal strategy there."""
+    arena, _ = _pair_arena(Aw, Af, Bw, Bf, scale)
+    g_num, *_, (sig_idx, _) = solve_arena(arena)
+    return g_num, arena, sig_idx
+
+
+def _finite_point(sys, max_sweeps=None, solved=None):
+    """feasible_finite on a scaled system.  solved = (arena, sig_idx) of
+    _solved_game on the same system, when its values are all nonnegative,
+    stands in for the game an inconclusive descent would solve again."""
     Aw, Af, Bw, Bf, L = sys
     if max_sweeps is None:
         max_sweeps = 3 * sum(Af.shape) + 6
@@ -650,11 +665,11 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
         if not finite.all():  # the greatest solution below the seed
             return None
     else:
-        arena, _ = _pair_arena(Aw, Af, Bw, Bf, L)
-        g_num, *_, (sig_idx, _) = solve_arena(arena)
-        if np.any(g_num < 0):
-            return None
-        x = _bf_witness(arena, sig_idx)
+        if solved is None:
+            g_num, *solved = _solved_game(Aw, Af, Bw, Bf, L)
+            if np.any(g_num < 0):
+                return None
+        x = _bf_witness(*solved)
     xs = [int(v) for v in x]
     if not _solves(Aw, Af, Bw, Bf, xs):
         raise EngineError("finite witness violates the system")

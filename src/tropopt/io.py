@@ -6,21 +6,23 @@ that every file round-trips byte for byte through parse + dump (canonical
 output: sorted keys, no whitespace).
 
 A problem document is decoded straight into the problem's compiled
-integer record (pseudolinear._Compiled): each distinct token is decoded
-once, to a numerator and denominator or an infinity, and the entries are
-mapped through that to the scaled weights and finite masks.  The
-ExtScalar fields are built from the record only when first read, and
-dump_problem writes the document from the record."""
+integer record (pseudolinear._Compiled), in whole-array passes over all
+its entries (_decode); only a document with a bad entry is scanned entry
+by entry, for the error of the first.  The ExtScalar fields are built
+from the record only when first read, and dump_problem writes the
+document from the record."""
 
 from __future__ import annotations
 
 import json
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 import numpy as np
 
+from .matrix import _GUARD, _abs_max, _fit
 from .semiring import ExtScalar, NEG_INF, POS_INF, scal
 from .pseudolinear import _FIELDS, PseudolinearProblem, SolveOutcome, _Compiled, _compiled
 from .pseudoquadratic import PseudoquadraticProblem
@@ -43,8 +45,12 @@ class IllegalInfinity(ValueError):
 
 
 _INFINITIES = frozenset(("-inf", "+inf"))
-_RAT_RE = re.compile(r"^(-?[0-9]+)/([1-9][0-9]*)$")
-_INT_RE = re.compile(r"^-?[0-9]+$")
+_RAT_RE = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
+_INT_RE = re.compile(r"-?[0-9]+")
+# "num/den" tokens joined by ",", each followed by one; _NARROW admits
+# only numbers of at most 18 digits, all below 10^18 < 2^61 (the guard)
+_RATS = re.compile(r"(?:-?[0-9]+/[1-9][0-9]*,)*")
+_NARROW = re.compile(r"(?:-?[0-9]{1,18}/[1-9][0-9]{0,17},)*")
 
 
 def _token(tok):
@@ -53,7 +59,7 @@ def _token(tok):
     if isinstance(tok, str):
         if tok in _INFINITIES:
             return (1 if tok == "+inf" else -1), 0, 1
-        rat = _RAT_RE.match(tok)
+        rat = _RAT_RE.fullmatch(tok)
         if rat:
             num, den = int(rat[1]), int(rat[2])
             g = gcd(num, den)
@@ -85,9 +91,9 @@ def scalar_to_json(v):
 def parse_level(text: str) -> Fraction:
     """A level argument: an integer or "num/den"."""
     t = text.strip()
-    if _INT_RE.match(t):
+    if _INT_RE.fullmatch(t):
         return Fraction(int(t))
-    if _RAT_RE.match(t):
+    if _RAT_RE.fullmatch(t):
         return Fraction(t)
     raise BadRational(f"bad level {text!r}")
 
@@ -114,25 +120,60 @@ def _matrix_tokens(obj, name, rows=None, cols=None):
     return [e for r in obj for e in r]
 
 
-def _decode_field(toks, name, forbid, ints, words):
-    """Collect the field's distinct tokens: the integers into ints, and
-    the strings into words, each decoded once (token -> _token's triple).
-    A bad token, or the infinity `forbid` that the field does not admit,
-    raises the error of the first such entry."""
+def _check_entries(fields):
+    """Raise the error of the first bad entry of fields ((name, entries)
+    pairs, in document order): a bad token, or the infinity its field
+    does not admit (-inf in q, +inf elsewhere)."""
+    for name, toks in fields:
+        forbid = "-inf" if name == "q" else "+inf"
+        for tok in toks:
+            _token(tok)
+            if tok == forbid:
+                raise IllegalInfinity(f"{forbid} entry in {name}")
+
+
+def _decode(toks, q):
+    """(nums, finite, L) of the document's entries toks, or None when one
+    of them is bad: the entries times L, the lcm of their denominators,
+    with 0 on the infinities, and the finite mask.  q is the slice of the
+    entries of q, the one field that admits +inf and not -inf.
+
+    Every pass is over whole arrays: the "num/den" strings are checked by
+    one regex over their joined text plus a count (the separator is in no
+    valid token), converted together, reduced by np.gcd and scaled by
+    L // den.  The arrays are int64 while every value the decode forms
+    stays below the guard, and Python ints in object arrays beyond."""
     types = set(map(type, toks))
-    uniq = set(toks) if types <= {int, str} else ()  # no bool, null, float or list
-    if uniq and forbid not in uniq:
-        new = [t for t in uniq if type(t) is str] if str in types else []
-        ints.update(uniq.difference(new))
-        try:
-            words.update((w, _token(w)) for w in new if w not in words)
-            return
-        except BadRational:
-            pass
-    for tok in toks:
-        _token(tok)
-        if tok == forbid:
-            raise IllegalInfinity(f"{forbid} entry in {name}")
+    if not types <= {int, str}:  # no bool, null, float, list or object
+        return None
+    size, t = len(toks), np.array(toks, dtype=object)
+    if str in types:
+        is_str = np.fromiter(map(isinstance, toks, repeat(str)), bool, size)
+        pos, neg = t == "+inf", t == "-inf"
+    else:
+        is_str = pos = neg = np.zeros(size, dtype=bool)
+    if pos[: q.start].any() or neg[q].any() or pos[q.stop :].any():
+        return None
+    finite = ~(pos | neg)
+    rat = is_str & finite
+    text = ",".join([*t[rat].tolist(), ""])
+    if text.count(",") != rat.sum():
+        return None
+    if _NARROW.fullmatch(text):
+        nd = np.fromstring(text.replace("/", ","), dtype=np.int64, sep=",")
+    elif _RATS.fullmatch(text):
+        nd = np.array([*map(int, text.replace("/", ",").split(",")[:-1])], dtype=object)
+    else:
+        return None
+    ints = t[~is_str]
+    narrow = nd.dtype != object and (not ints.size or -_GUARD < ints.min() <= ints.max() < _GUARD)
+    num = np.zeros(size, dtype=np.int64 if narrow else object)
+    den = np.ones(size, dtype=num.dtype)
+    g = np.gcd(nd[0::2], nd[1::2])
+    num[~is_str], num[rat], den[rat] = ints, nd[0::2] // g, nd[1::2] // g
+    L = lcm(*np.unique(den).tolist())
+    big = _abs_max(num) * L  # bounds every numerator, denominator, L and scaled value
+    return _fit(num, big) * (L // _fit(den, big)), finite, L
 
 
 def parse_problem(text: str):
@@ -155,29 +196,27 @@ def parse_problem(text: str):
         extra = set(obj.keys()) - keys
         missing = keys - set(obj.keys())
         raise MalformedJson(f"bad keys: extra {sorted(extra)}, missing {sorted(missing)}")
-    ints, words, flat = set(), {}, []
-
-    def take(toks, name, forbid="+inf"):
-        _decode_field(toks, name, forbid, ints, words)
-        flat.extend(toks)
-
-    take(_matrix_tokens(obj["U"], "U"), "U")
+    fields = [("U", _matrix_tokens(obj["U"], "U"))]
     m, n = len(obj["U"]), len(obj["U"][0])
-    take(_matrix_tokens(obj["V"], "V", m, n), "V")
-    for name, length in (("b", m), ("d", m), ("p", n), ("q", n)):
-        vec = obj[name]
-        if not isinstance(vec, list):
-            raise MalformedJson(f"{name} must be a list")
-        if len(vec) != length:
-            raise DimensionMismatch(f"{name} has length {len(vec)}, expected {length}")
-        take(vec, name, "-inf" if name == "q" else "+inf")
-    if quad:
-        take(_matrix_tokens(obj["C"], "C", n, n), "C")
-    L = lcm(*(den for _, _, den in words.values()))
-    nums = {t: t * L for t in ints}
-    nums.update((w, num * (L // den)) for w, (_, num, den) in words.items())
-    infinite = np.array(list(map(_INFINITIES.__contains__, flat)))
-    rec = _Compiled(list(map(nums.__getitem__, flat)), ~infinite, L, m, n, quad)
+    try:
+        fields.append(("V", _matrix_tokens(obj["V"], "V", m, n)))
+        for name, length in (("b", m), ("d", m), ("p", n), ("q", n)):
+            vec = obj[name]
+            if not isinstance(vec, list):
+                raise MalformedJson(f"{name} must be a list")
+            if len(vec) != length:
+                raise DimensionMismatch(f"{name} has length {len(vec)}, expected {length}")
+            fields.append((name, vec))
+        if quad:
+            fields.append(("C", _matrix_tokens(obj["C"], "C", n, n)))
+    except (MalformedJson, DimensionMismatch):
+        _check_entries(fields)  # a bad entry before the shape error comes first
+        raise
+    q = 2 * m * n + 2 * m + n
+    decoded = _decode([e for _, toks in fields for e in toks], slice(q, q + n))
+    if decoded is None:
+        _check_entries(fields)  # raises
+    rec = _Compiled(*decoded, m, n, quad)
     return (PseudoquadraticProblem if quad else PseudolinearProblem)._of(rec)
 
 

@@ -45,10 +45,12 @@ from .games import (
     InvalidStrategy,
     TwoSidedSystem,
     _descend_scaled,
+    _finite_point,
     _layout,
     _least,
     _least_level,
     _solve_pair,
+    _solved_game,
     _solves,
     feasible_finite,
     solve_arena,
@@ -263,7 +265,8 @@ class _Compiled:
 
     It is built from the flat form: nums, the entries of the fields in
     _FIELDS order (matrices row by row) times L, the data's denominator
-    lcm, 0 off the finite entries, and their finite flags.  WL is the
+    lcm, 0 off the finite entries, and their finite flags; nums is a list
+    of Python ints, or an array that the record then owns.  WL is the
     largest |num|.  data maps each field name to its (weights, finite
     mask), int64 below the guard and Python ints beyond; a field's
     infinity is the one it admits, +inf in q and -inf elsewhere.  core is
@@ -272,13 +275,14 @@ class _Compiled:
 
     def __init__(self, nums, finite, L, m, n, quad):
         self.m, self.n, self.L, self.quad = m, n, L, quad
-        self.WL = max(max(nums), -min(nums))
+        if not isinstance(nums, np.ndarray):  # a list of Python ints
+            nums = np.array(nums, dtype=np.int64 if max(map(abs, nums)) < _GUARD else object)
+        self.WL = int(max(nums.max(), -nums.min()))
         # the level grid every solver searches: the optimum is a multiple
         # of 1/(2L) for linear data, and has denominator at most n + 1
         # after scaling by L for pseudoquadratic data
         self.grid = _FareyGrid(n + 1, L) if quad else _FareyGrid(1, 2 * L)
-        w = np.array(nums, dtype=np.int64 if self.WL < _GUARD else object)
-        f = np.array(finite, dtype=bool)
+        w, f = _fit(nums, self.WL), np.asarray(finite, dtype=bool)
         self.data, at = {}, 0
         for name, shape in zip(_FIELDS[: 7 if quad else 6], [(m, n), (m, n), m, m, n, n, (n, n)]):
             size = int(np.prod(shape))
@@ -532,8 +536,10 @@ def _descent_witness(rec):
     has a finite solution exactly when the affine system does, so its
     least value is negative exactly when that is infeasible.  A feasible
     system gets its point from the same homogenized system
-    (feasible_finite).  A game past the arena's int64 guard raises
-    EngineError; feasible_finite's own descent may still find the point."""
+    (feasible_finite), and from the same solved game when feasible_finite's
+    descent is inconclusive too.  A game past the arena's int64 guard
+    raises EngineError; feasible_finite's own descent may still find the
+    point."""
     if rec.row_infeasible:
         return None
     m, n, L = rec.m, rec.n, rec.L
@@ -546,11 +552,13 @@ def _descent_witness(rec):
             return [Fraction(int(v), L) for v in x[:n]]
     hom = rec._with_aug(np.flatnonzero(Af[:m].any(axis=1)))[:5]
     try:
-        if np.any(_solve_pair(*hom)[0] < 0):
-            return None
+        g_num, *solved = _solved_game(*hom)
     except EngineError:
-        pass
-    w = feasible_finite(hom)
+        solved = None
+    else:
+        if np.any(g_num < 0):
+            return None
+    w = _finite_point(hom, solved=solved)
     if w is None:
         return None
     return [w[j] - w[n] for j in range(n)]
@@ -1057,14 +1065,37 @@ def unboundedness_certificate(prob):
     there forces the strategy found to keep those rows out of cycles.
     Fully vacuous structural rows take no part; sigma is None there.
     With a finite anchor gap no game is solved: every feasible x has
-    f(x) >= anchor > lam_floor, so the value there is negative.  A
-    row-infeasible problem still goes to the game, which raises
-    IsolatedNode."""
+    f(x) >= anchor > lam_floor, so the value there is negative.  Nor with
+    a free objective (_free_sigma).  A row-infeasible problem still goes
+    to the game, which raises IsolatedNode."""
     rec = _compiled(prob)
-    if rec.anchor.is_finite and not rec.row_infeasible:
-        return None
+    if not rec.row_infeasible:
+        if rec.anchor.is_finite:
+            return None
+        if rec.free_objective:
+            return _free_sigma(prob)
     g_num, _, _, sigma = _solve_pair(*_at_level(rec.pair, prob._lam_floor())[:5])
     return None if np.any(g_num < 0) else sigma
+
+
+def _free_sigma(prob):
+    """unboundedness_certificate of a free objective that is not row
+    infeasible, from the start point x: on each row that is not vacuous,
+    the first column attaining the max of the right side at (x, 0) and
+    level 0.  x meets every structural row, so each arc j -> s_r weighs
+    b_{r s_r} - a_{rj} >= x_j - x_{s_r} and no cycle is negative; the lam
+    rows have no finite left entry, so they give no arc.  None when x is
+    None: the constraints are infeasible."""
+    x = _affine_witness(prob)
+    if x is None:
+        return None
+    L = lcm(_compiled(prob).L, *(v.denominator for v in x))
+    _, _, Bw, Bf, _, _ = _at_level(_param_pair(prob), Fraction(0), L)
+    xs = np.array([v.numerator * (L // v.denominator) for v in x] + [0], dtype=object)
+    big = 2 * (_abs_max(Bw.ravel()) + _abs_max(xs) + 1)
+    right = np.where(Bf, _fit(Bw, big) + _fit(xs, big), -big)
+    # with no row infeasible, a row with no finite right entry is vacuous
+    return [int(c) if live else None for c, live in zip(right.argmax(axis=1), Bf.any(axis=1))]
 
 
 def certify_unbounded(prob, sigma) -> bool:

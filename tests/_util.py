@@ -1244,7 +1244,7 @@ def b_entries(struct):
 # ---------------------------------------------------------------------------
 # the entry-by-entry parse: one scalar per entry, then the constructors
 
-_ORACLE_RAT = re.compile(r"^-?[0-9]+/[1-9][0-9]*$")
+_ORACLE_RAT = re.compile(r"-?[0-9]+/[1-9][0-9]*")
 
 
 def _oracle_reject_float(tok):
@@ -1258,7 +1258,7 @@ def oracle_scalar(tok):
         return fin(tok)
     if tok in ("-inf", "+inf"):
         return NEG_INF if tok == "-inf" else POS_INF
-    if not _ORACLE_RAT.match(tok):
+    if not _ORACLE_RAT.fullmatch(tok):
         raise BadRational(f"bad scalar {tok!r}")
     num, den = tok.split("/")
     return fin(Fraction(int(num), int(den)))

@@ -80,6 +80,20 @@ def _same(fn, oracle, *args, **kw):
     return got
 
 
+def _same_unbounded(prob):
+    """unboundedness_certificate against the oracle's game.  A free
+    objective that is not row infeasible takes its sigma from the start
+    point, with no game, so there the verdicts must agree and the sigma
+    must pass the oracle's checker."""
+    rec = _compiled(prob)
+    if rec.row_infeasible or not rec.free_objective:
+        return _same(unboundedness_certificate, oracle_unboundedness_certificate, prob)
+    got, want = _run(unboundedness_certificate, prob), _run(oracle_unboundedness_certificate, prob)
+    assert got[0] == want[0] == "ok" and (got[1] is None) == (want[1] is None), prob
+    assert got[1] is None or oracle_certify_unbounded(prob, got[1]), prob
+    return got
+
+
 def _finite_choices(A):
     return [[r for r in range(A.rows) if A.data[r][j].is_finite] for j in range(A.cols)]
 
@@ -105,7 +119,7 @@ def _check_levels(prob, levels, x_opt, rng, mutations=3):
             _same(certify_optimal, oracle_certify_optimal, prob, lam, t)
             if x is not None:
                 _same(certify_optimal, oracle_certify_optimal, prob, lam, t, x=x)
-    res = _same(unboundedness_certificate, oracle_unboundedness_certificate, prob)
+    res = _same_unbounded(prob)
     if res[0] == "ok" and res[1] is not None:
         sig = res[1]
         A, B, _ = oracle_pair(prob, fin(0))
@@ -542,6 +556,27 @@ def test_a_finite_anchor_needs_no_game(monkeypatch):
         unboundedness_certificate(linprob([[0]], [[0]], [None], [None], [0], ["+inf"]))
 
 
+def test_a_free_objective_needs_no_game(monkeypatch):
+    """A free objective's sigma comes from the start point, with no game.
+    The first problem's game at the floor level passed the int64 guard
+    (EngineError) while both solvers answer unbounded; now it gets a
+    sigma that both checkers accept.  Infeasible constraints get None."""
+    infeasible = linprob([[0]], [[-1]], [None], [None], [None], ["+inf"])
+    assert unboundedness_certificate(infeasible) is None
+    assert oracle_unboundedness_certificate(infeasible) is None
+    lin = linprob([[None]], [[None]], [-(2**61)], [0], [None], ["+inf"])
+    quad = quadprob([[0, None]], [[None, 1]], [None], [0], [None, None], ["+inf", "+inf"],
+                    [[None, None], [None, None]])
+    for prob in (lin, quad):
+        solve = newton_solve if prob is lin else newton_solve_quad
+        assert solve(prob).status == "unbounded"
+    assert bisection_solve(lin).status == "unbounded"
+    _refuse_games(monkeypatch)
+    for prob in (lin, quad):
+        sig = unboundedness_certificate(prob)
+        assert sig is not None and certify_unbounded(prob, sig) and oracle_certify_unbounded(prob, sig)
+
+
 def test_a_row_infeasible_problem_still_raises_isolated_node(monkeypatch):
     """The finite anchor 0 does not hide the row with a finite left side
     and an empty right side: IsolatedNode, as before, with no game."""
@@ -557,11 +592,12 @@ def test_a_row_infeasible_problem_still_raises_isolated_node(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(_problem(), st.booleans())
 def test_without_an_anchor_the_builder_matches_the_oracle(prob, drop_p):
-    """No j with both p_j and q_j finite: the game decides, as before."""
+    """No j with both p_j and q_j finite: the game decides, as before,
+    except on a free objective (see _same_unbounded)."""
     n = prob.shape[1]
     if drop_p:
         prob.p = [NEG_INF] * n
     else:
         prob.q = [POS_INF] * n
     assert prob._rec.anchor.is_neg_inf
-    _same(unboundedness_certificate, oracle_unboundedness_certificate, prob)
+    _same_unbounded(prob)

@@ -34,6 +34,7 @@ from tropopt import (
     bisection_solve_quad,
     certify_optimal,
     certify_unbounded,
+    feasible_finite,
     fin,
     gen_random,
     mat_vec_mul,
@@ -308,6 +309,29 @@ def test_start_point_past_an_inconclusive_descent(game_descent_too, prob):
     lhs = [tmax(u, b) for u, b in zip(mat_vec_mul(prob.U, xs), prob.b)]
     rhs = [tmax(v, d) for v, d in zip(mat_vec_mul(prob.V, xs), prob.d)]
     assert all(a <= c for a, c in zip(lhs, rhs))
+
+
+@pytest.mark.parametrize("quad", [False, True])
+def test_start_point_solves_one_game(quad):
+    """When both descents are inconclusive (patched), a feasible start
+    point comes from the game that decided the sign, with no second
+    solve: one solve_arena call, and the point feasible_finite's own game
+    gives on the same homogenized system."""
+    prob = gen_random(6, 6, 20, 100, 5, quad)
+    rec, solve, calls = _compiled(prob), games.solve_arena, []
+
+    def counted(arena, warm=None):
+        calls.append(arena)
+        return solve(arena, warm)
+
+    inconclusive = lambda *args: None  # noqa: E731
+    with patch.object(pseudolinear, "_descend_scaled", inconclusive), patch.object(
+        games, "_descend_scaled", inconclusive
+    ), patch.object(games, "solve_arena", counted):
+        x = _affine_witness(prob)
+        assert len(calls) == 1
+        w = feasible_finite(rec._with_aug(np.flatnonzero(rec.core[1][: rec.m].any(axis=1)))[:5])
+    assert x is not None and x == [v - w[-1] for v in w[:-1]]
 
 
 def _row_infeasible(quad):

@@ -36,6 +36,7 @@ from tropopt import (
     scalar_to_json,
     unboundedness_certificate,
 )
+from tropopt.io import BadRational
 from tropopt.pseudolinear import _compiled
 
 from _util import oracle_parse_problem
@@ -208,6 +209,79 @@ def test_large_integers_take_the_object_path():
     assert prob == oracle_parse_problem(json.dumps(doc))
     doc["U"][0][0] = 2**61 // 3 - 1
     assert _compiled(parse_problem(json.dumps(doc))).data["U"][0].dtype != object
+    # past int64 itself: an integer, and a numerator over small denominators
+    for tok in (2**63 + 1, -(2**63) - 1, f"{2**63 + 1}/3", f"-{2**63 + 1}/3"):
+        doc["U"][0][0] = tok
+        assert parse_problem(json.dumps(doc)) == oracle_parse_problem(json.dumps(doc))
+
+
+# strings that int() or a split on "/" would read, and the decode's
+# joined-text check must still reject one by one
+_IMPOSTORS = ["1_0/3", " 1/2", "1/2 ", "+1/2", "\u0661/\u0662", "1//2", "1/2/3", "1/\u00002",
+              "1/2\n", "1/2,3/4", "1/2,", ",1/2", "3/04", "5"]
+
+
+@st.composite
+def _bulk_document(draw):
+    """A document of 200 or more "num/den" tokens (U and V are all
+    rationals); the vectors and C mix in integers and each field's
+    admitted infinity.  The numbers are small, or some of them (in
+    numerators, denominators or integers) lie about 2^e for one e of 61
+    to 64: past the guard, L too, and past int64 from 63 on."""
+    e = draw(st.sampled_from([None, 61, 62, 63, 64]))
+    where = "" if e is None else draw(st.sampled_from(["num", "den", "int", "num den int"]))
+    edge = st.integers(2**e - 5, 2**e + 5) if e else st.nothing()
+
+    def part(small, name, signed=True):
+        if name not in where:
+            return small
+        return st.one_of(small, edge, *[edge.map(int.__neg__)] * signed)
+
+    num, den = part(st.integers(-999, 999), "num"), part(st.integers(1, 100), "den", False)
+    whole, rat = part(st.integers(-999, 999), "int"), st.builds(lambda a, b: f"{a}/{b}", num, den)
+    quad, m, n = draw(st.booleans()), draw(st.integers(10, 12)), draw(st.integers(10, 12))
+    doc = {"type": "pseudoquadratic" if quad else "pseudolinear"}
+    for name in "UV":
+        doc[name] = [draw(st.lists(rat, min_size=n, max_size=n)) for _ in range(m)]
+    for name, k in (("b", m), ("d", m), ("p", n), ("q", n)):
+        tok = st.one_of(rat, whole, st.just("+inf" if name == "q" else "-inf"))
+        doc[name] = draw(st.lists(tok, min_size=k, max_size=k))
+    if quad:
+        tok = st.one_of(rat, whole, st.just("-inf"))
+        doc["C"] = [draw(st.lists(tok, min_size=n, max_size=n)) for _ in range(n)]
+    return doc
+
+
+@settings(max_examples=25, deadline=None)
+@given(_bulk_document(), st.data())
+def test_bulk_decode_matches_entrywise_parse(doc, data):
+    """The decode agrees with the entry-by-entry parse on large documents,
+    past the int64 guard too.  Then two or three bad entries are planted,
+    of one or two kinds, and the first in document order decides the
+    error."""
+    text = json.dumps(doc)
+    _check_same(parse_problem(text), oracle_parse_problem(text))
+    kinds = data.draw(st.lists(st.sampled_from(_IMPOSTORS + [True, None, "inf"]), min_size=1, max_size=2))
+    for _ in range(data.draw(st.integers(2, 3))):
+        name = data.draw(st.sampled_from([f for f in _FIELDS if f in doc]))
+        row = data.draw(st.sampled_from(doc[name])) if name in "UVC" else doc[name]
+        tok = data.draw(st.sampled_from(kinds))
+        if tok == "inf":  # the infinity the field does not admit
+            tok = "-inf" if name == "q" else "+inf"
+        row[data.draw(st.integers(0, len(row) - 1))] = tok
+    text = json.dumps(doc)
+    err = _attempt(parse_problem, text)[1]
+    assert err is not None and err == _attempt(oracle_parse_problem, text)[1]
+
+
+def test_a_comma_inside_a_token_is_rejected():
+    """Joined by commas, the token "1/2,3/4" reads as two good ones; the
+    count of commas tells it apart."""
+    doc = json.loads(dump_problem(gen_random(4, 4, 9, 100, 1)))
+    doc = {k: [[f"{e}/7" for e in r] for r in v] if k in "UV" else v for k, v in doc.items()}
+    doc["V"][1][2] = "1/2,3/4"
+    with pytest.raises(BadRational, match="^bad scalar '1/2,3/4'$"):
+        parse_problem(json.dumps(doc))
 
 
 # sha256 of the dumps of seeds 0..4, written before gen_random drew into

@@ -49,9 +49,11 @@ def test_scalar_codec():
 
 
 def test_scalar_codec_rejects():
-    for bad in (True, False, 1.5, None, "inf", "1.5", "3/0", "1/-2", "a/b", "", [1]):
+    for bad in (True, False, 1.5, None, "inf", "1.5", "3/0", "1/-2", "a/b", "", [1], "1/2\n"):
         with pytest.raises(BadRational):
             scalar_from_json(bad)
+    with pytest.raises(BadRational, match=r"^bad scalar '1/2\\n'$"):
+        parse_problem(dump_problem(golden_linear()).replace('"q":[-1', '"q":["1/2\\n"'))
 
 
 def test_scalar_roundtrip_random():

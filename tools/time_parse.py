@@ -9,7 +9,13 @@ checkout's src/ directory (default: this checkout's); the sides are
 imported side by side and their passes interleaved, so a change in
 machine speed falls on all of them alike.  Times are the median over the
 passes of the mean per instance, in ms scaled to the benchmark's
-reference speed (benchmarks/calibrate.py).  Prints one JSON object.
+reference speed (benchmarks/calibrate.py).
+
+With two or more sides, every pool text is also parsed by each side and
+its compiled record compared with the first side's: L, WL, each field's
+arrays with their dtypes, and core.  Prints one JSON object, with the
+number of differing records per workload and side, and exits 1 when
+any record differs.
 """
 
 from __future__ import annotations
@@ -46,6 +52,12 @@ def load(src):
     return SimpleNamespace(modules=mods, io=mods["io"], pl=mods["pseudolinear"], _fin=fin)
 
 
+def record_key(rec):
+    """What two sides' records of one text must agree on, dtypes included."""
+    arrays = [a for name in rec.data for a in rec.data[name]] + list(rec.core)
+    return rec.L, rec.WL, list(rec.data), [(a.dtype.str, a.shape, a.tolist()) for a in arrays]
+
+
 def timed(clock, fn, items):
     t0 = perf_counter()
     for it in items:
@@ -62,13 +74,15 @@ def main(argv=None):
     srcs = args.src or [str(ROOT / "src")]
     sides = [load(s) for s in srcs]
     clock = Clock()
-    out = {}
+    out, differ = {}, {}
     for name, wl in WORKLOADS.items():
         seeds = [args.seed * 1000003 + i for i in range(wl.pool)]
         texts = [side.io.dump_problem(wl.make(side, seeds[0])) for side in sides]
         if len(set(texts)) != 1:
             raise SystemExit(f"{name}: the sides generate different instances")
         texts = [sides[0].io.dump_problem(wl.make(sides[0], s)) for s in seeds]
+        keys = [[record_key(side.pl._compiled(side.io.parse_problem(t))) for t in texts] for side in sides]
+        differ[name] = {src: sum(a != b for a, b in zip(k, keys[0])) for src, k in zip(srcs[1:], keys[1:])}
         samples = [{k: [] for k in ("json_loads", "parse_compile", "make", "dump")} for _ in sides]
         for _ in range(args.passes):
             for side, acc in zip(sides, samples):
@@ -83,8 +97,8 @@ def main(argv=None):
             for src, acc in zip(srcs, samples)
         }
     doc = {"unit": "scaled ms per instance", "passes": args.passes, "seed": args.seed}
-    print(json.dumps({**doc, "workloads": out}))
-    return 0
+    print(json.dumps({**doc, "workloads": out, "records_differing": differ}))
+    return 1 if any(n for d in differ.values() for n in d.values()) else 0
 
 
 if __name__ == "__main__":
