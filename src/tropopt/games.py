@@ -565,7 +565,7 @@ def solve_values(sys: TwoSidedSystem) -> GameValues:
 # finite witnesses
 
 
-def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int):
+def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int, watch=None):
     """Greatest-solution descent for A (x) <= B (x), scaled (weights and
     finite masks as _scaled returns them).
 
@@ -585,6 +585,14 @@ def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int):
     masked entries at -3big no sweep needs a mask: b_ij + x_j exceeds
     -big + seed/2 exactly when both are finite.  int64 holds the sums
     while 4big < 2^61, Python ints beyond.
+
+    watch, when given, sees each sweep k (from 0) as watch(k, y, fixed):
+    y = B (x) at the state x the sweep starts from, and whether the sweep
+    leaves x as it is, x then being the fixpoint.  With W the largest
+    |weight|, a -inf entry of y is held as a value at most -big + W, and
+    a finite one stays above -big + 2 seed - W, since no sweep lowers a
+    value by more than 2W; so y_i - a_ij orders as on the extended reals.
+    When watch returns True, the descent stops and returns False.
     """
     big = (sweeps + 2) * seed
     Bm = np.where(Bf, _fit(Bw, 4 * big), -3 * big)
@@ -594,21 +602,29 @@ def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int):
     x = np.full(Bf.shape[1], seed, dtype=Bm.dtype)
     x[n:] = 0
     finite = np.ones(Bf.shape[1], dtype=bool)
-    for _ in range(sweeps):
+    for k in range(sweeps):
         y = (Bm + x).max(axis=1)
-        y_fin = y > cut
-        nfin = finite
-        if not y_fin.all():
+        if y.min() > cut:
+            nfin, low = finite, (y[:, None] - Am).min(axis=0)
+        else:
             # a row with y_i = -inf ends every column it has a finite
             # a_ij in, and takes no part in the others' minima
+            y_fin = y > cut
             nfin = finite.copy()
             nfin[:n] &= ~Af[~y_fin].any(axis=0)
-            y = np.where(y_fin, y, big)
-        nx = x.copy()
-        nx[:n] = np.where(nfin[:n], np.minimum(x[:n], (y[:, None] - Am).min(axis=0)), -big)
-        if (nx == x).all() and (nfin == finite).all():
+            low = (np.where(y_fin, y, big)[:, None] - Am).min(axis=0)
+        # low stays above -big, where x holds its -inf coordinates
+        fixed = not (low < x[:n]).any() and (nfin is finite or (nfin == finite).all())
+        if watch is not None and watch(k, y, fixed):
+            return False
+        if fixed:
+            y_fin = y > cut
             return x, finite, np.where(y_fin, y, -big), y_fin
-        x, finite = nx, nfin
+        if nfin is finite:
+            np.minimum(x[:n], low, out=x[:n])
+        else:
+            x[:n] = np.where(nfin[:n], np.minimum(x[:n], low), -big)
+            finite = nfin
     return None
 
 

@@ -314,40 +314,49 @@ def _first_best(val, off, best):
     return _first(val == np.repeat(top, np.diff(off)), off)
 
 
-def _relax(n, src, dst, w, x, parent=None, segs=None):
+def _relax(n, src, dst, w, x, trail=None, segs=None):
     """Bellman-Ford rounds x_u <- min(x_u, w + x_v) over the arcs u -> v,
     until nothing changes or n + 1 rounds have run.  The arcs must come
     grouped by source, as arenas and their turn graphs keep them (src
     nondecreasing); segs is _segments(src) when the caller has it.  When
-    given, parent[u] is set to the arc that last lowered x_u."""
+    given, the list trail gets each round's minima min (w + x_v) over the
+    arcs of each source, in the order of its segments."""
     if not len(src):
         return x
     heads, starts = _segments(src) if segs is None else segs
     x = x.copy()
     for _ in range(n + 1):
-        cand = w + x[dst]
-        best = np.minimum.reduceat(cand, starts)
+        best = np.minimum.reduceat(w + x[dst], starts)
+        if trail is not None:
+            trail.append(best)
         xh = x[heads]
         lower = best < xh
         if not lower.any():
             break
-        if parent is not None:
-            seg = np.append(starts, len(src))
-            arc = _first(cand == np.repeat(best, np.diff(seg)), seg)
-            parent[heads[lower]] = arc[lower]
         x[heads] = np.minimum(xh, best)
     return x
 
 
-def _negative_cycle(n, src, dst, w):
-    """The parent arcs of Bellman-Ford from 0 at every node, one out of
-    each node it lowered.  Every cycle of the parent graph is negative,
-    and a negative cycle keeps the rounds from settling, which leaves one
-    there after n + 1 rounds.  The arcs come grouped by source (see
-    _relax)."""
-    parent = np.full(n, -1, dtype=np.int64)
-    _relax(n, src, dst, w, np.zeros(n, dtype=w.dtype), parent)
-    return parent[parent >= 0]
+def _negative_cycle(n, src, dst, w, trail, segs):
+    """The parent arcs of the Bellman-Ford rounds from 0 at every node
+    whose minima are trail (_relax), one out of each node they lowered:
+    the first of its arcs that attains its value in the last round that
+    lowered it.  The potentials before each round are replayed from the
+    minima on the nodes alone.  Every cycle of the parent graph is
+    negative, and a negative cycle keeps the rounds from settling, which
+    leaves one there after n + 1 rounds.  segs is _segments(src)."""
+    heads, starts = segs
+    x = np.zeros(n, dtype=w.dtype)
+    before = np.zeros((len(trail), n), dtype=w.dtype)
+    last = np.full(n, -1)
+    for r, best in enumerate(trail):
+        before[r] = x
+        xh = x[heads]
+        last[heads[best < xh]] = r
+        x[heads] = np.minimum(xh, best)
+    hit = (last[src] >= 0) & (w + before[last[src], dst] == x[src])
+    arc = _first(hit, np.append(starts, len(src)))
+    return arc[arc >= 0]
 
 
 def _reach_negative(n, src, dst, w):
@@ -357,14 +366,35 @@ def _reach_negative(n, src, dst, w):
     walk weight, that of a simple path.  It lowers a node of every
     negative cycle, since unlowered nodes all round a cycle would sum to
     a weight >= 0.  So a node reaches a negative cycle exactly when it
-    reaches a lowered node, which one zero-weight pass finds.  The arcs
-    come grouped by source (see _relax); w is int64 or Python ints, and
-    the rounds run on int64 while _fit admits every walk weight."""
+    reaches a lowered node, which one zero-weight pass finds.
+
+    Every _CHECK_ROUNDS rounds, as in _min_ratio, two looks may end it
+    early: rounds that settle leave no negative cycle, and greedy arcs
+    (one out of each node, attaining its least w + x_v) that close only
+    negative cycles, with no node left without one, let every node reach
+    one.  The arcs come grouped by source (see _relax); w is int64 or
+    Python ints, and the rounds run on int64 while _fit admits every walk
+    weight."""
+    if not len(src):
+        return np.zeros(n, dtype=bool)
     w = _fit(w, (n + 1) * (_abs_max(w) + 1))
-    x = _relax(n - 1, src, dst, w, np.zeros(n, dtype=w.dtype))
+    segs = _segments(src)
+    x, done = np.zeros(n, dtype=w.dtype), 0
+    while done < n:
+        rounds = min(_CHECK_ROUNDS, n - done)
+        x = _relax(rounds - 1, src, dst, w, x, segs=segs)
+        done += rounds
+        val = w + x[dst]
+        lowered = x[src] > val
+        if not lowered.any():
+            return np.zeros(n, dtype=bool)
+        if len(segs[0]) == n:
+            g = _first_best(val, np.append(segs[1], len(src)), np.minimum)
+            if _cycle_ratio(dst[g], -w[g], np.ones(n, dtype=np.int64))[0] > 0:
+                return np.ones(n, dtype=bool)
     low = np.ones(n, dtype=np.int64)
-    low[src[x[src] > w + x[dst]]] = 0
-    return _relax(n, src, dst, np.zeros(len(src), dtype=np.int64), low) == 0
+    low[src[lowered]] = 0
+    return _relax(n, src, dst, np.zeros(len(src), dtype=np.int64), low, segs=segs) == 0
 
 
 def _cycle_ratio(nxt, c, t):
@@ -432,10 +462,10 @@ def _min_ratio(ns, src, dst, w, t, num, den, segs=None):
         big = (ns + 2) * (top * den + ttop * abs(num))
         wp = _fit(w, big) * den - _fit(t, big) * num
         pi = np.zeros(ns, dtype=wp.dtype)
-        done = 0
+        trail, done = [], 0
         while done <= ns:
             rounds = min(_CHECK_ROUNDS, ns + 1 - done)
-            pi = _relax(rounds - 1, src, dst, wp, pi, segs=segs)
+            pi = _relax(rounds - 1, src, dst, wp, pi, trail, segs)
             done += rounds
             val = wp + pi[dst]
             if not np.any(pi[src] > val):
@@ -444,7 +474,7 @@ def _min_ratio(ns, src, dst, w, t, num, den, segs=None):
             if lower is not None and lower[0] * den < num * lower[1]:
                 break
         else:
-            lower = ratio(_negative_cycle(ns, src, dst, wp))
+            lower = ratio(_negative_cycle(ns, src, dst, wp, trail, segs))
         num, den = lower
     raise EngineError("cycle-ratio iteration failed to converge")
 

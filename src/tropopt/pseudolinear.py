@@ -344,16 +344,10 @@ class _Compiled:
         return not self.core[1][self.m :].any()
 
     def _with_aug(self, rows):
-        """The pair of the core rows `rows` (ascending) plus one
-        tautological "aug" row x_c <= x_c for each column they leave
-        without a finite left entry, rescaled to the denominator lcm of its
-        own entries (on all rows that is L, the data's)."""
-        Aw, Af, Bw, Bf = (a[rows] for a in self.core)
-        aug = np.flatnonzero(~Af.any(axis=0))
-        eye = np.zeros((len(aug), self.n + 1), dtype=bool)
-        eye[np.arange(len(aug)), aug] = True
-        Af, Bf = np.vstack([Af, eye]), np.vstack([Bf, eye])
-        Aw, Bw = (np.vstack([w, np.zeros(eye.shape, dtype=w.dtype)]) for w in (Aw, Bw))
+        """The pair of the core rows `rows` (ascending) with its aug rows
+        (_with_aug_rows), rescaled to the denominator lcm of its own
+        entries (on all rows that is L, the data's)."""
+        Aw, Af, Bw, Bf = _with_aug_rows(*(a[rows] for a in self.core))
         L = self.L
         if L > 1:
             g = gcd(L, int(np.gcd.reduce(Aw.ravel())), int(np.gcd.reduce(Bw.ravel())))
@@ -422,6 +416,17 @@ class _Compiled:
             terms.append(np.where(Cf, Cw + x, low).max(axis=1)[live] - x[live])
         top = [int(t.max()) for t in terms if len(t)]
         return fin(Fraction(max(top), L)) if top else NEG_INF
+
+
+def _with_aug_rows(Aw, Af, Bw, Bf):
+    """(Aw, Af, Bw, Bf) of a pair plus one tautological "aug" row
+    x_c <= x_c for each column c without a finite left entry, in the
+    order of the columns."""
+    aug = np.flatnonzero(~Af.any(axis=0))
+    eye = np.zeros((len(aug), Af.shape[1]), dtype=bool)
+    eye[np.arange(len(aug)), aug] = True
+    zero = np.zeros(eye.shape, dtype=np.int64)
+    return np.vstack([Aw, zero]), np.vstack([Af, eye]), np.vstack([Bw, zero]), np.vstack([Bf, eye])
 
 
 def _compiled(prob) -> _Compiled:
@@ -530,11 +535,23 @@ def _descent_witness(rec):
     First a greatest-point descent from a seed pinned at (2W+2): each
     sweep maps x to x /\\ U# (V x + d), which preserves every solution
     below the seed; a fixpoint that also passes the b rows is a solution.
-    Only when the descent is inconclusive does a game decide: that of the
-    homogenized system [U | b] <= [V | d] over (x, t) on its own scale,
-    with a tautological row per column that has no finite left entry.  It
-    has a finite solution exactly when the affine system does, so its
-    least value is negative exactly when that is infeasible.  A feasible
+    The descent's binding rows may prove the system infeasible on the way.
+    With x_t = 0, tau(j), the first row attaining min_i ((V x + d)_i -
+    a_ij) over the entries of [U | b], is a column strategy on the
+    homogenized system [U | b] <= [V | d] over (x, t), with a
+    tautological row per column that has no finite left entry, which is
+    that column's tau.  When some
+    column reaches only cycles that Max loses under it (_tau_passes with
+    no lam rows), that system has no finite solution, and neither has the
+    affine one (Akian, Gaubert and Guterman, IJAC 22, 2012).  This is
+    asked at the first sweep where a b row fails, after which the falling
+    iterates give no point; at sweep n + 1, the rounds of the game's
+    value-iteration seed; and at a last sweep that gives no point, a
+    fixpoint that fails a b row or the cap.  Only when the descent
+    neither finds a point nor proves infeasibility does a game decide:
+    that of the homogenized system on its own scale.  It has a finite
+    solution exactly when the affine system does, so its least value is
+    negative exactly when that is infeasible.  A feasible
     system gets its point from the same homogenized system
     (feasible_finite), and from the same solved game when feasible_finite's
     descent is inconclusive too.  A game past the arena's int64 guard
@@ -543,14 +560,34 @@ def _descent_witness(rec):
     if rec.row_infeasible:
         return None
     m, n, L = rec.m, rec.n, rec.L
-    Aw, Af, Bw, Bf = rec.core
+    Aw, Af, Bw, Bf = (a[:m] for a in rec.core)
     sweeps = min(3 * (m + n) + 6, 64)
-    fix = _descend_scaled(Aw[:m, :n], Af[:m, :n], Bw[:m], Bf[:m], 2 * rec.WL + 2 * L, sweeps)
+    b_rows = np.flatnonzero(Af[:, n])
+    b = Aw[b_rows, n]
+    pair, failed = None, False
+
+    def infeasible(k, y, fixed):
+        nonlocal pair, failed
+        first = not failed and bool((b > y[b_rows]).any())
+        failed |= first
+        if not (first or k == n or (fixed and failed) or (k == sweeps - 1 and not fixed)):
+            return False
+        if pair is None:
+            pair = _with_aug_rows(Aw, Af, Bw, Bf)
+        val = y[:, None] - Aw
+        tau = np.where(Af, val, val.max() + 1).argmin(axis=0)
+        aug = ~Af.any(axis=0)
+        tau[aug] = m + np.arange(np.count_nonzero(aug))
+        return _tau_passes(pair[0], pair[2], pair[3], range(0), tau)
+
+    fix = _descend_scaled(Aw[:, :n], Af[:, :n], Bw, Bf, 2 * rec.WL + 2 * L, sweeps, infeasible)
+    if fix is False:
+        return None
     if fix is not None:
-        x, finite, y, y_fin = fix
-        if finite.all() and not np.any(Af[:m, n] & ~(y_fin & (Aw[:m, n] <= y))):
+        x, finite, _, _ = fix
+        if finite.all() and not failed:  # failed: a b row fails at the fixpoint
             return [Fraction(int(v), L) for v in x[:n]]
-    hom = rec._with_aug(np.flatnonzero(Af[:m].any(axis=1)))[:5]
+    hom = rec._with_aug(np.flatnonzero(Af.any(axis=1)))[:5]
     try:
         g_num, *solved = _solved_game(*hom)
     except EngineError:
@@ -1029,7 +1066,9 @@ def _tau_passes(Aw, Bw, Bf, lam_rows, t) -> bool:
     it reaches a negative cycle, or a lam-free cycle of weight 0.  With
     c = n1 + 1, an arc weighing (c + 1) c w + c on a lam row and
     (c + 1) c w - 1 elsewhere makes exactly those simple cycles (at most
-    n1 arcs) negative, so one _reach_negative finds the failing starts."""
+    n1 arcs) negative, so one _reach_negative finds the failing starts.
+    With no lam rows a passing tau proves that the pair has no finite
+    solution, as the start point uses it (_descent_witness)."""
     src, dst = np.nonzero(Bf[t])  # row-major: grouped by source
     rows = t[src]
     w = Aw[rows, src] - Bw[rows, dst]

@@ -9,11 +9,15 @@ the structure is the engine's typed refusal.  A solve or certify request
 compiles its data exactly once and builds at most one structure, none
 for an infeasible problem.  On the same problems, the start point that a
 game decides (the descents forced inconclusive) agrees with the
-feasibility oracle.  The integer objectives equal the extended-scalar
-ones, and a non-positive tol is rejected before any work.
+feasibility oracle, and so, on small affine systems, does the start
+point that the descent's binding-row certificate decides.  The integer
+objectives equal the extended-scalar ones, and a non-positive tol is
+rejected before any work.
 """
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -63,6 +67,7 @@ from _util import (
 
 _SMALL = [1, 1, 2, 3]
 _HUGE = [5**30, 7**25]
+_DUMP_TOOL = Path(__file__).resolve().parent.parent / "tools" / "dump_answers.py"
 
 
 @st.composite
@@ -240,6 +245,14 @@ def test_one_structure_per_problem(quad):
             assert outs[0].status == status
 
 
+def _meets(prob, x):
+    """Whether the finite point x meets U x + b <= V x + d exactly."""
+    xs = [fin(v) for v in x]
+    lhs = [tmax(u, b) for u, b in zip(mat_vec_mul(prob.U, xs), prob.b)]
+    rhs = [tmax(v, d) for v, d in zip(mat_vec_mul(prob.V, xs), prob.d)]
+    return all(a <= c for a, c in zip(lhs, rhs))
+
+
 def _hom_feasible(prob):
     """The oracle's verdict on [U | b] <= [V | d] over (x, t), with a
     tautological row per column that has no finite left entry; a row
@@ -305,10 +318,7 @@ def test_start_point_past_an_inconclusive_descent(game_descent_too, prob):
         assert not _hom_feasible(prob)
         return
     assert _hom_feasible(prob)
-    xs = [fin(v) for v in x]
-    lhs = [tmax(u, b) for u, b in zip(mat_vec_mul(prob.U, xs), prob.b)]
-    rhs = [tmax(v, d) for v, d in zip(mat_vec_mul(prob.V, xs), prob.d)]
-    assert all(a <= c for a, c in zip(lhs, rhs))
+    assert _meets(prob, x)
 
 
 @pytest.mark.parametrize("quad", [False, True])
@@ -332,6 +342,95 @@ def test_start_point_solves_one_game(quad):
         assert len(calls) == 1
         w = feasible_finite(rec._with_aug(np.flatnonzero(rec.core[1][: rec.m].any(axis=1)))[:5])
     assert x is not None and x == [v - w[-1] for v in w[:-1]]
+
+
+def _fresh(prob):
+    """prob with a record of its own, whose start point is not cached."""
+    return parse_problem(dump_problem(prob))
+
+
+def _every_sweep(proofs):
+    """games._descend_scaled that asks the start point's certificate at
+    every sweep, as at the cap, and records each verdict in proofs."""
+    descend = games._descend_scaled
+
+    def asking(Aw, Af, Bw, Bf, seed, sweeps, watch):
+        def ask(k, y, fixed):
+            proofs.append(watch(sweeps - 1, y, False))
+            return proofs[-1]
+
+        return descend(Aw, Af, Bw, Bf, seed, sweeps, ask)
+
+    return asking
+
+
+@st.composite
+def _affine(draw):
+    """U x + b <= V x + d with m and n from 1 to 4, on integers, small
+    rationals, or rationals whose denominator lcm passes 2^62; p and q
+    play no part."""
+    dens = draw(st.sampled_from([[1], _SMALL, _HUGE]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def vec(k, p):
+        return [draw(_entry(dens, None, p)) for _ in range(k)]
+
+    U, V = ([vec(n, 0.6) for _ in range(m)] for _ in "UV")
+    return linprob(U, V, vec(m, 0.5), vec(m, 0.5), [None] * n, ["+inf"] * n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prob=_affine())
+@example(prob=linprob([[0]], [[0]], [None], [None], [None], ["+inf"]))
+def test_start_point_certificate_agrees_with_exact_oracle(prob):
+    """The start point is None exactly when the exact oracle finds the
+    homogenized system infeasible, and otherwise meets the constraints;
+    data past the int64 guard may get the engine's typed refusal, unless
+    the descent's certificate decides.  Asked at every sweep, the
+    certificate decides only infeasible systems.  The example's only
+    cycles weigh 0 (U = V = [[0]], x <= x): it is feasible, and a check
+    that took cycles of weight 0 for negative ones would refuse it."""
+    feasible = _hom_feasible(prob)
+    proofs = []
+    for descend in (_every_sweep(proofs), games._descend_scaled):
+        with patch.object(pseudolinear, "_descend_scaled", descend):
+            try:
+                x = _affine_witness(_fresh(prob))
+            except EngineError as e:
+                assert str(e) == "weights too large for the integer engine"
+                assert _compiled(prob).L > 2**61
+                continue
+        assert (x is not None) == feasible
+        assert x is None or _meets(prob, x)
+    assert not (any(proofs) and feasible)
+
+
+def test_certified_start_point_solves_no_game():
+    """Infeasible lin-int-d25 instances whose descent certifies them: the
+    start point is None with games.solve_arena raising, so no game ran."""
+
+    def no_game(arena, warm=None):
+        raise AssertionError("a game was solved")
+
+    with patch.object(games, "solve_arena", no_game):
+        for s in (2, 3, 4):
+            assert _affine_witness(gen_random(25, 25, 500, 100, s)) is None
+
+
+def test_huge_infeasible_instance_is_answered():
+    """lin-huge instance 10 of tools/dump_answers.py (generator seed
+    7008010): its 39-digit denominator lcm puts the homogenized game past
+    the int64 guard, where the engine refuses with EngineError.  The
+    descent's certificate needs no game, and both solvers answer
+    infeasible, as the exact oracle does."""
+    spec = importlib.util.spec_from_file_location("dump_answers", _DUMP_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    mode, offset, make = tool.FAMILIES["lin-huge"]
+    prob = make(7000000 + 1000 * offset + 10)
+    assert _compiled(prob).L > 2**62 and not _hom_feasible(prob)
+    for solve in (bisection_solve, newton_solve):
+        assert solve(prob, mode).status == "infeasible"
 
 
 def _row_infeasible(quad):

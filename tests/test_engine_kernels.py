@@ -276,9 +276,10 @@ def test_gate_verdicts_on_seeded_pairs():
 def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
     """_relax reduces by segments of equal source with no sort: each of
     its callers (the cycle-ratio kernel of the evaluations, the quad drop
-    and the coupling's cycle mean, its negative cycles, the bias of an
-    evaluation, the negative-cycle test of the gate and the certificate
-    checks, and the game witness) passes src nondecreasing."""
+    and the coupling's cycle mean, whose rounds also give its negative
+    cycles, the bias of an evaluation, the negative-cycle test of the
+    gate and the certificate checks, and the game witness) passes src
+    nondecreasing."""
     relax, callers = matrix._relax, set()
 
     def checked(n, src, dst, w, x, parent=None, segs=None):
@@ -297,8 +298,7 @@ def test_bellman_ford_arcs_come_grouped_by_source(monkeypatch):
         assert feasible_finite(_at_level(_param_pair(prob), lam)[:5], max_sweeps=1) is not None
     _seeded_gate_sweep()  # pairs whose bias is no potential
     assert callers == {
-        "_one_player_min", "_min_ratio", "_bias", "_reach_negative", "_negative_cycle",
-        "_bf_witness",
+        "_one_player_min", "_min_ratio", "_bias", "_reach_negative", "_bf_witness",
     }
 
 

@@ -17,9 +17,13 @@ evaluations the Dinkelbach steps of the cycle-ratio kernel
 (matrix._min_ratio) from a candidate cycle to a lower one, the exact
 negative-cycle searches among them (a greedy step that found no lower
 cycle) and the evaluations with several gain levels (a nonzero rank in
-_one_player_min's rank array).  --src names a checkout's src/ directory
-(default: this checkout's); a counter whose function that checkout lacks
-reads null.  Prints one JSON object.
+_one_player_min's rank array).  Apart from the kinds, "start_points"
+counts how each start point search (pseudolinear._descent_witness) was
+decided: by the descent's point, by its binding-row certificate of
+infeasibility (a passing pseudolinear._tau_passes), by a game, or by a
+row whose finite left side faces an empty right side.  --src names a
+checkout's src/ directory (default: this checkout's); a counter whose
+function that checkout lacks reads null.  Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ COUNTED = {
     "several_levels": ("games", "_one_player_min", _levels),
 }
 COUNTS = ("solves", *COUNTED)
+START_POINTS = ("descent_point", "descent_certificate", "game", "row_infeasible")
 
 
 def load(src):
@@ -89,6 +94,8 @@ class Counter:
         self.solve = None  # the counts of the solve running now
         self.table = {}
         self.missing = set()
+        self.games = self.proofs = 0  # solves and passing certificate checks so far
+        self.start_points = dict.fromkeys(START_POINTS, 0)
 
     def _within(self, kind, fn):
         def wrapped(*args, **kw):
@@ -116,6 +123,7 @@ class Counter:
             row = self.table.setdefault(self.kind, {}).setdefault(start, dict.fromkeys(COUNTS, 0))
             outer, self.solve = self.solve, row
             row["solves"] += 1
+            self.games += 1
             try:
                 return solve_arena(arena, warm)
             finally:
@@ -128,7 +136,23 @@ class Counter:
                 setattr(m, fn, self._counting(name, getattr(m, fn), amount))
             else:
                 self.missing.add(name)
-        pl._descent_witness = self._within("witness", pl._descent_witness)
+        tau_passes, descent_witness = pl._tau_passes, pl._descent_witness
+
+        def counted_passes(*args):
+            passed = tau_passes(*args)
+            self.proofs += passed
+            return passed
+
+        def decided(rec):
+            games, proofs = self.games, self.proofs
+            out = descent_witness(rec)
+            how = ("game" if self.games > games else "descent_certificate" if self.proofs > proofs
+                   else "row_infeasible" if out is None else "descent_point")
+            self.start_points[how] += 1
+            return out
+
+        pl._tau_passes = counted_passes
+        pl._descent_witness = self._within("witness", decided)
         pl._optimal_witness = self._within("witness", pl._optimal_witness)
 
     def run(self, kind, fn, *args):
@@ -157,7 +181,10 @@ def count(prog, workload, seed, instances):
             per = round(row["evaluations"] / row["solves"], 3) if row["solves"] else None
             row.update(dict.fromkeys(counter.missing))
             kinds[kind][start] = {**row, "evaluations_per_solve": per}
-    return {"workload": workload, "seed": seed, "instances": n, "requests": requests, "kinds": kinds}
+    return {
+        "workload": workload, "seed": seed, "instances": n, "requests": requests, "kinds": kinds,
+        "start_points": counter.start_points,
+    }
 
 
 def main(argv=None):
