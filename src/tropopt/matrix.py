@@ -225,7 +225,8 @@ def _star(W, big):
     max(W*_ii, 0) on the diagonal.  big must exceed 2n max |w| over the
     finite entries: every walk weight met before a positive cycle is found
     stays below that.  Raises DivergentStar after the first pivot that
-    closes a positive cycle."""
+    closes a positive cycle.  It serves kleene_star only: Newton's drop
+    reads R* through products with vectors (pseudolinear._star_rows)."""
     n = len(W)
     for k in range(n):
         col, row = W[:, k, None], W[k]

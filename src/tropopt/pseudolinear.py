@@ -27,7 +27,6 @@ from math import gcd, lcm
 import numpy as np
 
 from .matrix import (
-    DivergentStar,
     TropMatrix,
     TypingError,
     _GUARD,
@@ -37,7 +36,6 @@ from .matrix import (
     _reach_negative,
     _scaled,
     _segments,
-    _star,
 )
 from .games import (
     Arena,
@@ -756,9 +754,10 @@ class AlcovedProblem:
 def _filled(parts, n: int):
     """The drop step's integer form of (weights, finite mask, sign)
     triples already scaled by S: -big / +big for an infinity of that
-    sign.  big = 16(n+1)(A+1), A the largest |scaled entry|, exceeds
-    every finite value _reduce and _alcoved form from data of this size;
-    int64 while that fits, Python ints beyond.  Returns (arrays, big)."""
+    sign.  big = 16(n+1)(A+1), A the largest |scaled entry|, so every
+    entry _reduce forms is under big / (8(n+1)) in size, which _alcoved's
+    arithmetic on the infinities relies on; int64 while big fits, Python
+    ints beyond.  Returns (arrays, big)."""
     big = 16 * (n + 1) * (max(_abs_max(w.ravel()) for w, _, _ in parts) + 1)
     return [np.where(f, _fit(w, big), sign * big) for w, f, sign in parts], big
 
@@ -827,37 +826,58 @@ def reduce_by_strategy(prob, sigma) -> AlcovedProblem:
     return AlcovedProblem(R, _ext(l, S, big), _ext(u, S, big), prob.p, prob.q)
 
 
-def _mv(M, x, big):
-    """Max-plus product M x in the drop step's integer form."""
-    return np.where((M > -big) & (x > -big), M + x, -big).max(axis=1)
+def _star_rows(R, X):
+    """Each row x of X times the Kleene star of R: (R* x)_j, the greatest
+    x_k plus the weight of a walk from j to k, by Jacobi Bellman-Ford
+    rounds X <- max(X, R X) on all rows at once.  From any start the
+    rounds settle within n exactly when R has no positive cycle; returns
+    None when n + 1 rounds have not settled them."""
+    for _ in range(len(R) + 1):
+        Y = np.maximum(X, (R + X[:, None, :]).max(axis=2))
+        if (Y == X).all():
+            return X
+        X = Y
+    return None
 
 
 def _alcoved(R, l, u, p, q, big):
     """solve_alcoved on the drop step's integer form (see _filled), whose
     max-plus entries -q_j + R*_jk + p_k must be even: (theta, x) in the
-    same scale, theta None when the objective is unbounded below."""
-    try:
-        Rs = _star(R, big)
-    except DivergentStar:
-        raise InfeasibleReduction("positive self-coupling cycle") from None
-    Rl, Rp = _mv(Rs, l, big), _mv(Rs, p, big)
+    same scale, theta None when the objective is unbounded below.
+
+    R* is read only through its products with vectors, so it is never
+    formed: each product is a longest-path pass (_star_rows), one on l
+    and p together, which settles exactly when R has no positive cycle,
+    one on R^T for the conjugate product with -w, and one for the point.
+    The infinities take part as the numbers -big and big.  A finite
+    value formed here is a sum of fewer than 4(n + 1) entries, each under
+    big / (8(n + 1)) in size (_filled), so it lies within big / 2 of 0,
+    a sum with an infinite term lies below -big / 2 and reads as -inf,
+    and no sum leaves [-2 big, 2 big]: int64 wherever _filled chose it."""
+    cut = -big // 2
+    fwd = _star_rows(R, np.stack([l, p]))
+    if fwd is None:
+        raise InfeasibleReduction("positive self-coupling cycle")
+    Rl, Rp = fwd
     if np.any(Rl > u):
         raise InfeasibleReduction("bounds incompatible with coupling")
-    pf, qf = p > -big, q < big
-    # the closed form max(half(q^c R* p), u^c R* p, q^c R* l), -big if all
-    # three are -inf
-    f1, f2, f3 = (_mv(a[None], y, big)[0] for a, y in ((-q, Rp), (-u, Rp), (-q, Rl)))
-    theta = int(max(f1 // 2 if f1 > -big else -big, f2, f3))
-    if theta == -big:
+    # the closed form max(half(q^c R* p), u^c R* p, q^c R* l); the
+    # objective is unbounded below when all three are -inf
+    terms = (((Rp - q).max(), 2), ((Rp - u).max(), 1), ((Rl - q).max(), 1))
+    terms = [f // k for f, k in terms if f > cut]
+    if not terms:
         return None, None
-    w = np.minimum(np.where(qf, theta + q, big), u)
-    vup = -_mv(Rs.T, -w, big)  # min-plus product with the conjugate of R*
-    alt = np.maximum(l, np.where(pf, p - theta, -big))
-    x = _mv(Rs, np.where(vup < big, vup, np.where(alt > -big, alt, 0)), big)
-    if not np.all(x > -big):
+    theta = int(max(terms))
+    w = np.minimum(np.where(q < big, theta + q, big), u)
+    # the min-plus product with the conjugate of R*, -(R*^T (-w)), where
+    # finite; the forward pass found no positive cycle, so the last two
+    # passes settle
+    back = _star_rows(R.T, -w[None])[0]
+    alt = np.maximum(l, p - theta)
+    x = _star_rows(R, np.where(back > cut, -back, np.where(alt > cut, alt, 0))[None])[0]
+    if not np.all(x > cut):
         raise EngineError("alcoved point is not finite")
-    ok = (l <= x) & (x <= u) & (_mv(R, x, big) <= x)
-    ok &= (~qf | (x - q <= theta)) & (~pf | (p - x <= theta))
+    ok = (l <= x) & (x <= u) & ((R + x).max(axis=1) <= x) & (x - q <= theta) & (p - x <= theta)
     if not ok.all():
         raise EngineError(
             f"alcoved point fails its bounds, R x <= x or theta at {int(np.argmin(ok))}"
@@ -901,7 +921,8 @@ def newton_solve(prob: PseudolinearProblem, mode="integer", tol=None) -> SolveOu
 def _newton(prob, mode, tol) -> SolveOutcome:
     """Both Newton solvers, on the problem's level grid.  Only the drop
     differs.  Linear data drops to the alcoved closed form of the
-    strategy-reduced problem, whose point it keeps.  Pseudoquadratic data
+    strategy-reduced problem, whose point it keeps, in the drop's integer
+    form until the last drop.  Pseudoquadratic data
     drops to the least level at which the strategy-reduced game stays
     nonnegative (_ParamStruct.drop), rounded up onto the grid, and finds
     its point at the optimum."""
@@ -924,9 +945,7 @@ def _newton(prob, mode, tol) -> SolveOutcome:
         def drop(sigma, sig_idx):
             R, l, u = _reduce(U, V, b, d, struct.sigma_struct(sigma), big)
             theta, x = _alcoved(R, l, u, p, q, big)
-            if theta is None:
-                return None, None
-            return Fraction(theta, S), [Fraction(int(v), S) for v in x]
+            return (None, None) if theta is None else (Fraction(theta, S), x)
 
     if grid.down(lam_k) != lam_k:
         raise EngineError(f"start level {lam_k} is off the level grid")
@@ -957,6 +976,8 @@ def _newton(prob, mode, tol) -> SolveOutcome:
         raise EngineError("level iteration failed to converge")
     if x is None:
         x = _optimal_witness(prob, struct, lam_k)
+    elif isinstance(x, np.ndarray):  # the last drop's point, scaled by S
+        x = [Fraction(int(v), S) for v in x]
     return SolveOutcome("optimal", fin(lam_k), x, iters, tr)
 
 

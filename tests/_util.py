@@ -54,7 +54,7 @@ from tropopt.games import (
     _values,
     solve_arena,
 )
-from tropopt.matrix import _abs_max, _den_lcm, _scaled, _segments
+from tropopt.matrix import _abs_max, _den_lcm, _scaled, _segments, _star
 from tropopt.pseudolinear import _at_level, _tmat
 
 
@@ -1327,3 +1327,38 @@ def oracle_parse_problem(text):
     if typ == "pseudolinear":
         return PseudolinearProblem(U, V, *vecs)
     return PseudoquadraticProblem(U, V, *vecs, _oracle_matrix(obj["C"], "C", n, n))
+
+
+def _fw_mv(M, x, big):
+    return np.where((M > -big) & (x > -big), M + x, -big).max(axis=1)
+
+
+def oracle_alcoved_fw(R, l, u, p, q, big):
+    """pseudolinear._alcoved on the same integer form by way of the whole
+    Kleene star R* (matrix._star, max-plus Floyd-Warshall), read through
+    its four products with vectors, with the checks in the same order."""
+    try:
+        Rs = _star(R, big)
+    except DivergentStar:
+        raise InfeasibleReduction("positive self-coupling cycle") from None
+    Rl, Rp = _fw_mv(Rs, l, big), _fw_mv(Rs, p, big)
+    if np.any(Rl > u):
+        raise InfeasibleReduction("bounds incompatible with coupling")
+    pf, qf = p > -big, q < big
+    f1, f2, f3 = (_fw_mv(a[None], y, big)[0] for a, y in ((-q, Rp), (-u, Rp), (-q, Rl)))
+    theta = int(max(f1 // 2 if f1 > -big else -big, f2, f3))
+    if theta == -big:
+        return None, None
+    w = np.minimum(np.where(qf, theta + q, big), u)
+    vup = -_fw_mv(Rs.T, -w, big)
+    alt = np.maximum(l, np.where(pf, p - theta, -big))
+    x = _fw_mv(Rs, np.where(vup < big, vup, np.where(alt > -big, alt, 0)), big)
+    if not np.all(x > -big):
+        raise EngineError("alcoved point is not finite")
+    ok = (l <= x) & (x <= u) & (_fw_mv(R, x, big) <= x)
+    ok &= (~qf | (x - q <= theta)) & (~pf | (p - x <= theta))
+    if not ok.all():
+        raise EngineError(
+            f"alcoved point fails its bounds, R x <= x or theta at {int(np.argmin(ok))}"
+        )
+    return theta, x

@@ -7,9 +7,18 @@ message, for valid and invalid row strategies (vacuous rows, constant
 picks, -inf picks, out-of-range picks), divergent stars, unbounded
 problems, and rational data whose denominator lcm is past the int64 range,
 which runs the same kernel on Python ints.
+
+The integer-form drop (_alcoved), which never forms R*, must match the
+Floyd-Warshall route through the whole star (oracle_alcoved_fw) in theta,
+x, and the exception's type and message when both checks fail, on chains
+whose longest path has n - 1 hops, positive cycles that only some nodes
+reach, infinite bounds, and data sized on both sides of the point where
+its sentinels leave int64.
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,12 +33,14 @@ from tropopt import (
     solve_alcoved,
 )
 from tropopt.games import EngineError
-from tropopt.pseudolinear import _compiled
+from tropopt.matrix import _GUARD
+from tropopt.pseudolinear import _alcoved as alcoved_kernel, _compiled
 
 from _util import (
     M,
     V,
     linprob,
+    oracle_alcoved_fw,
     oracle_kleene_star,
     oracle_reduce_by_strategy,
     oracle_solve_alcoved,
@@ -45,6 +56,14 @@ def _outcome(fn, *args):
         return fn(*args)
     except (InvalidStrategy, InfeasibleReduction, EngineError, DivergentStar) as e:
         return type(e), str(e)
+
+
+def _int_outcome(fn, *args):
+    """theta and x as Python ints, or the exception, of an integer-form drop."""
+    got = _outcome(fn, *args)
+    if isinstance(got[0], type) or got[1] is None:
+        return got
+    return got[0], [int(v) for v in got[1]]
 
 
 @st.composite
@@ -168,3 +187,80 @@ def test_huge_lcm_drop_runs_on_python_ints():
             solved.append(_check_alcoved(alc)[0])
     assert any(getattr(t, "is_finite", False) for t in solved)
 
+
+
+# big for the integer form: sized for the data as _filled sizes it,
+# around 2^58, the largest big whose data is still int64 (_fit's 2^61;
+# sums of two infinities reach -2 big there), and past int64
+_BIGS = {
+    "sized": None,
+    "below": (_GUARD >> 3) - 1,
+    "at": _GUARD >> 3,
+    "top": _GUARD - 1,
+    "python": 2 * _GUARD,
+}
+
+
+@st.composite
+def _integer_form(draw):
+    """(R, l, u, p, q, big) of the drop step: even entries within
+    big / (16 (n + 1)), -big / +big for the infinities."""
+    n = draw(st.integers(1, 7))
+    big = _BIGS[draw(st.sampled_from(sorted(_BIGS)))] or 16 * (n + 1) * 13
+    unit = (big // (16 * (n + 1)) - 1) // 12
+
+    def val(lo, hi):
+        return 2 * unit * draw(st.integers(lo, hi))
+
+    def maybe(lo, hi, miss, p=0.6):
+        return val(lo, hi) if draw(st.floats(0, 1)) < p else miss
+
+    R = [[-big] * n for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "chain", "cycle"]))
+    if shape == "random":  # entries up to +2 close some positive cycles
+        R = [[maybe(-6, 2, -big, 0.5) for _ in range(n)] for _ in range(n)]
+    else:
+        # a chain 0 -> 1 -> ... -> c, whose longest path has c hops
+        c = n - 1 if shape == "chain" else draw(st.integers(0, n - 1))
+        for j in range(c):
+            R[j][j + 1] = val(-1, 3)
+        if shape == "cycle":  # a positive cycle at c, reached only from 0..c
+            a = draw(st.integers(1, 4))
+            if c + 1 < n:
+                R[c][c + 1], R[c + 1][c] = 2 * unit * a, val(1 - a, 2)
+            else:
+                R[c][c] = 2 * unit * a
+    l, p = ([maybe(-6, 6, -big) for _ in range(n)] for _ in range(2))
+    u, q = [maybe(0, 6, big) for _ in range(n)], [maybe(-6, 6, big) for _ in range(n)]
+    dtype = np.int64 if big < _GUARD else object
+    return (*(np.array(v, dtype=dtype) for v in (R, l, u, p, q)), big)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_integer_form())
+def test_integer_form_drop_matches_floyd_warshall(form):
+    assert _int_outcome(alcoved_kernel, *form) == _int_outcome(oracle_alcoved_fw, *form)
+
+
+def test_integer_form_edges_match_floyd_warshall():
+    """A chain whose zero row needs all n rounds, and a positive cycle that
+    node 0 alone reaches, with bounds that fail too: the cycle is
+    reported.  Each on both sides of the sentinels' int64 bound."""
+    n = 6
+    for big in (_BIGS["below"], _BIGS["at"], _BIGS["top"], _BIGS["python"]):
+        unit = 2 * ((big // (16 * (n + 1)) - 1) // 12)
+        dtype = np.int64 if big < _GUARD else object
+        R = np.full((n, n), -big, dtype=dtype)
+        R[np.arange(n - 1), np.arange(1, n)] = 3 * unit
+        ninf, inf = np.full(n, -big, dtype=dtype), np.full(n, big, dtype=dtype)
+        pf, zero = np.full(n, -unit, dtype=dtype), np.zeros(n, dtype=dtype)
+        # theta is half of -q_0 + 5 hops of 3 unit + p_5
+        chain = _int_outcome(alcoved_kernel, R, ninf, inf, pf, zero, big)
+        assert chain == _int_outcome(oracle_alcoved_fw, R, ninf, inf, pf, zero, big)
+        assert chain[0] == 7 * unit
+        C = np.full((n, n), -big, dtype=dtype)
+        C[0, 1], C[1, 1] = -unit, unit
+        lf, uf = np.full(n, unit, dtype=dtype), np.full(n, 0, dtype=dtype)
+        got = _int_outcome(alcoved_kernel, C, lf, uf, pf, inf, big)
+        assert got == _int_outcome(oracle_alcoved_fw, C, lf, uf, pf, inf, big)
+        assert got == (InfeasibleReduction, "positive self-coupling cycle")

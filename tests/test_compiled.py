@@ -423,14 +423,46 @@ def test_huge_infeasible_instance_is_answered():
     the int64 guard, where the engine refuses with EngineError.  The
     descent's certificate needs no game, and both solvers answer
     infeasible, as the exact oracle does."""
-    spec = importlib.util.spec_from_file_location("dump_answers", _DUMP_TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    mode, offset, make = tool.FAMILIES["lin-huge"]
-    prob = make(7000000 + 1000 * offset + 10)
+    mode, prob = _dump_instance("lin-huge", 10)
     assert _compiled(prob).L > 2**62 and not _hom_feasible(prob)
     for solve in (bisection_solve, newton_solve):
         assert solve(prob, mode).status == "infeasible"
+
+
+def _dump_instance(family, i):
+    """(mode, problem) of instance i of a tools/dump_answers.py family."""
+    spec = importlib.util.spec_from_file_location("dump_answers", _DUMP_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    mode, offset, make = tool.FAMILIES[family]
+    return mode, make(7000000 + 1000 * offset + i)
+
+
+def _without_cap_check(Aw, Af, Bw, Bf, seed, sweeps, watch):
+    """games._descend_scaled whose watch is never asked at the sweep cap."""
+
+    def watch_before_cap(k, y, fixed):
+        return (fixed or k != sweeps - 1) and watch(k, y, fixed)
+
+    return games._descend_scaled(Aw, Af, Bw, Bf, seed, sweeps, watch_before_cap)
+
+
+@pytest.mark.parametrize("family, i", [("lin-huge", 13), ("quad-huge", 89)])
+def test_sweep_cap_certificate_answers_huge_instances(family, i):
+    """Two huge dump instances (generator seeds 7008013 and 7009089) that
+    the start point's certificate decides only at the sweep cap: both
+    solvers answer infeasible, as the exact oracle does.  Without the
+    check at the cap the start point would need a game past the int64
+    guard, and gets the engine's refusal."""
+    mode, prob = _dump_instance(family, i)
+    assert not _hom_feasible(prob)
+    quad = isinstance(prob, PseudoquadraticProblem)
+    solvers = (bisection_solve_quad, newton_solve_quad) if quad else (bisection_solve, newton_solve)
+    for solve in solvers:
+        assert solve(_fresh(prob), mode).status == "infeasible"
+    with patch.object(pseudolinear, "_descend_scaled", _without_cap_check):
+        with pytest.raises(EngineError, match="weights too large for the integer engine"):
+            _affine_witness(_fresh(prob))
 
 
 def _row_infeasible(quad):
