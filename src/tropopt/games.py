@@ -565,24 +565,23 @@ def solve_values(sys: TwoSidedSystem) -> GameValues:
 # finite witnesses
 
 
-def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int, watch=None):
+def _descend_scaled(Aw, Af, Bw, Bf, x0, sweeps: int, watch=None):
     """Greatest-solution descent for A (x) <= B (x), scaled (weights and
     finite masks as _scaled returns them).
 
     The alternating method of Cuninghame-Green and Butkovic: from the
-    seed, each sweep maps x to x /\\ A#(B x), where A#(y)_j =
+    start x0, each sweep maps x to x /\\ A#(B x), where A#(y)_j =
     min_i (y_i - a_ij) over the finite a_ij (-inf as soon as one such y_i
-    is -inf).  Every solution below the seed survives each sweep, so a
-    fixpoint is the greatest one there.  When B has one column more than
-    A, that coordinate is a constant pinned at 0, which gives the affine
-    form A (x) <= B (x) + d.
+    is -inf).  Every solution below x0 survives each sweep, so a fixpoint
+    is the greatest one there.
 
     Returns None when `sweeps` sweeps reach no fixpoint, otherwise
     (x, finite, y, y_finite): the fixpoint (-inf where finite is False)
-    and B (x) at it, in the scaled units.  The seed must exceed twice
-    every |weight|, as (2W+2)L does; then every finite value met stays
-    within big = (sweeps+2)*seed, x is -big where -inf, and with the
-    masked entries at -3big no sweep needs a mask: b_ij + x_j exceeds
+    and B (x) at it, in the scaled units.  x0 is a vector of integers in
+    [0, seed], where the seed, its largest entry, exceeds twice every
+    |weight|, as (2W+2)L does; then every finite value met stays within
+    big = (sweeps+2)*seed, x is -big where -inf, and with the masked
+    entries at -3big no sweep needs a mask: b_ij + x_j exceeds
     -big + seed/2 exactly when both are finite.  int64 holds the sums
     while 4big < 2^61, Python ints beyond.
 
@@ -590,18 +589,18 @@ def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int, watch=None):
     y = B (x) at the state x the sweep starts from, and whether the sweep
     leaves x as it is, x then being the fixpoint.  With W the largest
     |weight|, a -inf entry of y is held as a value at most -big + W, and
-    a finite one stays above -big + 2 seed - W, since no sweep lowers a
-    value by more than 2W; so y_i - a_ij orders as on the extended reals.
-    When watch returns True, the descent stops and returns False.
+    a finite one stays above -big + 2 seed - W, since no sweep lowers the
+    least finite value by more than 2W; so y_i - a_ij orders as on the
+    extended reals.  When watch returns True, the descent stops and
+    returns False.
     """
+    seed = int(max(x0))
     big = (sweeps + 2) * seed
     Bm = np.where(Bf, _fit(Bw, 4 * big), -3 * big)
     Am = np.where(Af, _fit(Aw, 4 * big), -3 * big)
     cut = -big + seed // 2
-    n = Af.shape[1]
-    x = np.full(Bf.shape[1], seed, dtype=Bm.dtype)
-    x[n:] = 0
-    finite = np.ones(Bf.shape[1], dtype=bool)
+    x = np.array(x0, dtype=Bm.dtype)
+    finite = np.ones(len(x), dtype=bool)
     for k in range(sweeps):
         y = (Bm + x).max(axis=1)
         if y.min() > cut:
@@ -610,20 +609,19 @@ def _descend_scaled(Aw, Af, Bw, Bf, seed: int, sweeps: int, watch=None):
             # a row with y_i = -inf ends every column it has a finite
             # a_ij in, and takes no part in the others' minima
             y_fin = y > cut
-            nfin = finite.copy()
-            nfin[:n] &= ~Af[~y_fin].any(axis=0)
+            nfin = finite & ~Af[~y_fin].any(axis=0)
             low = (np.where(y_fin, y, big)[:, None] - Am).min(axis=0)
         # low stays above -big, where x holds its -inf coordinates
-        fixed = not (low < x[:n]).any() and (nfin is finite or (nfin == finite).all())
+        fixed = not (low < x).any() and (nfin is finite or (nfin == finite).all())
         if watch is not None and watch(k, y, fixed):
             return False
         if fixed:
             y_fin = y > cut
             return x, finite, np.where(y_fin, y, -big), y_fin
         if nfin is finite:
-            np.minimum(x[:n], low, out=x[:n])
+            np.minimum(x, low, out=x)
         else:
-            x[:n] = np.where(nfin[:n], np.minimum(x[:n], low), -big)
+            x = np.where(nfin, np.minimum(x, low), -big)
             finite = nfin
     return None
 
@@ -647,10 +645,10 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     and this homogeneous system has a finite solution iff it has one
     below the seed); if the descent is inconclusive, the game decides
     the sign; a Bellman-Ford potential built from the optimal Max
-    strategy then always produces a witness.  The witness is checked
-    exactly before it is returned.  Rows with no finite entry constrain
-    nothing (see _live_rows).  sys may also be given scaled: the tuple
-    (Aw, Af, Bw, Bf, L) of _scaled's arrays at the scale L.
+    strategy then always produces a witness (_game_point).  The witness
+    is checked exactly before it is returned.  Rows with no finite entry
+    constrain nothing (see _live_rows).  sys may also be given scaled:
+    the tuple (Aw, Af, Bw, Bf, L) of _scaled's arrays at the scale L.
     """
     if isinstance(sys, TwoSidedSystem):
         L = _den_lcm(sys.A, sys.B)
@@ -658,34 +656,38 @@ def feasible_finite(sys: TwoSidedSystem, max_sweeps=None):
     return _finite_point(sys, max_sweeps)
 
 
-def _solved_game(Aw, Af, Bw, Bf, scale):
-    """(g_num, arena, sig_idx): the values of a scaled system's game (see
-    _pair_arena), its arena and Max's optimal strategy there."""
-    arena, _ = _pair_arena(Aw, Af, Bw, Bf, scale)
-    g_num, *_, (sig_idx, _) = solve_arena(arena)
-    return g_num, arena, sig_idx
-
-
-def _finite_point(sys, max_sweeps=None, solved=None):
-    """feasible_finite on a scaled system.  solved = (arena, sig_idx) of
-    _solved_game on the same system, when its values are all nonnegative,
-    stands in for the game an inconclusive descent would solve again."""
+def _finite_point(sys, max_sweeps=None):
+    """feasible_finite on a scaled system: the descent's point, or, when
+    the descent is inconclusive, the game's (_game_point)."""
     Aw, Af, Bw, Bf, L = sys
     if max_sweeps is None:
         max_sweeps = 3 * sum(Af.shape) + 6
     _live_rows(Af, Bf)
     WL = max(_abs_max(Aw.ravel()), _abs_max(Bw.ravel()))
-    fix = _descend_scaled(Aw, Af, Bw, Bf, 2 * WL + 2 * L, max_sweeps)
-    if fix is not None:
-        x, finite, _, _ = fix
-        if not finite.all():  # the greatest solution below the seed
-            return None
-    else:
-        if solved is None:
-            g_num, *solved = _solved_game(Aw, Af, Bw, Bf, L)
-            if np.any(g_num < 0):
-                return None
-        x = _bf_witness(*solved)
+    fix = _descend_scaled(Aw, Af, Bw, Bf, [2 * WL + 2 * L] * Af.shape[1], max_sweeps)
+    if fix is None:
+        return _game_point(sys)
+    x, finite, _, _ = fix
+    if not finite.all():  # the greatest solution below the seed
+        return None
+    return _checked_point(sys, x)
+
+
+def _game_point(sys):
+    """A finite solution of a scaled system from its game, or None when
+    a value is negative: the point _bf_witness reads off Max's optimal
+    strategy, checked exactly (_checked_point)."""
+    arena, _ = _pair_arena(*sys)
+    g_num, *_, (sig_idx, _) = solve_arena(arena)
+    if np.any(g_num < 0):
+        return None
+    return _checked_point(sys, _bf_witness(arena, sig_idx))
+
+
+def _checked_point(sys, x):
+    """The integer point x of a scaled system as Fractions, once _solves
+    has checked it (EngineError when it fails)."""
+    Aw, Af, Bw, Bf, L = sys
     xs = [int(v) for v in x]
     if not _solves(Aw, Af, Bw, Bf, xs):
         raise EngineError("finite witness violates the system")

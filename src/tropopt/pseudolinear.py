@@ -44,11 +44,11 @@ from .games import (
     TwoSidedSystem,
     _descend_scaled,
     _finite_point,
+    _game_point,
     _layout,
     _least,
     _least_level,
     _solve_pair,
-    _solved_game,
     _solves,
     feasible_finite,
     solve_arena,
@@ -530,45 +530,40 @@ def _affine_witness(prob):
 def _descent_witness(rec):
     """A finite solution of U x + b <= V x + d, or None.
 
-    First a greatest-point descent from a seed pinned at (2W+2): each
-    sweep maps x to x /\\ U# (V x + d), which preserves every solution
-    below the seed; a fixpoint that also passes the b rows is a solution.
-    The descent's binding rows may prove the system infeasible on the way.
-    With x_t = 0, tau(j), the first row attaining min_i ((V x + d)_i -
-    a_ij) over the entries of [U | b], is a column strategy on the
-    homogenized system [U | b] <= [V | d] over (x, t), with a
-    tautological row per column that has no finite left entry, which is
-    that column's tau.  When some
-    column reaches only cycles that Max loses under it (_tau_passes with
-    no lam rows), that system has no finite solution, and neither has the
-    affine one (Akian, Gaubert and Guterman, IJAC 22, 2012).  This is
-    asked at the first sweep where a b row fails, after which the falling
-    iterates give no point; at sweep n + 1, the rounds of the game's
-    value-iteration seed; and at a last sweep that gives no point, a
-    fixpoint that fails a b row or the cap.  Only when the descent
-    neither finds a point nor proves infeasibility does a game decide:
-    that of the homogenized system on its own scale.  It has a finite
-    solution exactly when the affine system does, so its least value is
-    negative exactly when that is infeasible.  A feasible
-    system gets its point from the same homogenized system
-    (feasible_finite), and from the same solved game when feasible_finite's
-    descent is inconclusive too.  A game past the arena's int64 guard
-    raises EngineError; feasible_finite's own descent may still find the
-    point."""
+    It is one greatest-point descent on the homogenized system
+    [U | b] <= [V | d] over (x, t), which has a finite solution exactly
+    when the affine one does (Akian, Gaubert and Guterman, IJAC 22,
+    2012), from x = (2W+2) and t = 0, in the record's scale.  t descends
+    like any other coordinate.  Past row_infeasible every row with a
+    finite left entry has a finite right entry, so the iterates stay
+    finite, and a fixpoint (x, t) gives the solution x - t.
+
+    The descent's binding rows may prove the system infeasible on the
+    way: tau(j), the first row attaining min_i (y_i - a_ij) over the
+    entries of [U | b], y = [V | d] (x, t), is a column strategy on the
+    homogenized system, with a tautological row per column that has no
+    finite left entry, which is that column's tau.  When some column
+    reaches only cycles that Max loses under it (_tau_passes with no lam
+    rows), the system has no finite solution.  This is asked at sweep
+    n + 1, the rounds of the game's value-iteration seed, and at the
+    sweep cap.
+
+    Only when the descent neither settles nor proves infeasibility does a
+    game decide: that of the homogenized system on its own scale, whose
+    least value is negative exactly when the system is infeasible, and
+    whose optimal strategy otherwise gives the point (games._game_point).
+    A game past the arena's int64 guard raises EngineError;
+    feasible_finite's own, longer descent may still find the point."""
     if rec.row_infeasible:
         return None
     m, n, L = rec.m, rec.n, rec.L
     Aw, Af, Bw, Bf = (a[:m] for a in rec.core)
     sweeps = min(3 * (m + n) + 6, 64)
-    b_rows = np.flatnonzero(Af[:, n])
-    b = Aw[b_rows, n]
-    pair, failed = None, False
+    pair = None
 
     def infeasible(k, y, fixed):
-        nonlocal pair, failed
-        first = not failed and bool((b > y[b_rows]).any())
-        failed |= first
-        if not (first or k == n or (fixed and failed) or (k == sweeps - 1 and not fixed)):
+        nonlocal pair
+        if fixed or k not in (n, sweeps - 1):
             return False
         if pair is None:
             pair = _with_aug_rows(Aw, Af, Bw, Bf)
@@ -578,22 +573,17 @@ def _descent_witness(rec):
         tau[aug] = m + np.arange(np.count_nonzero(aug))
         return _tau_passes(pair[0], pair[2], pair[3], range(0), tau)
 
-    fix = _descend_scaled(Aw[:, :n], Af[:, :n], Bw, Bf, 2 * rec.WL + 2 * L, sweeps, infeasible)
+    fix = _descend_scaled(Aw, Af, Bw, Bf, [2 * rec.WL + 2 * L] * n + [0], sweeps, infeasible)
     if fix is False:
         return None
     if fix is not None:
-        x, finite, _, _ = fix
-        if finite.all() and not failed:  # failed: a b row fails at the fixpoint
-            return [Fraction(int(v), L) for v in x[:n]]
+        x = fix[0]
+        return [Fraction(int(v - x[n]), L) for v in x[:n]]
     hom = rec._with_aug(np.flatnonzero(Af.any(axis=1)))[:5]
     try:
-        g_num, *solved = _solved_game(*hom)
+        w = _game_point(hom)
     except EngineError:
-        solved = None
-    else:
-        if np.any(g_num < 0):
-            return None
-    w = _finite_point(hom, solved=solved)
+        w = _finite_point(hom)
     if w is None:
         return None
     return [w[j] - w[n] for j in range(n)]
@@ -770,43 +760,45 @@ def _ext(v, S: int, big):
 
 
 def _reduce(U, V, b, d, sigma, big):
-    """reduce_by_strategy on the drop step's integer form: (R, l, u)."""
+    """reduce_by_strategy on the drop step's integer form: (R, l, u).
+    The row strategy is checked on whole arrays; the first faulty row
+    raises, with its first fault in the order of the checks."""
     m, n = U.shape
     if len(sigma) != m:
         raise InvalidStrategy("sigma length mismatch")
-    lhs = (U > -big).any(axis=1) | (b > -big)
-    rows, tgts, consts = [], [], []
-    for i, s in enumerate(sigma):
-        if s is None:
-            if lhs[i]:
+    s = np.array([-1 if v is None else v for v in sigma], dtype=None if m else np.int64)
+    picked = (s >= 0) & (s <= n)
+    s = np.where(picked, s, n)
+    # the picked term: V_is for a column, d_i for the constant
+    vis = np.concatenate([V, d[:, None]], axis=1)[np.arange(m), s]
+    consts = picked & (s == n)
+    ok = picked & (vis > -big) & ((b <= d) | ~consts)
+    if not ok.all():  # a fault, or a None: vacuous rows only may have it
+        none = np.array([v is None for v in sigma], dtype=bool)
+        bad = np.where(none, (U > -big).any(axis=1) | (b > -big), ~ok)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if none[i]:
                 raise InvalidStrategy(f"row {i} is not vacuous")
-        elif not (0 <= s <= n):
-            raise InvalidStrategy(f"sigma[{i}] out of range")
-        elif s == n:
-            if not d[i] > -big:
-                raise InvalidStrategy(f"sigma[{i}] selects a -inf constant")
-            if not b[i] <= d[i]:
-                raise InfeasibleReduction(f"row {i}: constant sides conflict")
-            consts.append(i)
-        elif not V[i, s] > -big:
-            raise InvalidStrategy(f"sigma[{i}] selects a -inf entry")
-        else:
-            rows.append(i)
-            tgts.append(s)
+            if not picked[i]:
+                raise InvalidStrategy(f"sigma[{i}] out of range")
+            if not vis[i] > -big:
+                term = "constant" if consts[i] else "entry"
+                raise InvalidStrategy(f"sigma[{i}] selects a -inf {term}")
+            raise InfeasibleReduction(f"row {i}: constant sides conflict")
+    rows, consts = np.flatnonzero(ok & ~consts), np.flatnonzero(consts)
     R = np.full((n, n), -big, dtype=U.dtype)
     l = np.full(n, -big, dtype=U.dtype)
-    if rows:
+    if len(rows):
         # row i, pinned to column s, gives U_ik - V_is to R_sk and
         # b_i - V_is to l_s; rows sorted by s reduce by segment
-        order = np.argsort(tgts, kind="stable")
-        rows, tgts = np.asarray(rows)[order], np.asarray(tgts)[order]
-        heads, starts = _segments(tgts)
-        vis = V[rows, tgts]
-        Ur, br = U[rows], b[rows]
+        rows = rows[np.argsort(s[rows], kind="stable")]
+        heads, starts = _segments(s[rows])
+        vis, Ur, br = vis[rows], U[rows], b[rows]
         R[heads] = np.maximum.reduceat(np.where(Ur > -big, Ur - vis[:, None], -big), starts)
         l[heads] = np.maximum.reduceat(np.where(br > -big, br - vis, -big), starts)
     u = np.full(n, big, dtype=U.dtype)
-    if consts:
+    if len(consts):
         Uc = U[consts]
         u = np.where(Uc > -big, d[consts][:, None] - Uc, big).min(axis=0)
     return R, l, u
@@ -1089,7 +1081,8 @@ def _tau_passes(Aw, Bw, Bf, lam_rows, t) -> bool:
     (c + 1) c w - 1 elsewhere makes exactly those simple cycles (at most
     n1 arcs) negative, so one _reach_negative finds the failing starts.
     With no lam rows a passing tau proves that the pair has no finite
-    solution, as the start point uses it (_descent_witness)."""
+    solution: the start point's descent asks this of its binding rows at
+    sweep n + 1 and at its cap (_descent_witness)."""
     src, dst = np.nonzero(Bf[t])  # row-major: grouped by source
     rows = t[src]
     w = Aw[rows, src] - Bw[rows, dst]

@@ -430,12 +430,13 @@ def _affine_step(Uc, V, d, x):
     return [min(x[j], z[j]) for j in range(n)]
 
 
-def descent_oracle(A, B, W, sweeps, d=None):
-    """The Fraction-arithmetic descent from the seed (2W+2)*ones: x maps
-    to x /\\ A#(B x), or to x /\\ A#(B x + d) when d is given.  Returns
-    (x, converged) with x a list of extended scalars."""
+def descent_oracle(A, B, W, sweeps, d=None, x0=None):
+    """The Fraction-arithmetic descent from the seed (2W+2)*ones, or from
+    x0 (extended scalars) when given: x maps to x /\\ A#(B x), or to
+    x /\\ A#(B x + d) when d is given.  Returns (x, converged) with x a
+    list of extended scalars."""
     Ac = conjugate(A)
-    x = [fin(2 * W + 2)] * A.cols
+    x = [fin(2 * W + 2)] * A.cols if x0 is None else list(x0)
     for _ in range(sweeps):
         nxt = _descent_step(Ac, B, x) if d is None else _affine_step(Ac, B, d, x)
         if nxt == x:
@@ -1178,7 +1179,7 @@ def _descend(A, B, W, L, sweeps):
     """Greatest-solution descent for A (x) <= B (x) on data scaled by L,
     from the seed (2W+2)*ones; see games._descend_scaled.  W and the data
     must have denominators dividing L."""
-    return _descend_scaled(*_scaled(A, L), *_scaled(B, L), int((2 * W + 2) * L), sweeps)
+    return _descend_scaled(*_scaled(A, L), *_scaled(B, L), [int((2 * W + 2) * L)] * A.cols, sweeps)
 
 
 def finite_abs_max(M) -> Fraction:

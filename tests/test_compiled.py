@@ -8,7 +8,7 @@ a third of them on denominators past the int64 range, where building
 the structure is the engine's typed refusal.  A solve or certify request
 compiles its data exactly once and builds at most one structure, none
 for an infeasible problem.  On the same problems, the start point that a
-game decides (the descents forced inconclusive) agrees with the
+game decides (the descent forced inconclusive) agrees with the
 feasibility oracle, and so, on small affine systems, does the start
 point that the descent's binding-row certificate decides.  The integer
 objectives equal the extended-scalar ones, and a non-positive tol is
@@ -41,6 +41,7 @@ from tropopt import (
     feasible_finite,
     fin,
     gen_random,
+    initial_bounds,
     mat_vec_mul,
     newton_solve,
     newton_solve_quad,
@@ -296,14 +297,15 @@ def _hom_feasible(prob):
     )
 )
 def test_start_point_past_an_inconclusive_descent(game_descent_too, prob):
-    """The start point when the affine descent is inconclusive (patched
-    to return None), and, with game_descent_too, feasible_finite's
-    descent as well, so that games alone decide: None exactly when the
-    homogenized constraint system has no finite solution (the oracle),
-    else a point that meets U x + b <= V x + d exactly.  Data past the
-    int64 guard may get the engine's typed refusal instead.  The two
-    examples are feasible systems past the guard, where the oracle's own
-    descent does not settle and its game runs past the engine too."""
+    """The start point when its descent is inconclusive (patched to
+    return None), and, with game_descent_too, the descent of
+    feasible_finite, its fallback past the int64 guard, as well, so that
+    games alone decide: None exactly when the homogenized constraint
+    system has no finite solution (the oracle), else a point that meets
+    U x + b <= V x + d exactly.  Data past the int64 guard may get the
+    engine's typed refusal instead.  The two examples are feasible
+    systems past the guard, where the oracle's own descent does not
+    settle and its game runs past the engine too."""
     inconclusive = lambda *args: None  # noqa: E731
     with patch.object(pseudolinear, "_descend_scaled", inconclusive), patch.object(
         games, "_descend_scaled", inconclusive if game_descent_too else games._descend_scaled
@@ -323,10 +325,11 @@ def test_start_point_past_an_inconclusive_descent(game_descent_too, prob):
 
 @pytest.mark.parametrize("quad", [False, True])
 def test_start_point_solves_one_game(quad):
-    """When both descents are inconclusive (patched), a feasible start
+    """When the descent is inconclusive (patched), a feasible start
     point comes from the game that decided the sign, with no second
-    solve: one solve_arena call, and the point feasible_finite's own game
-    gives on the same homogenized system."""
+    solve and no second descent: one solve_arena call, and the point of
+    the helper feasible_finite shares (games._game_point) on the same
+    homogenized system."""
     prob = gen_random(6, 6, 20, 100, 5, quad)
     rec, solve, calls = _compiled(prob), games.solve_arena, []
 
@@ -336,11 +339,11 @@ def test_start_point_solves_one_game(quad):
 
     inconclusive = lambda *args: None  # noqa: E731
     with patch.object(pseudolinear, "_descend_scaled", inconclusive), patch.object(
-        games, "_descend_scaled", inconclusive
-    ), patch.object(games, "solve_arena", counted):
+        games, "solve_arena", counted
+    ):
         x = _affine_witness(prob)
-        assert len(calls) == 1
-        w = feasible_finite(rec._with_aug(np.flatnonzero(rec.core[1][: rec.m].any(axis=1)))[:5])
+    assert len(calls) == 1
+    w = games._game_point(rec._with_aug(np.flatnonzero(rec.core[1][: rec.m].any(axis=1)))[:5])
     assert x is not None and x == [v - w[-1] for v in w[:-1]]
 
 
@@ -354,12 +357,12 @@ def _every_sweep(proofs):
     every sweep, as at the cap, and records each verdict in proofs."""
     descend = games._descend_scaled
 
-    def asking(Aw, Af, Bw, Bf, seed, sweeps, watch):
+    def asking(Aw, Af, Bw, Bf, x0, sweeps, watch):
         def ask(k, y, fixed):
             proofs.append(watch(sweeps - 1, y, False))
             return proofs[-1]
 
-        return descend(Aw, Af, Bw, Bf, seed, sweeps, ask)
+        return descend(Aw, Af, Bw, Bf, x0, sweeps, ask)
 
     return asking
 
@@ -438,13 +441,13 @@ def _dump_instance(family, i):
     return mode, make(7000000 + 1000 * offset + i)
 
 
-def _without_cap_check(Aw, Af, Bw, Bf, seed, sweeps, watch):
+def _without_cap_check(Aw, Af, Bw, Bf, x0, sweeps, watch):
     """games._descend_scaled whose watch is never asked at the sweep cap."""
 
     def watch_before_cap(k, y, fixed):
         return (fixed or k != sweeps - 1) and watch(k, y, fixed)
 
-    return games._descend_scaled(Aw, Af, Bw, Bf, seed, sweeps, watch_before_cap)
+    return games._descend_scaled(Aw, Af, Bw, Bf, x0, sweeps, watch_before_cap)
 
 
 @pytest.mark.parametrize("family, i", [("lin-huge", 13), ("quad-huge", 89)])
@@ -463,6 +466,23 @@ def test_sweep_cap_certificate_answers_huge_instances(family, i):
     with patch.object(pseudolinear, "_descend_scaled", _without_cap_check):
         with pytest.raises(EngineError, match="weights too large for the integer engine"):
             _affine_witness(_fresh(prob))
+
+
+def test_start_point_from_t_zero_answers_huge_instance():
+    """lin-huge instance 133 of tools/dump_answers.py (generator seed
+    7008133): its bounds answer, with a point that meets the constraints.
+    Its homogenized system's game is past the int64 guard, and a descent
+    from the seed on every coordinate, t included, needs 87 sweeps, past
+    feasible_finite's cap of 30 on that system, which therefore gets the
+    engine's refusal.  The start point's descent starts t at 0 instead."""
+    _, prob = _dump_instance("lin-huge", 133)
+    rec = _compiled(prob)
+    lower, upper, x = initial_bounds(prob)
+    assert x is not None and _meets(prob, x) and upper == objective(prob, x)
+    hom = rec._with_aug(np.flatnonzero(rec.core[1][: rec.m].any(axis=1)))[:5]
+    assert rec.L > 2**62 and 3 * sum(hom[1].shape) + 6 == 30
+    with pytest.raises(EngineError, match="weights too large for the integer engine"):
+        feasible_finite(hom)
 
 
 def _row_infeasible(quad):

@@ -2,8 +2,9 @@
 
 The descent kernel is checked against the extended-scalar sweep it
 replaced (kept in _util as the oracle): same fixpoint, same finite mask,
-same convergence flag after the same number of sweeps, for the
-homogeneous form and for the affine form with a pinned constant column.
+same convergence flag after the same number of sweeps, from the seed on
+every coordinate and from the start point's start, with the homogenizing
+coordinate t at 0.
 """
 
 import inspect
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tropopt import (
     NEG_INF,
@@ -28,8 +29,9 @@ from tropopt import (
     solve_values,
     tmax,
 )
-from tropopt.games import EngineError, _den_lcm
-from tropopt.pseudolinear import _compiled
+from tropopt.games import EngineError, _descend_scaled, _den_lcm
+from tropopt.matrix import _scaled
+from tropopt.pseudolinear import _affine_witness, _compiled
 
 from _util import (
     M,
@@ -38,6 +40,8 @@ from _util import (
     b_entries,
     descent_oracle,
     finite_abs_max,
+    golden_linear,
+    linprob,
     struct_matrix,
     system_weight_bound,
 )
@@ -52,10 +56,10 @@ def _matrix(draw, m, n):
 
 
 @st.composite
-def _pair(draw, extra_col=False):
+def _pair(draw):
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4))
-    return draw(_matrix(m, n)), draw(_matrix(m, n + extra_col))
+    return draw(_matrix(m, n)), draw(_matrix(m, n))
 
 
 def _unscale(v, finite, L):
@@ -83,25 +87,73 @@ def test_homogeneous_descent_matches_oracle(pair, sweeps):
         assert _unscale(y, y_fin, L) == mat_vec_mul(B, want)
 
 
+@st.composite
+def _homogenized(draw):
+    """[U | b] and [V | d] over (x, t), n from 1 to 4."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(_matrix(m, n + 1)), draw(_matrix(m, n + 1))
+
+
 @settings(max_examples=250, deadline=None)
-@given(_pair(extra_col=True), _rationals, st.integers(0, 12))
-def test_affine_descent_matches_oracle(pair, extra, sweeps):
-    """B = [V | d] with the constant coordinate pinned at 0; W also covers
-    data outside the system (extra), as the objective anchors do."""
-    U, Vd = pair
-    n = U.cols
-    V = TropMatrix([row[:n] for row in Vd.data], "max")
-    d = [row[n] for row in Vd.data]
-    W = max(finite_abs_max(U), finite_abs_max(Vd), abs(extra))
-    L = _den_lcm(U, Vd, M([[extra]]))
-    want, converged = descent_oracle(U, V, W, sweeps, d=d)
-    got = _descend(U, Vd, W, L, sweeps)
+@given(_homogenized(), _rationals, st.integers(0, 12))
+def test_homogenized_descent_from_t_zero_matches_oracle(pair, extra, sweeps):
+    """The start point's descent: from (s, ..., s, 0) with s = 2W+2, t
+    descending like any other coordinate; W also covers data outside the
+    system (extra), as the objective anchors do."""
+    A, B = pair
+    n = A.cols - 1
+    W = max(finite_abs_max(A), finite_abs_max(B), abs(extra))
+    L = _den_lcm(A, B, M([[extra]]))
+    s = 2 * W + 2
+    want, converged = descent_oracle(A, B, W, sweeps, x0=[fin(s)] * n + [fin(0)])
+    got = _descend_scaled(*_scaled(A, L), *_scaled(B, L), [int(s * L)] * n + [0], sweeps)
     assert (got is not None) == converged
     if converged:
         x, finite, y, y_fin = got
-        assert finite[n] and x[n] == 0
-        assert _unscale(x[:n], finite[:n], L) == want
-        assert _unscale(y, y_fin, L) == [tmax(a, e) for a, e in zip(mat_vec_mul(V, want), d)]
+        assert _unscale(x, finite, L) == want
+        assert _unscale(y, y_fin, L) == mat_vec_mul(B, want)
+
+
+@st.composite
+def _affine_problem(draw):
+    """U x + b <= V x + d with m and n from 1 to 4 on small rationals; p
+    and q only raise W."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def vec(k):
+        return [draw(_entries) for _ in range(k)]
+
+    q = ["+inf" if v is None else v for v in vec(n)]
+    return linprob([vec(n) for _ in range(m)], [vec(n) for _ in range(m)], vec(m), vec(m), vec(n), q)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_affine_problem())
+@example(golden_linear())
+def test_start_point_keeps_the_t_pinned_fixpoint(prob):
+    """Whenever the descent with t pinned at 0 (the oracle's affine form,
+    which ignores the b rows) settles within the start point's sweep cap
+    on a finite point that meets the b rows, the start point is exactly
+    that point: the t-free iterates lie between the pinned ones and it.
+    The golden instance's start point is one such point."""
+    rec = _compiled(prob)
+    m, n = rec.m, rec.n
+    W = Fraction(rec.WL, rec.L)
+    want, converged = descent_oracle(prob.U, prob.V, W, min(3 * (m + n) + 6, 64), d=list(prob.d))
+    if not (converged and all(v.is_finite for v in want)):
+        return
+    lhs = [tmax(u, bi) for u, bi in zip(mat_vec_mul(prob.U, want), prob.b)]
+    rhs = [tmax(v, di) for v, di in zip(mat_vec_mul(prob.V, want), prob.d)]
+    if not all(l <= r for l, r in zip(lhs, rhs)):
+        return
+    assert _affine_witness(prob) == [v.value for v in want]
+
+
+def test_golden_start_point():
+    """The golden instance's start point is the t-pinned descent's
+    fixpoint from the seed 2W+2 = 8: x_2 stays at 8, and the row
+    3 + x_1 <= max(x_2 + 1, 1) lowers x_1 to 6."""
+    assert _affine_witness(golden_linear()) == [Fraction(6), Fraction(8)]
 
 
 def test_huge_denominator_lcm_runs_exactly_on_python_ints():

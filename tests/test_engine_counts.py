@@ -2,7 +2,10 @@
 process: the counts add up, and the starts are the ones the solvers
 choose (bisection warm after its first probe, Newton always cold).
 Within the evaluations, the exact negative-cycle searches are a part of
-the Dinkelbach steps, and warm bisection probes take some steps."""
+the Dinkelbach steps, and warm bisection probes take some steps.  Each
+solve request searches a start point once; a search that the descent's
+certificate decided passed exactly one check, and no other search passed
+any, nor asked more than two (at sweep n + 1 and at the cap)."""
 
 import json
 import subprocess
@@ -37,3 +40,12 @@ def test_engine_counts_smoke(workload):
             assert (row["vi_rounds"] > 0) == (start == "cold")
             assert 0 <= row["negative_cycles"] <= row["dinkelbach_steps"]
             assert 0 <= row["several_levels"] <= row["evaluations"]
+    points = out["start_points"]
+    assert set(points) == {"descent_point", "descent_certificate", "game", "row_infeasible"}
+    assert sum(row["searches"] for row in points.values()) == 8
+    for how, row in points.items():
+        assert set(row) == {"searches", "sweeps", "checks", "passed"}
+        assert row["passed"] == (row["searches"] if how == "descent_certificate" else 0)
+        assert row["passed"] <= row["checks"] <= 2 * row["searches"]
+        assert row["sweeps"] <= 64 * row["searches"]
+        assert (row["sweeps"] >= row["searches"]) or how == "row_infeasible"

@@ -21,9 +21,12 @@ _one_player_min's rank array).  Apart from the kinds, "start_points"
 counts how each start point search (pseudolinear._descent_witness) was
 decided: by the descent's point, by its binding-row certificate of
 infeasibility (a passing pseudolinear._tau_passes), by a game, or by a
-row whose finite left side faces an empty right side.  --src names a
-checkout's src/ directory (default: this checkout's); a counter whose
-function that checkout lacks reads null.  Prints one JSON object.
+row whose finite left side faces an empty right side.  Per class it
+counts the searches, their descent sweeps (the calls of the descent's
+watch), their certificate checks (_tau_passes calls) and the checks that
+passed.  --src names a checkout's src/ directory (default: this
+checkout's); a counter whose function that checkout lacks reads null.
+Prints one JSON object.
 """
 
 from __future__ import annotations
@@ -66,6 +69,7 @@ COUNTED = {
 }
 COUNTS = ("solves", *COUNTED)
 START_POINTS = ("descent_point", "descent_certificate", "game", "row_infeasible")
+START_COUNTS = ("searches", "sweeps", "checks", "passed")
 
 
 def load(src):
@@ -94,8 +98,9 @@ class Counter:
         self.solve = None  # the counts of the solve running now
         self.table = {}
         self.missing = set()
-        self.games = self.proofs = 0  # solves and passing certificate checks so far
-        self.start_points = dict.fromkeys(START_POINTS, 0)
+        # solves, descent sweeps, certificate checks and passing ones so far
+        self.games = self.sweeps = self.checks = self.proofs = 0
+        self.start_points = {how: dict.fromkeys(START_COUNTS, 0) for how in START_POINTS}
 
     def _within(self, kind, fn):
         def wrapped(*args, **kw):
@@ -136,22 +141,37 @@ class Counter:
                 setattr(m, fn, self._counting(name, getattr(m, fn), amount))
             else:
                 self.missing.add(name)
-        tau_passes, descent_witness = pl._tau_passes, pl._descent_witness
+        tau_passes, descent_witness, descend = pl._tau_passes, pl._descent_witness, pl._descend_scaled
 
         def counted_passes(*args):
             passed = tau_passes(*args)
+            self.checks += 1
             self.proofs += passed
             return passed
 
+        def counted_descend(*args):
+            watch = args[6]  # the start point passes its watch as the seventh argument
+
+            def counted_watch(*state):
+                self.sweeps += 1
+                return watch(*state)
+
+            return descend(*args[:6], counted_watch, *args[7:])
+
         def decided(rec):
-            games, proofs = self.games, self.proofs
+            games, before = self.games, (self.sweeps, self.checks, self.proofs)
             out = descent_witness(rec)
-            how = ("game" if self.games > games else "descent_certificate" if self.proofs > proofs
+            after = (self.sweeps, self.checks, self.proofs)
+            how = ("game" if self.games > games else "descent_certificate" if after[2] > before[2]
                    else "row_infeasible" if out is None else "descent_point")
-            self.start_points[how] += 1
+            row = self.start_points[how]
+            row["searches"] += 1
+            for name, was, now in zip(START_COUNTS[1:], before, after):
+                row[name] += now - was
             return out
 
         pl._tau_passes = counted_passes
+        pl._descend_scaled = counted_descend
         pl._descent_witness = self._within("witness", decided)
         pl._optimal_witness = self._within("witness", pl._optimal_witness)
 
